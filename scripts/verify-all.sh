@@ -1,19 +1,20 @@
 #!/usr/bin/env bash
-# verify-all: configure + build + test the eleven supported configurations
+# verify-all: configure + build + test the ten supported configurations
 # in sequence — default (RelWithDebInfo), Sickle lint over the corpus and
 # example seeds, the DiSketch accuracy goldens (`accuracy` label), the
 # Silo sharded-store suite at FARM_THREADS=16 (`silo` label — exercises
 # the multi-shard defaults and parallel query folds this host's core count
-# may not), the incremental-placement suite (`incremental` label), the
-# Furrow profiler suite (`profile` label), the Winnow abstract-interpreter
-# and optimizer suite (`winnow` label), ASan+UBSan, a UBSan-only build
-# over the lint+winnow labels (the interpreter and abstract-interpreter
-# arithmetic edge cases are exactly where UB hides), telemetry compiled
-# out, and TSan over the Combine-labelled concurrency tests (the worker
-# pool and the parallel placement/sweep paths, run at FARM_THREADS=8).
-# Then three fatal bench gates: bench_incremental must re-optimize a
-# single seed event on the 100k-seed fabric in under a second,
-# bit-identical to a full solve; bench_profiler must show ≤2% end-to-end
+# may not), the Furrow profiler suite (`profile` label), the Winnow
+# abstract-interpreter and optimizer suite (`winnow` label), ASan+UBSan, a
+# UBSan-only build over the lint+winnow labels (the interpreter and
+# abstract-interpreter arithmetic edge cases are exactly where UB hides),
+# telemetry compiled out, and TSan over the Combine-labelled concurrency
+# tests (the worker pool, the parallel placement/sweep paths and the LP
+# memo shared by the parallel LP batches, run at FARM_THREADS=8).
+# Then three fatal bench gates: bench_incremental must re-solve a single
+# seed event on the 100k-seed fabric through the LP memo in under a
+# second, bit-identical to a memo-less solve and, at FARM_THREADS=1,
+# faster than it; bench_profiler must show ≤2% end-to-end
 # cost on the instrumented 10k-seed solve; and bench_winnow must replay
 # every optimized shipped seed bit-identically with ≥3 seeds showing a
 # strict refined-TCAM reduction. A final non-fatal clang-tidy stage
@@ -27,7 +28,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workflows=(verify-default verify-lint verify-accuracy verify-silo verify-incremental verify-profile verify-winnow verify-asan verify-ubsan verify-telemetry-off verify-tsan)
+workflows=(verify-default verify-lint verify-accuracy verify-silo verify-profile verify-winnow verify-asan verify-ubsan verify-telemetry-off verify-tsan)
 failed=()
 
 for wf in "${workflows[@]}"; do
@@ -37,11 +38,12 @@ for wf in "${workflows[@]}"; do
   fi
 done
 
-# Incremental placement gate: a single seed arrival/departure on the
-# 100k-seed, 1040-switch fabric must re-optimize in under a second and
-# stay bit-identical to a from-scratch solve (bench_incremental exits
-# non-zero otherwise) — fatal, it guards the delta-solve contract.
-echo "==== stage: incremental placement gate (bench_incremental) ===="
+# LP memo gate: a single seed arrival/departure on the 100k-seed,
+# 1040-switch fabric must re-solve through the memo in under a second,
+# bit-identical to a memo-less solve, and beat the memo-less solve at
+# FARM_THREADS=1 (bench_incremental exits non-zero otherwise) — fatal, it
+# guards the memo's bit-identity and its reason to exist.
+echo "==== stage: LP memo gate (bench_incremental) ===="
 if ! build/bench/bench_incremental; then
   failed+=(bench_incremental)
 fi

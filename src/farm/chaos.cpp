@@ -38,20 +38,12 @@ void ChaosController::apply(const sim::FaultEvent& e) {
   tel.mark(tel.counter("chaos." + sim::to_string(e.kind)),
            static_cast<double>(e.a));
   net::Topology& topo = system_.topology_mut();
-  // Topology-affecting faults also hint the seeder's incremental placer:
-  // the touched switches are dirty for the next re-placement even before
-  // failure detection (or anything else) changes their placement-visible
-  // content.
   switch (e.kind) {
     case sim::FaultKind::kLinkDown:
       topo.set_link_state(e.a, e.b, false);
-      system_.seeder().on_topology_change(e.a);
-      system_.seeder().on_topology_change(e.b);
       break;
     case sim::FaultKind::kLinkUp:
       topo.set_link_state(e.a, e.b, true);
-      system_.seeder().on_topology_change(e.a);
-      system_.seeder().on_topology_change(e.b);
       break;
     case sim::FaultKind::kSwitchCrash: {
       asic::SwitchChassis& ch = system_.chassis(e.a);
@@ -61,7 +53,6 @@ void ChaosController::apply(const sim::FaultEvent& e) {
       system_.soil(e.a).crash();
       ch.power_off();
       topo.set_node_state(e.a, false);
-      system_.seeder().on_topology_change(e.a);
       break;
     }
     case sim::FaultKind::kSwitchReboot: {
@@ -69,7 +60,6 @@ void ChaosController::apply(const sim::FaultEvent& e) {
       if (ch.powered()) break;
       ch.power_on();
       topo.set_node_state(e.a, true);
-      system_.seeder().on_topology_change(e.a);
       break;
     }
     case sim::FaultKind::kPollLossStart:

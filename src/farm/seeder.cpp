@@ -10,18 +10,6 @@
 
 namespace farm::core {
 
-namespace {
-
-placement::IncrementalOptions placer_options(const SeederOptions& o) {
-  placement::IncrementalOptions io;
-  io.heuristic = o.heuristic;
-  io.max_delta_fraction = o.max_delta_fraction;
-  io.pod_of = o.pod_of;
-  return io;
-}
-
-}  // namespace
-
 Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
                MessageBus& bus, std::vector<Soil*> soils,
                SeederOptions options)
@@ -29,8 +17,7 @@ Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
       controller_(controller),
       bus_(bus),
       soils_(std::move(soils)),
-      options_(options),
-      placer_(placer_options(options_)) {
+      options_(options) {
   tel_ = &engine_.telemetry();
   track_ = tel_->track("seeder");
   m_heartbeats_ = tel_->counter("seeder.heartbeats");
@@ -130,10 +117,7 @@ void Seeder::on_node_failed(Soil& soil) {
   // stays in soils_ so heartbeats keep probing it for a reboot.
   bus_.detach_soil(soil.node());
   // Re-place over the survivors; deployments made here replace the seeds the
-  // failure displaced. The dead switch is a topology-change hint for the
-  // incremental placer (its seeds' candidate switches get dirtied by the
-  // problem diff itself).
-  placer_.mark_dirty(soil.node());
+  // failure displaced.
   std::uint64_t before = deployments_;
   reoptimize();
   reseed_count_.add(deployments_ - before);
@@ -156,11 +140,8 @@ void Seeder::on_node_recovered(net::NodeId node) {
   h.last_seen = engine_.now();
   Soil* soil = soil_at(node);
   if (soil) bus_.attach_soil(*soil);
-  placer_.mark_dirty(node);
   reoptimize();
 }
-
-void Seeder::on_topology_change(net::NodeId node) { placer_.mark_dirty(node); }
 
 std::vector<net::NodeId> Seeder::failed_nodes() const {
   std::vector<net::NodeId> out;
@@ -413,10 +394,10 @@ void Seeder::reoptimize_once() {
     placement::MilpPlacementOptions mo;
     mo.timeout_seconds = options_.milp_timeout_seconds;
     last_ = placement::solve_milp_placement(problem, mo);
-  } else if (options_.incremental) {
-    last_ = placer_.resolve(problem);
   } else {
-    last_ = placement::solve_heuristic(problem, options_.heuristic);
+    placement::HeuristicOptions ho = options_.heuristic;
+    ho.memo = &memo_;
+    last_ = placement::solve_heuristic(problem, ho);
   }
   realize(last_);
 }

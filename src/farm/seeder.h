@@ -20,7 +20,7 @@
 
 #include "almanac/verify/verify.h"
 #include "placement/heuristic.h"
-#include "placement/incremental.h"
+#include "placement/memo.h"
 #include "placement/milp_placement.h"
 #include "runtime/bus.h"
 #include "runtime/soil.h"
@@ -48,19 +48,9 @@ struct SeederOptions {
   double milp_timeout_seconds = 10;
   // Combine knobs ride along here: heuristic.threads spreads the LP
   // batches across workers, heuristic.multi_start races perturbed greedy
-  // starts — both deterministic at any thread count.
+  // starts — both deterministic at any thread count. heuristic.memo is
+  // replaced by the seeder's own LP memo, kept across re-solves.
   placement::HeuristicOptions heuristic;
-  // Incremental re-placement (placement/incremental.h): cache the last
-  // solution and re-solve only the per-switch LPs the change touched,
-  // falling back to a full solve when the delta exceeds
-  // max_delta_fraction of the fabric. Results are bit-identical to the
-  // full solve either way; only solve latency differs. Ignored by the
-  // MILP path.
-  bool incremental = true;
-  double max_delta_fraction = 0.25;
-  // Optional pod lookup forwarded to the incremental placer: a dirty
-  // switch dirties its whole pod. Unset on flat spine-leaf fabrics.
-  std::function<int(net::NodeId)> pod_of;
   // Heartbeat-based switch failure detection (§II-C b: the seeder must
   // notice dead switches and re-place their seeds). Zero disables probing.
   sim::Duration heartbeat_period = sim::Duration::ms(250);
@@ -103,19 +93,10 @@ class Seeder {
   // flag, and one deferred pass (coalescing every such request) runs
   // after the in-flight one completes.
   void reoptimize();
-  // Topology-change hook for the sim layer (chaos, reroutes): marks the
-  // switch dirty for the next incremental resolve. Does not itself
-  // trigger a reoptimize — the failure-detection / depletion paths do.
-  void on_topology_change(net::NodeId node);
 
   const placement::PlacementResult& last_placement() const { return last_; }
-  // Delta/fallback statistics of the most recent placement resolve
-  // (meaningful when options.incremental is on and the MILP is off).
-  const placement::IncrementalStats& last_incremental() const {
-    return placer_.last_stats();
-  }
   // Reoptimize requests that arrived mid-reoptimize and were deferred
-  // instead of dropped (the pre-incremental seeder silently lost them).
+  // instead of dropped (an earlier seeder silently lost them).
   std::uint64_t deferred_reoptimizes() const { return deferred_reoptimizes_; }
   // The optimization input built from the currently installed tasks;
   // exposed so benchmarks can solve it with other algorithms.
@@ -192,7 +173,10 @@ class Seeder {
   SeederOptions options_;
   std::unordered_map<std::string, InstalledTask> tasks_;
   placement::PlacementResult last_;
-  placement::IncrementalPlacer placer_;
+  // Every Algorithm-1 re-solve runs through this memo (placement/memo.h):
+  // one seed event only re-solves the LPs it changed, and the result is
+  // bit-identical to a memo-less solve.
+  placement::SolveMemo memo_;
   std::uint64_t migrations_ = 0;
   std::uint64_t deployments_ = 0;
   // True for the whole reoptimize (solve + realize), not just realize:

@@ -2,7 +2,7 @@
 //
 // Internal entry point used by solve_lp when LpOptions::algorithm is
 // kRevisedSparse; see simplex.h for the public interface and DESIGN.md
-// §14.3 for the data structures.
+// §14.2 for the data structures.
 #pragma once
 
 #include "lp/simplex.h"

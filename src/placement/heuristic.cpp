@@ -9,6 +9,7 @@
 #include "placement/switch_lp.h"
 #include "telemetry/prof.h"
 #include "util/check.h"
+#include "util/log.h"
 #include "util/pool.h"
 #include "util/rng.h"
 
@@ -602,6 +603,43 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
   return result;
 }
 
+// Every start of one solve, folded to the best one.
+PlacementResult solve_starts(const PlacementProblem& problem,
+                             const HeuristicOptions& options,
+                             util::ThreadPool& pool) {
+  int starts = std::max(1, options.multi_start);
+  FARM_PROF_COUNT("placement.starts", starts);
+  if (starts == 1) return solve_single_start(problem, options, pool, 0);
+  // The outer fan-out owns the pool; each start's inner batches detect
+  // they run on pool workers and execute inline (no oversubscription).
+  auto all = pool.parallel_map<PlacementResult>(
+      static_cast<std::size_t>(starts), [&](std::size_t k) {
+        return solve_single_start(problem, options, pool,
+                                  static_cast<std::uint64_t>(k));
+      });
+  std::size_t best = 0;
+  std::uint64_t lp_solves = 0;
+  for (std::size_t k = 0; k < all.size(); ++k) {
+    lp_solves += all[k].lp_solves;
+    // Strictly-greater keeps the lowest index among exact ties — the
+    // winner is a pure function of the inputs, not of scheduling.
+    if (all[k].total_utility > all[best].total_utility) best = k;
+  }
+  PlacementResult result = std::move(all[best]);
+  result.lp_solves = lp_solves;
+  return result;
+}
+
+// One solve through the memo, bracketed by its per-solve lifecycle.
+PlacementResult solve_memoized(const PlacementProblem& problem,
+                               const HeuristicOptions& options,
+                               util::ThreadPool& pool) {
+  options.memo->prepare(problem);
+  PlacementResult result = solve_starts(problem, options, pool);
+  options.memo->finish();
+  return result;
+}
+
 }  // namespace
 
 PlacementResult solve_heuristic(const PlacementProblem& problem,
@@ -611,28 +649,21 @@ PlacementResult solve_heuristic(const PlacementProblem& problem,
   util::ThreadPool pool(options.threads);
 
   PlacementResult result;
-  int starts = std::max(1, options.multi_start);
-  FARM_PROF_COUNT("placement.starts", starts);
-  if (starts == 1) {
-    result = solve_single_start(problem, options, pool, 0);
+  if (!options.memo) {
+    result = solve_starts(problem, options, pool);
   } else {
-    // The outer fan-out owns the pool; each start's inner batches detect
-    // they run on pool workers and execute inline (no oversubscription).
-    auto all = pool.parallel_map<PlacementResult>(
-        static_cast<std::size_t>(starts), [&](std::size_t k) {
-          return solve_single_start(problem, options, pool,
-                                    static_cast<std::uint64_t>(k));
-        });
-    std::size_t best = 0;
-    std::uint64_t lp_solves = 0;
-    for (std::size_t k = 0; k < all.size(); ++k) {
-      lp_solves += all[k].lp_solves;
-      // Strictly-greater keeps the lowest index among exact ties — the
-      // winner is a pure function of the inputs, not of scheduling.
-      if (all[k].total_utility > all[best].total_utility) best = k;
+    result = solve_memoized(problem, options, pool);
+    // Memo values are pure, so with an intact memo this never fires; a
+    // result that breaks (C1)-(C4) means a corrupted entry, repaired by
+    // emptying the memo and solving again.
+    auto errors = validate_placement(problem, result);
+    if (!errors.empty()) {
+      FARM_LOG(kWarn) << "memoized placement failed validation ("
+                      << errors.front() << "); clearing the LP memo and "
+                      << "re-solving";
+      options.memo->clear();
+      result = solve_memoized(problem, options, pool);
     }
-    result = std::move(all[best]);
-    result.lp_solves = lp_solves;
   }
   result.solve_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)

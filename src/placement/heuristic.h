@@ -43,11 +43,14 @@ struct HeuristicOptions {
   // total utility wins; ties go to the lowest start index, so the result
   // is deterministic at any thread count.
   int multi_start = 1;
-  // Optional LP memo (memo.h): every minimal-allocation and per-switch
-  // redistribution LP is looked up by exact content first. Cached values
-  // are pure functions of their keys, so the placement is bit-identical
-  // with or without a memo; only `lp_solves` (cache misses) differs.
-  // The caller owns the memo and must call memo->prepare(problem) first.
+  // Optional LP memo (memo.h), kept by the caller across solves: every
+  // minimal-allocation and per-switch redistribution LP is looked up by
+  // exact content first. Cached values are pure functions of their keys,
+  // so the placement is bit-identical with or without a memo; only
+  // `lp_solves` (cache misses) differs. solve_heuristic runs the memo's
+  // whole lifecycle: prepare and finish around the solve, then
+  // validate_placement, and on a rejection (a corrupted entry) it logs a
+  // warning, clears the memo and solves once more.
   SolveMemo* memo = nullptr;
 };
 

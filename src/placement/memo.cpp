@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "telemetry/prof.h"
+#include "util/check.h"
 
 namespace farm::placement {
 
@@ -63,23 +64,22 @@ void SolveMemo::prepare(const PlacementProblem& problem) {
   std::string content;  // reused across seeds; copied only on first sight
   for (const auto& s : problem.seeds) {
     seed_lp_content(content, s);
-    auto [it, inserted] = token_by_content_.try_emplace(content, next_token_);
-    if (inserted) ++next_token_;
-    token_by_seed_[&s] = it->second;
+    auto [it, inserted] = token_by_content_.try_emplace(content);
+    if (inserted) it->second.value = next_token_++;
+    it->second.generation = generation_;
+    token_by_seed_[&s] = it->second.value;
   }
 }
 
-void SolveMemo::finish(std::uint64_t keep_generations) {
+void SolveMemo::finish() {
   std::lock_guard<std::mutex> lock(mutex_);
   token_by_seed_.clear();
-  if (generation_ < keep_generations) return;
-  const std::uint64_t floor = generation_ - keep_generations;
-  for (auto it = switch_cache_.begin(); it != switch_cache_.end();) {
-    if (it->second.generation < floor)
-      it = switch_cache_.erase(it);
-    else
-      ++it;
-  }
+  if (generation_ < kKeepGenerations) return;
+  const std::uint64_t floor = generation_ - kKeepGenerations;
+  auto stale = [floor](const auto& kv) { return kv.second.generation < floor; };
+  std::erase_if(token_by_content_, stale);
+  std::erase_if(variant_cache_, stale);
+  std::erase_if(switch_cache_, stale);
 }
 
 void SolveMemo::clear() {
@@ -88,7 +88,34 @@ void SolveMemo::clear() {
   token_by_seed_.clear();
   variant_cache_.clear();
   switch_cache_.clear();
-  next_token_ = 1;
+}
+
+std::size_t SolveMemo::size() const {
+  std::lock_guard<std::mutex> lock(mutex_);
+  return token_by_content_.size() + variant_cache_.size() +
+         switch_cache_.size();
+}
+
+template <typename T, typename Solve>
+T SolveMemo::lookup(std::unordered_map<std::string, Stamped<T>>& table,
+                    const std::string& key, Solve&& solve) {
+  {
+    std::lock_guard<std::mutex> lock(mutex_);
+    auto it = table.find(key);
+    if (it != table.end()) {
+      ++hits_;
+      it->second.generation = generation_;
+      FARM_PROF_COUNT("placement.memo.hits", 1);
+      return it->second.value;
+    }
+  }
+  T value = solve();
+  FARM_PROF_COUNT("placement.memo.misses", 1);
+  std::lock_guard<std::mutex> lock(mutex_);
+  // First insert wins; a concurrent loser computed the identical value.
+  auto it = table.try_emplace(key, Stamped<T>{std::move(value)}).first;
+  it->second.generation = generation_;
+  return it->second.value;
 }
 
 SolveMemo::VariantEntry SolveMemo::variant_info(const UtilityVariant& variant,
@@ -102,33 +129,22 @@ SolveMemo::VariantEntry SolveMemo::variant_info(const UtilityVariant& variant,
   key.clear();
   put_variant(key, variant);
   put_resources(key, cap);
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    auto it = variant_cache_.find(key);
-    if (it != variant_cache_.end()) {
-      ++hits_;
-      FARM_PROF_COUNT("placement.memo.hits", 1);
-      return it->second;
-    }
-  }
-  VariantEntry entry;
-  entry.min_alloc = minimal_allocation(variant, cap);
-  if (entry.min_alloc) entry.min_util = variant.utility(*entry.min_alloc);
-  if (solves) ++*solves;
-  FARM_PROF_COUNT("placement.memo.misses", 1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++misses_;
-  // First insert wins; a concurrent loser computed the identical value.
-  return variant_cache_.try_emplace(key, entry).first->second;
+  return lookup(variant_cache_, key, [&] {
+    VariantEntry entry;
+    entry.min_alloc = minimal_allocation(variant, cap);
+    if (entry.min_alloc) entry.min_util = variant.utility(*entry.min_alloc);
+    if (solves) ++*solves;
+    return entry;
+  });
 }
 
 std::optional<SwitchLpResult> SolveMemo::redistribute(
     const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
     const ResourcesValue& reserved, std::uint64_t* solves) {
   // Key building happens outside the mutex: token_by_seed_ is written only
-  // by prepare()/finish()/clear(), which the contract keeps sequential with
-  // the solve, so concurrent workers only ever read it here. The buffer is
-  // per-thread and reused (see variant_info).
+  // by prepare()/finish()/clear(), which solve_heuristic keeps sequential
+  // with the parallel batches, so concurrent workers only ever read it
+  // here. The buffer is per-thread and reused (see variant_info).
   thread_local std::string key;
   key.clear();
   std::uint32_t node = sw.node;
@@ -139,44 +155,22 @@ std::optional<SwitchLpResult> SolveMemo::redistribute(
   put_u64(key, seeds.size());
   for (const auto& ps : seeds) {
     auto it = token_by_seed_.find(ps.seed);
-    if (it == token_by_seed_.end()) {
-      // Not interned (direct solve_heuristic call without prepare()):
-      // skip the cache rather than risk a wrong key.
-      key.clear();
-      break;
-    }
+    FARM_CHECK_MSG(it != token_by_seed_.end(),
+                   "pinned seed was not interned by SolveMemo::prepare");
     put_u64(key, it->second);
     std::int32_t variant = ps.variant;
     put_bytes(key, &variant, 4);
   }
-  {
-    std::lock_guard<std::mutex> lock(mutex_);
-    if (!key.empty()) {
-      auto it = switch_cache_.find(key);
-      if (it != switch_cache_.end()) {
-        ++hits_;
-        it->second.generation = generation_;
-        FARM_PROF_COUNT("placement.memo.hits", 1);
-        return it->second.result;
-      }
-    }
-  }
-  auto result = redistribute_on_switch(sw, seeds, reserved, solves);
-  if (key.empty()) return result;
-  FARM_PROF_COUNT("placement.memo.misses", 1);
-  std::lock_guard<std::mutex> lock(mutex_);
-  ++misses_;
-  auto [it, inserted] =
-      switch_cache_.try_emplace(key, SwitchEntry{result, generation_});
-  if (!inserted) it->second.generation = generation_;
-  return it->second.result;
+  return lookup(switch_cache_, key, [&] {
+    return redistribute_on_switch(sw, seeds, reserved, solves);
+  });
 }
 
 void SolveMemo::poison_switch_entries_for_testing(const SwitchLpResult& fake) {
   std::lock_guard<std::mutex> lock(mutex_);
   for (auto& [_, entry] : switch_cache_)
-    if (entry.result && entry.result->allocs.size() == fake.allocs.size())
-      entry.result = fake;
+    if (entry.value && entry.value->allocs.size() == fake.allocs.size())
+      entry.value = fake;
 }
 
 }  // namespace farm::placement

@@ -6,9 +6,13 @@
 // pinned (seed, variant) sequence, reserved residue). SolveMemo caches
 // them under exact-content keys — every double is compared bitwise, so a
 // cache hit returns the very value a fresh solve would compute and the
-// overall placement stays bit-identical to an uncached run. This is what
-// makes the incremental path (incremental.h) exact: clean switches
-// splice their cached LP results, only dirty ones actually solve.
+// overall placement stays bit-identical to an uncached run. Kept across
+// re-solves (the Seeder owns one), it lets a re-solve after one seed event
+// pay only for the LPs that event changed.
+//
+// Lifecycle: solve_heuristic (heuristic.h) calls prepare() before and
+// finish() after every solve it runs with a memo, so one memo serves one
+// solve at a time.
 //
 // Thread safety: lookups/inserts are mutex-protected and values are pure
 // functions of their keys, so concurrent workers racing on the same key
@@ -21,7 +25,14 @@
 // Seed tokens: switch-LP keys name each pinned seed by an interned token
 // assigned in prepare() — one sequential pass over the problem before the
 // parallel solve — so per-lookup key building is O(pinned) instead of
-// re-serializing seed contents on every call.
+// re-serializing seed contents on every call. Token ids are never reused,
+// so a switch-LP key built from an evicted token can never match a seed
+// interned later.
+//
+// Eviction: every entry of the three tables (tokens, variant LPs, switch
+// LPs) records the last solve (generation) that touched it, and finish()
+// evicts entries untouched for more than kKeepGenerations solves — the
+// memo holds at most the content of the current solve and the two before.
 #pragma once
 
 #include <cstdint>
@@ -42,13 +53,14 @@ class SolveMemo {
     double min_util = 0;
   };
 
-  // Interns every seed of `problem` (token = exact content of variants +
-  // polls). Call sequentially before the solve that uses this memo.
+  static constexpr std::uint64_t kKeepGenerations = 2;
+
+  // Starts a solve: interns every seed of `problem` (token = exact content
+  // of variants + polls). Runs sequentially before the parallel batches.
   void prepare(const PlacementProblem& problem);
-  // Drops the per-solve pointer table (seed pointers dangle once the
-  // problem is destroyed) and evicts entries untouched for more than
-  // `keep_generations` solves.
-  void finish(std::uint64_t keep_generations);
+  // Ends a solve: drops the per-solve pointer table (seed pointers dangle
+  // once the problem is destroyed) and evicts stale entries.
+  void finish();
 
   // Full invalidation: the next solve recomputes everything.
   void clear();
@@ -58,37 +70,44 @@ class SolveMemo {
   VariantEntry variant_info(const UtilityVariant& variant,
                             const ResourcesValue& cap, std::uint64_t* solves);
 
-  // Memoized redistribute_on_switch. Falls through to a direct solve when
-  // a pinned seed was not interned by prepare().
+  // Memoized redistribute_on_switch. Every pinned seed must belong to the
+  // problem passed to prepare().
   std::optional<SwitchLpResult> redistribute(const SwitchModel& sw,
                                              const std::vector<PinnedSeed>& seeds,
                                              const ResourcesValue& reserved,
                                              std::uint64_t* solves);
 
   std::uint64_t hits() const { return hits_; }
-  std::uint64_t misses() const { return misses_; }
-  std::size_t switch_entries() const { return switch_cache_.size(); }
+  // Entries across the token, variant-LP and switch-LP tables.
+  std::size_t size() const;
 
   // Test hook: overwrite a cached switch-LP entry in place (all existing
   // keys keep matching but return this result). Lets tests exercise the
-  // splice-validation fallback, which never triggers by construction.
+  // validate-and-repair pass, which never triggers by construction.
   void poison_switch_entries_for_testing(const SwitchLpResult& fake);
 
  private:
-  struct SwitchEntry {
-    std::optional<SwitchLpResult> result;
+  template <typename T>
+  struct Stamped {
+    T value{};
     std::uint64_t generation = 0;
   };
 
+  // One memoized lookup: a hit stamps the entry with the current
+  // generation; a miss runs `solve` outside the lock and inserts.
+  template <typename T, typename Solve>
+  T lookup(std::unordered_map<std::string, Stamped<T>>& table,
+           const std::string& key, Solve&& solve);
+
   mutable std::mutex mutex_;
-  std::unordered_map<std::string, std::uint64_t> token_by_content_;
+  std::unordered_map<std::string, Stamped<std::uint64_t>> token_by_content_;
   std::unordered_map<const SeedModel*, std::uint64_t> token_by_seed_;
-  std::unordered_map<std::string, VariantEntry> variant_cache_;
-  std::unordered_map<std::string, SwitchEntry> switch_cache_;
+  std::unordered_map<std::string, Stamped<VariantEntry>> variant_cache_;
+  std::unordered_map<std::string, Stamped<std::optional<SwitchLpResult>>>
+      switch_cache_;
   std::uint64_t generation_ = 0;
   std::uint64_t next_token_ = 1;
   std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace farm::placement

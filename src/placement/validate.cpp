@@ -52,7 +52,7 @@ std::vector<std::string> validate_placement(const PlacementProblem& problem,
   std::vector<std::string> errors;
   auto fail = [&errors](std::string msg) { errors.push_back(std::move(msg)); };
 
-  // Hashed indexes: validation runs after every incremental splice, so it
+  // Hashed indexes: validation runs after every memoized solve, so it
   // must stay O(placements + switches) — the old per-switch scan over all
   // placements (with an ordered-map lookup per pair) was quadratic and
   // dominated a 100k-seed resolve.

@@ -569,7 +569,6 @@ TEST(ChaosTest, SwitchFailureMidReoptimizeIsDeferredAndServed) {
     farm.soil(victim).crash();
     farm.chassis(victim).power_off();
     farm.topology_mut().set_node_state(victim, false);
-    seeder.on_topology_change(victim);
     seeder.reoptimize();  // mid-reoptimize: must defer, not drop or recurse
   });
 
