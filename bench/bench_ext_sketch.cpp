@@ -33,9 +33,9 @@ Result run(const core::UseCase& uc, int n_destinations) {
   core::FarmSystem farm(cfg);
   core::CollectingHarvester harv(farm.engine(), "s");
   farm.bus().attach_harvester("s", harv);
-  auto ext = uc.default_externals;
-  ext["fanoutThreshold"] = almanac::Value(std::int64_t{20});
-  auto ids = farm.install_task({"s", uc.source, uc.machines, ext});
+  auto ids = farm.install_task(
+      {"s", uc.source, uc.machines,
+       {{"fanoutThreshold", almanac::Value(std::int64_t{20})}}});
   if (ids.empty()) return {};
 
   util::Rng rng(3);

@@ -3,6 +3,7 @@
 // filter matching, TCAM lookup, the DES engine, and the simplex solver.
 #include <benchmark/benchmark.h>
 
+#include "almanac/analysis.h"
 #include "almanac/interp.h"
 #include "almanac/parser.h"
 #include "asic/tcam.h"
@@ -43,13 +44,7 @@ void BM_SeedVmPollHandler(benchmark::State& state) {
   auto program = almanac::parse_program(uc.source);
   auto cm = almanac::compile_machine(program, "HH");
   almanac::Interpreter interp(cm, nullptr);
-  almanac::Env env;
-  for (const auto* v : cm.vars) {
-    if (v->init && !v->trigger)
-      env.define(v->name, interp.eval(*v->init, env));
-    else if (!v->trigger)
-      env.define(v->name, almanac::Interpreter::default_value(v->type));
-  }
+  almanac::Env env = almanac::static_machine_env(cm);
   almanac::StatsValue stats;
   for (int i = 0; i < 48; ++i)
     stats.entries->push_back(

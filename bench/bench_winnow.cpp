@@ -47,11 +47,8 @@ int main() {
     }
     for (const auto& name : uc.machines) {
       auto cm = almanac::compile_machine(program, name);
-      almanac::verify::absint::AbsintOptions aopts;
-      aopts.externals = uc.default_externals;
-
       auto t0 = std::chrono::steady_clock::now();
-      auto opt = almanac::opt::optimize_machine(cm, aopts);
+      auto opt = almanac::opt::optimize_machine(cm);
       auto t1 = std::chrono::steady_clock::now();
       double us =
           std::chrono::duration<double, std::micro>(t1 - t0).count();
@@ -59,7 +56,7 @@ int main() {
       if (!opt.analysis.converged() || !opt.stats.applied) ok = false;
 
       auto before = almanac::verify::estimate_resources(cm, vopts, nullptr);
-      auto facts = almanac::verify::absint::analyze_machine(opt.machine, aopts);
+      auto facts = almanac::verify::absint::analyze_machine(opt.machine);
       auto after =
           almanac::verify::estimate_resources(opt.machine, vopts, &facts);
       double red = before.tcam_rules > 0
@@ -68,10 +65,8 @@ int main() {
                        : 0.0;
       if (after.tcam_rules < before.tcam_rules) ++reduced;
 
-      almanac::opt::ReplayOptions ropts;
-      ropts.externals = uc.default_externals;
       auto report =
-          almanac::opt::replay_compare(cm, opt.machine, opt.analysis, ropts);
+          almanac::opt::replay_compare(cm, opt.machine, opt.analysis);
       if (!report.ok()) ok = false;
 
       std::printf("%-28s | %8.0f %6d %6d | %7.0f %7.0f %5.1f%% | %s\n",

@@ -9,8 +9,6 @@
 //                                            TCAM/PCIe estimates, and a
 //                                            replay-equivalence verdict
 //   almanac_tool xml <file.alm>              emit the XML seed image (§V-A d)
-//   almanac_tool dump-usecases <dir>         write the Table I programs as
-//                                            .alm files into <dir>
 //
 // `lint` resolves place directives against the default spine-leaf
 // deployment (4 spines × 16 leaves × 8 hosts) and scores resource
@@ -33,7 +31,6 @@
 #include "almanac/verify/estimate.h"
 #include "almanac/verify/verify.h"
 #include "almanac/xml.h"
-#include "farm/usecases.h"
 
 using namespace farm;
 
@@ -77,15 +74,7 @@ int check(const std::string& path) {
           std::printf("\n");
         }
       }
-      almanac::Env env;
-      almanac::Interpreter interp(cm, nullptr);
-      for (const auto* v : cm.vars)
-        if (v->init && !v->trigger) {
-          try {
-            env.define(v->name, interp.eval(*v->init, env));
-          } catch (const almanac::EvalError&) {
-          }
-        }
+      almanac::Env env = almanac::static_machine_env(cm);
       for (const auto& pa :
            almanac::analyze_polls(cm, env, {1, 128, 32, 1})) {
         std::printf("  %s %s: subjects=%zu, ival%s = %s\n",
@@ -219,25 +208,6 @@ int emit_xml(const std::string& path) {
   }
 }
 
-int dump(const std::string& dir) {
-  std::vector<core::UseCase> all = core::all_use_cases();
-  for (const auto& ext : core::extension_use_cases()) all.push_back(ext);
-  for (const auto& uc : all) {
-    std::string name = uc.name;
-    for (auto& c : name)
-      if (!std::isalnum(static_cast<unsigned char>(c))) c = '_';
-    std::string path = dir + "/" + name + ".alm";
-    std::ofstream out(path);
-    if (!out) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    out << uc.source;
-    std::printf("wrote %s (%d LoC)\n", path.c_str(), uc.seed_loc);
-  }
-  return 0;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -258,13 +228,10 @@ int main(int argc, char** argv) {
   if (argc == 3 && std::string(argv[1]) == "optimize")
     return optimize_cmd(argv[2]);
   if (argc == 3 && std::string(argv[1]) == "xml") return emit_xml(argv[2]);
-  if (argc == 3 && std::string(argv[1]) == "dump-usecases")
-    return dump(argv[2]);
   std::fprintf(stderr,
                "usage: almanac_tool check <file.alm>\n"
                "       almanac_tool lint [--werror] <file.alm>\n"
                "       almanac_tool optimize <file.alm>\n"
-               "       almanac_tool xml <file.alm>\n"
-               "       almanac_tool dump-usecases <dir>\n");
+               "       almanac_tool xml <file.alm>\n");
   return 2;
 }

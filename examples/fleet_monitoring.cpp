@@ -34,8 +34,7 @@ int main() {
     harvesters.push_back(
         std::make_unique<core::CollectingHarvester>(farm.engine(), task));
     farm.bus().attach_harvester(task, *harvesters.back());
-    auto ids = farm.install_task(
-        {task, uc.source, uc.machines, uc.default_externals});
+    auto ids = farm.install_task({task, uc.source, uc.machines, {}});
     names.push_back(uc.name);
     std::printf("  installed %-22s → %3zu seeds\n", uc.name.c_str(),
                 ids.size());

@@ -1,16 +1,15 @@
 #!/usr/bin/env bash
-# verify-all: configure + build + test the ten supported configurations
-# in sequence — default (RelWithDebInfo), Sickle lint over the corpus and
-# example seeds, the DiSketch accuracy goldens (`accuracy` label), the
-# Silo sharded-store suite at FARM_THREADS=16 (`silo` label — exercises
-# the multi-shard defaults and parallel query folds this host's core count
-# may not), the Furrow profiler suite (`profile` label), the Winnow
-# abstract-interpreter and optimizer suite (`winnow` label), ASan+UBSan, a
+# verify-all: configure + build + test the six supported configurations
+# in sequence — default (RelWithDebInfo, every test: the lint, accuracy,
+# profile and winnow labels included), the Silo sharded-store suite at
+# FARM_THREADS=16 (`silo` label — exercises the multi-shard defaults and
+# parallel query folds this host's core count may not), ASan+UBSan, a
 # UBSan-only build over the lint+winnow labels (the interpreter and
 # abstract-interpreter arithmetic edge cases are exactly where UB hides),
 # telemetry compiled out, and TSan over the Combine-labelled concurrency
 # tests (the worker pool, the parallel placement/sweep paths and the LP
-# memo shared by the parallel LP batches, run at FARM_THREADS=8).
+# memo shared by the parallel LP batches, run at FARM_THREADS=8). A single
+# label re-runs on the default tree with `ctest --test-dir build -L <label>`.
 # Then three fatal bench gates: bench_incremental must re-solve a single
 # seed event on the 100k-seed fabric through the LP memo in under a
 # second, bit-identical to a memo-less solve and, at FARM_THREADS=1,
@@ -28,7 +27,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workflows=(verify-default verify-lint verify-accuracy verify-silo verify-profile verify-winnow verify-asan verify-ubsan verify-telemetry-off verify-tsan)
+workflows=(verify-default verify-silo verify-asan verify-ubsan verify-telemetry-off verify-tsan)
 failed=()
 
 for wf in "${workflows[@]}"; do

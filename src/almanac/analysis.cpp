@@ -397,6 +397,28 @@ bool inverse_linear(const Expr& e, Poly& inv) {
 
 }  // namespace
 
+Env static_machine_env(
+    const CompiledMachine& machine,
+    const std::unordered_map<std::string, Value>& externals) {
+  Env env;
+  Interpreter interp(machine, nullptr);
+  for (const auto* v : machine.vars) {
+    auto it = externals.find(v->name);
+    if (v->external && it != externals.end()) {
+      env.define(v->name, it->second);
+    } else if (v->init && !v->trigger) {
+      try {
+        env.define(v->name, interp.eval(*v->init, env));
+      } catch (const EvalError&) {
+        env.define(v->name, Interpreter::default_value(v->type));
+      }
+    } else if (!v->trigger) {
+      env.define(v->name, Interpreter::default_value(v->type));
+    }
+  }
+  return env;
+}
+
 std::vector<PollAnalysis> analyze_polls(
     const CompiledMachine& machine, Env& machine_env,
     const ResourcesValue& reference_alloc) {

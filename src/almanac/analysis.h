@@ -25,6 +25,7 @@
 #include <array>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "almanac/compile.h"
@@ -111,6 +112,17 @@ UtilityAnalysis analyze_utility(const UtilityDecl& util);
 // Default analysis for states without util: always placeable, utility 1
 // (a seed the operator deployed has baseline worth).
 UtilityAnalysis default_utility();
+
+// --- Machine environment -----------------------------------------------------
+
+// The machine environment the static analyses evaluate in, with no runtime
+// host: `externals` bind external variables (bindings of other names are
+// ignored); other variables take their initializer's value, or their type's
+// default when they have none or it cannot be evaluated statically.
+// Trigger variables stay unbound.
+Env static_machine_env(
+    const CompiledMachine& machine,
+    const std::unordered_map<std::string, Value>& externals = {});
 
 // --- Poll analysis -----------------------------------------------------------
 

@@ -6,8 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "almanac/analysis.h"
-#include "almanac/interp.h"
+#include "almanac/seed_core.h"
 #include "util/rng.h"
 
 namespace farm::almanac::opt {
@@ -24,108 +23,16 @@ std::string rule_key(const asic::TcamRule& r) {
   return r.pattern.canonical_key() + buf + r.note;
 }
 
-// A seed runtime clone over a deterministic host. Event dispatch,
-// environment construction, and error handling mirror runtime::Seed
-// statement for statement (src/runtime/seed.cpp) — the point of the
-// harness is to compare machines under the *real* execution semantics —
-// with every host effect appended to a transcript instead of hitting a
-// soil.
-class MiniSeed : public SeedHost {
+// The transcript host: runs the seed core the soil runtime runs
+// (seed_core.h) over a deterministic in-memory host that appends every
+// host effect and hook report to a transcript instead of hitting a soil.
+class TranscriptSeed : public SeedCore {
  public:
-  MiniSeed(const CompiledMachine& m,
-           const std::unordered_map<std::string, Value>& externals,
-           std::vector<std::string>& transcript)
-      : m_(m),
-        transcript_(transcript),
-        current_state_(m.initial_state),
-        interp_(m, this) {
-    for (const auto* v : m_.vars) {
-      auto ext = externals.find(v->name);
-      if (ext != externals.end() && v->external) {
-        env_.define(v->name, ext->second);
-        continue;
-      }
-      if (v->init) {
-        env_.define(v->name, interp_.eval(*v->init, env_));  // may throw
-      } else if (v->trigger) {
-        env_.define(v->name, Value(TriggerSpec{}));
-      } else {
-        env_.define(v->name, Interpreter::default_value(v->type));
-      }
-    }
-  }
-
-  const std::string& current_state() const { return current_state_; }
-  const Env& env() const { return env_; }
-
-  void start() {
-    fire_simple(EventDecl::TriggerKind::kEnter);
-    apply_pending_transit();
-  }
-
-  void on_poll(const std::string& var, const StatsValue& stats) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events) {
-      if (ev->kind != EventDecl::TriggerKind::kVarTrigger || ev->var != var)
-        continue;
-      run_handler(ev->actions, ev->as_var, Value(stats));
-    }
-  }
-
-  void on_probe(const std::string& var, const net::PacketHeader& packet) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events) {
-      if (ev->kind != EventDecl::TriggerKind::kVarTrigger || ev->var != var)
-        continue;
-      run_handler(ev->actions, ev->as_var, Value(packet));
-    }
-  }
-
-  void on_time(const std::string& var) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events) {
-      if (ev->kind != EventDecl::TriggerKind::kVarTrigger || ev->var != var)
-        continue;
-      run_handler(ev->actions, ev->as_var, Value(now_ms()));
-    }
-  }
-
-  void on_message(const Value& payload, bool from_harvester,
-                  const std::string& from_machine) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events) {
-      if (ev->kind != EventDecl::TriggerKind::kRecv) continue;
-      if (ev->from_harvester != from_harvester) continue;
-      if (!from_harvester && !ev->from_machine.empty() &&
-          ev->from_machine != from_machine)
-        continue;
-      if (!Interpreter::matches_type(payload, ev->recv_type)) continue;
-      run_handler(ev->actions, ev->recv_var, payload);
-      return;  // first matching handler consumes the message
-    }
-  }
-
-  void on_realloc(const ResourcesValue& resources) {
-    alloc_ = resources;
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events)
-      if (ev->kind == EventDecl::TriggerKind::kRealloc)
-        run_handler(ev->actions, "", Value(resources));
-  }
-
-  double utility(const ResourcesValue& r) const {
-    const CompiledState* st = state();
-    if (!st || !st->util) return default_utility().utility(r);
-    try {
-      return analyze_utility(*st->util).utility(r);
-    } catch (const CompileError&) {
-      return 0;
-    }
+  TranscriptSeed(const CompiledMachine& m,
+                 const std::unordered_map<std::string, Value>& externals,
+                 std::vector<std::string>& transcript)
+      : SeedCore(m), transcript_(transcript) {
+    bind(externals);  // may throw
   }
 
   void set_now_ms(std::int64_t now) { now_ms_ = now; }
@@ -158,7 +65,7 @@ class MiniSeed : public SeedHost {
   }
   void request_transit(const std::string& state) override {
     transcript_.push_back("transit-req " + state);
-    pending_transit_ = state;
+    SeedCore::request_transit(state);
   }
   void trigger_updated(const std::string& var) override {
     transcript_.push_back("trig " + var);
@@ -170,76 +77,20 @@ class MiniSeed : public SeedHost {
   }
 
  private:
-  const CompiledState* state() const { return m_.state(current_state_); }
-
-  void run_handler(const std::vector<ActionPtr>& actions,
-                   const std::string& bind_name, const Value& bind_value) {
-    Env scope(&env_);
-    if (!bind_name.empty()) scope.define(bind_name, bind_value);
-    try {
-      interp_.exec(actions, scope);
-    } catch (const EvalError& e) {
-      transcript_.push_back(std::string("handler-err ") + e.what());
-    }
-    apply_pending_transit();
+  // --- SeedCore hooks -------------------------------------------------------
+  void handler_ran() override {}
+  void handler_failed(Site site, const EvalError& e) override {
+    transcript_.push_back(std::string(site_name(site)) + "-err " + e.what());
   }
-
-  void fire_simple(EventDecl::TriggerKind kind) {
-    const CompiledState* st = state();
-    if (!st) return;
-    for (const auto* ev : st->events)
-      if (ev->kind == kind) run_handler(ev->actions, "", Value());
+  void state_entered() override {
+    transcript_.push_back("enter " + current_state());
   }
+  void chain_cut() override { transcript_.push_back("chain-cut"); }
 
-  void apply_pending_transit() {
-    while (pending_transit_) {
-      if (++transit_depth_ > kMaxTransitChain) {
-        transcript_.push_back("chain-cut");
-        pending_transit_.reset();
-        break;
-      }
-      std::string target = *pending_transit_;
-      pending_transit_.reset();
-      if (target == current_state_) continue;
-      const CompiledState* st = state();
-      if (st)
-        for (const auto* ev : st->events)
-          if (ev->kind == EventDecl::TriggerKind::kExit) {
-            Env scope(&env_);
-            try {
-              interp_.exec(ev->actions, scope);
-            } catch (const EvalError& e) {
-              transcript_.push_back(std::string("exit-err ") + e.what());
-            }
-          }
-      current_state_ = target;
-      transcript_.push_back("enter " + target);
-      st = state();
-      if (st)
-        for (const auto* ev : st->events)
-          if (ev->kind == EventDecl::TriggerKind::kEnter) {
-            Env scope(&env_);
-            try {
-              interp_.exec(ev->actions, scope);
-            } catch (const EvalError& e) {
-              transcript_.push_back(std::string("enter-err ") + e.what());
-            }
-          }
-    }
-    transit_depth_ = 0;
-  }
-
-  const CompiledMachine& m_;
   std::vector<std::string>& transcript_;
-  Env env_;
-  std::string current_state_;
-  std::optional<std::string> pending_transit_;
-  Interpreter interp_;
   std::unordered_map<std::string, asic::TcamRule> store_;
   ResourcesValue alloc_{2, 512, 128, 4};
   std::int64_t now_ms_ = 1000;
-  int transit_depth_ = 0;
-  static constexpr int kMaxTransitChain = 64;
 };
 
 // Event menu drawn from the machine declaration (identical for original
@@ -341,7 +192,7 @@ ReplayReport replay_compare(const CompiledMachine& original,
 
   // Envelope check on the original run: every register value must be
   // admitted by the analysis' residency abstraction of the current state.
-  auto check_intervals = [&](const MiniSeed& a, const char* when) {
+  auto check_intervals = [&](const TranscriptSeed& a, const char* when) {
     if (!rep.intervals_ok) return;
     auto it = analysis.state_entry.find(a.current_state());
     if (it == analysis.state_entry.end()) {
@@ -368,14 +219,14 @@ ReplayReport replay_compare(const CompiledMachine& original,
   for (int stream = 0; stream < opts.streams; ++stream) {
     util::Rng rng(util::derive_seed(opts.seed, stream));
     std::vector<std::string> ta, tb;
-    std::unique_ptr<MiniSeed> a, b;
+    std::unique_ptr<TranscriptSeed> a, b;
     try {
-      a = std::make_unique<MiniSeed>(original, opts.externals, ta);
+      a = std::make_unique<TranscriptSeed>(original, opts.externals, ta);
     } catch (const EvalError& e) {
       ta.push_back(std::string("ctor-err ") + e.what());
     }
     try {
-      b = std::make_unique<MiniSeed>(optimized, opts.externals, tb);
+      b = std::make_unique<TranscriptSeed>(optimized, opts.externals, tb);
     } catch (const EvalError& e) {
       tb.push_back(std::string("ctor-err ") + e.what());
     }
@@ -500,8 +351,10 @@ ReplayReport replay_compare(const CompiledMachine& original,
           r.RAM = rng.next_double(64, 4096);
           r.TCAM = static_cast<double>(rng.next_int(8, 1024));
           r.PCIe = rng.next_double(0.5, 8.0);
-          a->on_realloc(r);
-          b->on_realloc(r);
+          a->set_alloc(r);
+          b->set_alloc(r);
+          a->on_realloc();
+          b->on_realloc();
           break;
         }
       }

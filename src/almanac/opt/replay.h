@@ -1,11 +1,14 @@
 // Soundness harness for the Winnow optimizer (DESIGN.md §15).
 //
 // `replay_compare` drives the original and the optimized machine through
-// identical randomized event streams on a deterministic in-memory host and
-// asserts bit-identical observable behavior: every host effect (TCAM
+// identical randomized event streams and asserts bit-identical observable
+// behavior. Both run on the seed core the soil runtime runs
+// (almanac/seed_core.h) over a deterministic in-memory host, so there is
+// no second event loop to keep in sync. Every host effect (TCAM
 // install/remove/query, send, exec, log, trigger refresh, transit request),
-// every handler error, the resident state after each event, and the
-// utility sampled at two allocations must match line for line.
+// every handler error, state entry and transit-chain cut, the resident
+// state after each event, and the utility sampled at two allocations must
+// match line for line.
 //
 // It simultaneously checks the analysis envelope itself: after each event
 // settles, every machine register of the *original* run must be admitted

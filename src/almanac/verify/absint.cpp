@@ -625,8 +625,8 @@ class Engine {
   }
 
   // Pushes a transit contribution through the exit handlers of the state
-  // being left, mirroring the runtime's apply_pending_transit: each exit
-  // handler runs in turn (possibly cut short by a caught EvalError), so the
+  // being left, mirroring the seed core's transit chain (seed_core.cpp):
+  // each exit handler runs in turn (possibly cut short by a caught EvalError), so the
   // accumulator both seeds the next handler and absorbs every intermediate
   // env. Transit edges recorded *inside* exit handlers are not collected
   // here — the worklist runs exit events independently from in_[s] (which

@@ -81,7 +81,7 @@ ResourceEstimate estimate_resources(const CompiledMachine& m,
       }
 
   // PCIe: worst-case static poll bandwidth (same model as the RS pass).
-  Env env = build_machine_env(m, opts);
+  Env env = static_machine_env(m, opts.externals);
   std::vector<PollAnalysis> polls;
   try {
     polls = analyze_polls(m, env, opts.reference_alloc);

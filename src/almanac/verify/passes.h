@@ -28,11 +28,6 @@ void pass_places(const CompiledMachine& m, const VerifyOptions& opts,
 void pass_absint(const CompiledMachine& m, const VerifyOptions& opts,
                  DiagnosticSink& sink);
 
-// Machine environment for static evaluation, mirroring Seeder::elaborate:
-// externals bindings override initializers; evaluation failures and
-// triggers fall back to the declared type's default value.
-Env build_machine_env(const CompiledMachine& m, const VerifyOptions& opts);
-
 // --- AST walking helpers -----------------------------------------------------
 
 // Pre-order walk over an action tree (bodies and else-bodies included).

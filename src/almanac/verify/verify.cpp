@@ -4,28 +4,6 @@
 
 namespace farm::almanac::verify {
 
-Env build_machine_env(const CompiledMachine& m, const VerifyOptions& opts) {
-  Env env;
-  Interpreter interp(m, nullptr);
-  for (const auto* v : m.vars) {
-    auto it = opts.externals.find(v->name);
-    if (v->external && it != opts.externals.end()) {
-      env.define(v->name, it->second);
-      continue;
-    }
-    if (v->init && !v->trigger) {
-      try {
-        env.define(v->name, interp.eval(*v->init, env));
-      } catch (const EvalError&) {
-        env.define(v->name, Interpreter::default_value(v->type));
-      }
-    } else if (!v->trigger) {
-      env.define(v->name, Interpreter::default_value(v->type));
-    }
-  }
-  return env;
-}
-
 namespace {
 
 void collect_functions(const Program& program,

@@ -195,28 +195,13 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
     auto image = runtime::MachineImage::from_program(program, mname);
     const auto& cm = image->machine;
 
-    // Machine environment for static evaluation: externals override
-    // initializers; triggers and uninitialized vars get defaults.
-    almanac::Env env;
-    almanac::Interpreter interp(cm, nullptr);
+    almanac::Env env = almanac::static_machine_env(cm, spec.externals);
+    // The seeds bind only the task's externals this machine declares.
     std::unordered_map<std::string, Value> externals;
-    for (const auto* v : cm.vars) {
-      auto it = spec.externals.find(v->name);
-      if (v->external && it != spec.externals.end()) {
-        env.define(v->name, it->second);
+    for (const auto* v : cm.vars)
+      if (auto it = spec.externals.find(v->name);
+          v->external && it != spec.externals.end())
         externals.emplace(v->name, it->second);
-        continue;
-      }
-      if (v->init && !v->trigger) {
-        try {
-          env.define(v->name, interp.eval(*v->init, env));
-        } catch (const almanac::EvalError&) {
-          env.define(v->name, almanac::Interpreter::default_value(v->type));
-        }
-      } else if (!v->trigger) {
-        env.define(v->name, almanac::Interpreter::default_value(v->type));
-      }
-    }
 
     // Step 1: placement resolution.
     auto resolved = almanac::resolve_places(cm, env, controller_);

@@ -1,6 +1,8 @@
 #include "farm/usecases.h"
 
+#include <span>
 #include <sstream>
+#include <string_view>
 
 #include "util/check.h"
 
@@ -8,1045 +10,82 @@ namespace farm::core {
 
 namespace {
 
-// --- 1. Heavy hitter (Table I: 29/12) -----------------------------------------
-constexpr const char* kHeavyHitter = R"ALM(
-func list getHH(stats cur, list prev, long threshold) {
-  list hitters;
-  long i = 0;
-  while (i < stats_size(cur)) {
-    long before = 0;
-    if (i < list_size(prev)) then { before = to_long(list_get(prev, i)); }
-    if (stats_bytes(cur, i) - before >= threshold) then {
-      list_append(hitters, stats_iface(cur, i));
-    }
-    i = i + 1;
-  }
-  return hitters;
-}
-func list snapshotBytes(stats cur) {
-  list out;
-  long i = 0;
-  while (i < stats_size(cur)) {
-    list_append(out, stats_bytes(cur, i));
-    i = i + 1;
-  }
-  return out;
-}
-func void setHitterRules(list hitters, action act) {
-  long i = 0;
-  while (i < list_size(hitters)) {
-    filter f = iface_filter(to_long(list_get(hitters, i)));
-    if (is_nil(getTCAMRule(f))) then { addTCAMRule(f, act); }
-    i = i + 1;
-  }
-}
-machine HH {
-  place all;
-  poll pollStats = Poll { .ival = 0.01, .what = port ANY };
-  external long threshold = 1000000;
-  external action hitterAction;
-  list hitters;
-  list prevBytes;
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.1 and res.RAM >= 10) then {
-        return min(res.vCPU, res.PCIe);
-      }
-    }
-    when (pollStats as stats) do {
-      hitters = getHH(stats, prevBytes, threshold);
-      prevBytes = snapshotBytes(stats);
-      if (not is_list_empty(hitters)) then { transit HHdetected; }
-    }
-  }
-  state HHdetected {
-    util (res) { return 100; }
-    when (enter) do {
-      send hitters to harvester;
-      setHitterRules(hitters, hitterAction);
-      transit observe;
-    }
-  }
-  when (recv long newTh from harvester) do { threshold = newTh; }
-  when (recv action hitAct from harvester) do { hitterAction = hitAct; }
-}
-)ALM";
+// examples/almanac/*.alm, embedded by src/farm/CMakeLists.txt.
+struct EmbeddedProgram {
+  std::string_view file;
+  std::string_view source;
+};
+constexpr EmbeddedProgram kPrograms[] = {
+#include "usecase_sources.inc"
+};
 
-// --- 2./3. Hierarchical heavy hitters -----------------------------------------
-// Standalone version: detects hitters, then drills into /16 prefixes by
-// installing per-prefix count rules and polling them.
-constexpr const char* kHierarchicalHH = R"ALM(
-machine HHH extends HH {
-  poll prefixStats = Poll { .ival = 0.05, .what = dstIP "10.0.0.0/8" };
-  list prefixHitters;
-  state HHdetected {
-    util (res) { return 100; }
-    when (enter) do { transit drill; }
-  }
-  state drill {
-    util (res) { return 50; }
-    when (prefixStats as pstats) do {
-      long i = 0;
-      while (i < stats_size(pstats)) {
-        if (stats_bytes(pstats, i) >= threshold) then {
-          list_append(prefixHitters, stats_subject(pstats, i));
-        }
-        i = i + 1;
-      }
-      if (not is_list_empty(prefixHitters)) then {
-        send prefixHitters to harvester;
-        list_clear(prefixHitters);
-      }
-      transit observe;
-    }
-  }
+std::string program_source(std::string_view file) {
+  for (const auto& p : kPrograms)
+    if (p.file == file) return std::string(p.source);
+  FARM_CHECK_MSG(false, ("no embedded program " + std::string(file)).c_str());
 }
-)ALM";
 
-// --- 4. DDoS detection (volumetric attack on a victim prefix) -------------------
-constexpr const char* kDdos = R"ALM(
-machine DDoS {
-  place all;
-  external string victimPrefix = "10.0.0.0/16";
-  external long byteThreshold = 5000000;
-  external long sourceThreshold = 20;
-  poll victimStats = Poll { .ival = 0.01, .what = dstIP victimPrefix };
-  probe attackProbe = Probe { .ival = 0.001, .what = dstIP victimPrefix };
-  list sources;
-  long lastBytes = 0;
-  state watch {
-    util (res) {
-      if (res.vCPU >= 0.2 and res.RAM >= 32) then {
-        return min(2 * res.vCPU, res.PCIe);
-      }
-    }
-    when (victimStats as stats) do {
-      long total = 0;
-      long i = 0;
-      while (i < stats_size(stats)) {
-        total = total + stats_bytes(stats, i);
-        i = i + 1;
-      }
-      if (total - lastBytes >= byteThreshold) then { transit suspect; }
-      lastBytes = total;
-    }
-  }
-  state suspect {
-    util (res) { return 80; }
-    when (attackProbe as pkt) do {
-      if (not list_contains(sources, pkt.srcIP)) then {
-        list_append(sources, pkt.srcIP);
-      }
-      if (list_size(sources) >= sourceThreshold) then {
-        transit mitigate;
-      }
-    }
-    when (victimStats as stats) do {
-      long total = 0;
-      long i = 0;
-      while (i < stats_size(stats)) {
-        total = total + stats_bytes(stats, i);
-        i = i + 1;
-      }
-      if (total - lastBytes < byteThreshold) then {
-        list_clear(sources);
-        transit watch;
-      }
-      lastBytes = total;
-    }
-  }
-  state mitigate {
-    util (res) { return 100; }
-    when (enter) do {
-      send sources to harvester;
-      filter floodPattern = dstIP victimPrefix and proto udp;
-      if (is_nil(getTCAMRule(floodPattern))) then {
-        addTCAMRule(Rule {
-          .pattern = floodPattern,
-          .act = action_rate_limit(1000000)
-        });
-      }
-      list_clear(sources);
-      transit watch;
-    }
-  }
-  when (recv long newTh from harvester) do { byteThreshold = newTh; }
-}
-)ALM";
+struct Row {
+  const char* name;  // Table I row
+  const char* file;  // under examples/almanac/
+  const char* machine;
+};
 
-// --- 5. New TCP connections (Table I: 19/5) -------------------------------------
-constexpr const char* kNewTcpConn = R"ALM(
-machine NewTCP {
-  place all;
-  external long reportEvery = 100;
-  probe synProbe = Probe { .ival = 0.001, .what = proto tcp };
-  long connections = 0;
-  state counting {
-    util (res) {
-      if (res.vCPU >= 0.1) then { return res.vCPU; }
-    }
-    when (synProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        connections = connections + 1;
-        if (connections >= reportEvery) then {
-          send connections to harvester;
-          connections = 0;
-        }
-      }
-    }
-  }
-}
-)ALM";
+constexpr Row kTable1[] = {
+    {"Heavy hitter (HH)", "Heavy_hitter__HH_.alm", "HH"},
+    // HHH extends HH in the same program: hitters, then a drill into /16
+    // prefixes through per-prefix count rules. Table I lists it twice; the
+    // inherited row counts only the subclass body (see all_use_cases()).
+    {"Hier. HH (inherited)", "Hier__HH.alm", "HHH"},
+    {"Hier. HH", "Hier__HH.alm", "HHH"},
+    {"DDoS", "DDoS.alm", "DDoS"},
+    {"New TCP conn.", "New_TCP_conn_.alm", "NewTCP"},
+    {"TCP SYN flood", "TCP_SYN_flood.alm", "SynFlood"},
+    // Connections opened but never closed.
+    {"Partial TCP flow", "Partial_TCP_flow.alm", "PartialTCP"},
+    // Many tiny long-lived HTTP connections.
+    {"Slowloris", "Slowloris.alm", "Slowloris"},
+    {"Link failure", "Link_failure.alm", "LinkFailure"},
+    {"Traffic change", "Traffic_change.alm", "TrafficChange"},
+    {"Flow size distr.", "Flow_size_distr_.alm", "FlowSizeDistr"},
+    // One source contacting many destinations.
+    {"Superspreader", "Superspreader.alm", "Superspreader"},
+    {"SSH brute force", "SSH_brute_force.alm", "SshBruteForce"},
+    {"Port scan", "Port_scan.alm", "PortScan"},
+    {"DNS reflection", "DNS_reflection.alm", "DnsReflection"},
+    {"Entropy estim.", "Entropy_estim_.alm", "EntropyEstim"},
+    // SDN-aimed DoS protection.
+    {"FloodDefender", "FloodDefender.alm", "FloodDefender"},
+};
 
-// --- 6. TCP SYN flood ------------------------------------------------------------
-constexpr const char* kSynFlood = R"ALM(
-func long bump(list keys, list counts, string key) {
-  long i = list_index_of(keys, key);
-  if (i < 0) then {
-    list_append(keys, key);
-    list_append(counts, 1);
-    return 1;
-  }
-  long c = to_long(list_get(counts, i)) + 1;
-  list_set(counts, i, c);
-  return c;
-}
-machine SynFlood {
-  place all;
-  external long synThreshold = 200;
-  external long ackWindow = 4;
-  probe tcpProbe = Probe { .ival = 0.0005, .what = proto tcp };
-  time sweep = 1.0;
-  list victims;
-  list synCounts;
-  list ackCounts;
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.2 and res.RAM >= 32) then { return 2 * res.vCPU; }
-    }
-    when (tcpProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        long c = bump(victims, synCounts, pkt.dstIP);
-        while (list_size(ackCounts) < list_size(victims)) {
-          list_append(ackCounts, 0);
-        }
-        long i = list_index_of(victims, pkt.dstIP);
-        long acks = to_long(list_get(ackCounts, i));
-        if (c >= synThreshold and c >= ackWindow * (acks + 1)) then {
-          send pkt.dstIP to harvester;
-          filter victim = dstIP pkt.dstIP and proto tcp;
-          if (is_nil(getTCAMRule(victim))) then {
-            addTCAMRule(Rule { .pattern = victim, .act = action_rate_limit(500000) });
-          }
-        }
-      }
-      if (pkt.syn and pkt.ack) then {
-        bump(victims, ackCounts, pkt.srcIP);
-      }
-    }
-    when (sweep as t) do {
-      list_clear(victims);
-      list_clear(synCounts);
-      list_clear(ackCounts);
-    }
-  }
-}
-)ALM";
+constexpr Row kExtensions[] = {
+    // Sketches (§VIII future work): the superspreader over count-mins of
+    // first-seen (src,dst) pairs and per-source fanout, and the entropy
+    // estimate over a HyperLogLog — fixed memory regardless of stream size.
+    {"Sketch superspreader (ext.)", "Sketch_superspreader__ext__.alm",
+     "SketchSpreader"},
+    {"Sketch entropy (ext.)", "Sketch_entropy__ext__.alm", "SketchEntropy"},
+    // Winnow showcases: install loops with small constant bounds (4 spine
+    // uplinks, 8 QoS lanes, 6 tenant quotas) that the RS pass scores at 48
+    // iterations, so `almanac_tool optimize` and bench_winnow report a
+    // large refined-TCAM reduction on exactly these seeds.
+    {"Uplink guard (ext.)", "Uplink_guard__ext__.alm", "UplinkGuard"},
+    {"QoS lane counters (ext.)", "QoS_lane_counters__ext__.alm",
+     "LaneCounter"},
+    {"Tenant quota sweep (ext.)", "Tenant_quota_sweep__ext__.alm",
+     "QuotaSweep"},
+};
 
-// --- 7. Partial TCP flows (opened but never closed) ---------------------------
-constexpr const char* kPartialTcp = R"ALM(
-machine PartialTCP {
-  place all;
-  external long staleAfterMs = 30000;
-  external long reportBatch = 10;
-  probe tcpProbe = Probe { .ival = 0.001, .what = proto tcp };
-  time sweep = 5.0;
-  list openFlows;
-  list openedAt;
-  state tracking {
-    util (res) {
-      if (res.vCPU >= 0.2 and res.RAM >= 64) then {
-        return min(res.vCPU, 2 * res.PCIe);
-      }
-    }
-    when (tcpProbe as pkt) do {
-      string key = pkt.srcIP + ">" + pkt.dstIP;
-      if (pkt.syn and not pkt.ack) then {
-        if (list_index_of(openFlows, key) < 0) then {
-          list_append(openFlows, key);
-          list_append(openedAt, now_ms());
-        }
-      }
-      if (pkt.fin or pkt.rst) then {
-        long i = list_index_of(openFlows, key);
-        if (i >= 0) then {
-          list_set(openFlows, i, "");
-        }
-      }
-    }
-    when (sweep as t) do {
-      list stale;
-      long i = 0;
-      while (i < list_size(openFlows)) {
-        string k = to_str(list_get(openFlows, i));
-        if (k <> "" and now_ms() - to_long(list_get(openedAt, i)) > staleAfterMs) then {
-          list_append(stale, k);
-        }
-        i = i + 1;
-      }
-      if (list_size(stale) >= reportBatch) then {
-        send stale to harvester;
-        list_clear(openFlows);
-        list_clear(openedAt);
-      }
-    }
-  }
-}
-)ALM";
-
-// --- 8. Slowloris (many tiny long-lived HTTP connections) -------------------------
-constexpr const char* kSlowloris = R"ALM(
-machine Slowloris {
-  place all;
-  external long connThreshold = 50;
-  external long tinyBytes = 120;
-  probe httpProbe = Probe { .ival = 0.001, .what = dstPort 80 };
-  time window = 2.0;
-  list talkers;
-  list tinyCounts;
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.1 and res.RAM >= 16) then { return res.vCPU; }
-    }
-    when (httpProbe as pkt) do {
-      if (pkt.size <= tinyBytes) then {
-        long i = list_index_of(talkers, pkt.srcIP);
-        if (i < 0) then {
-          list_append(talkers, pkt.srcIP);
-          list_append(tinyCounts, 1);
-        } else {
-          list_set(tinyCounts, i, to_long(list_get(tinyCounts, i)) + 1);
-        }
-      }
-    }
-    when (window as t) do {
-      long i = 0;
-      while (i < list_size(talkers)) {
-        if (to_long(list_get(tinyCounts, i)) >= connThreshold) then {
-          string bad = to_str(list_get(talkers, i));
-          send bad to harvester;
-          filter f = srcIP bad and dstPort 80;
-          if (is_nil(getTCAMRule(f))) then {
-            addTCAMRule(Rule { .pattern = f, .act = action_drop() });
-          }
-        }
-        i = i + 1;
-      }
-      list_clear(talkers);
-      list_clear(tinyCounts);
-    }
-  }
-}
-)ALM";
-
-// --- 9. Link failure (Table I: 31/8) ----------------------------------------------
-constexpr const char* kLinkFailure = R"ALM(
-func list frozenPorts(stats cur, list prev) {
-  list frozen;
-  long i = 0;
-  while (i < stats_size(cur)) {
-    if (i < list_size(prev)) then {
-      long before = to_long(list_get(prev, i));
-      if (before > 0 and stats_bytes(cur, i) == before) then {
-        list_append(frozen, stats_iface(cur, i));
-      }
-    }
-    i = i + 1;
-  }
-  return frozen;
-}
-machine LinkFailure {
-  place all;
-  external long confirmPolls = 3;
-  poll portStats = Poll { .ival = 0.1, .what = port ANY };
-  list prevBytes;
-  list suspectPorts;
-  long strikes = 0;
-  state healthy {
-    util (res) {
-      if (res.vCPU >= 0.05) then { return res.PCIe; }
-    }
-    when (portStats as stats) do {
-      list frozen = frozenPorts(stats, prevBytes);
-      list fresh;
-      long i = 0;
-      while (i < stats_size(stats)) {
-        list_append(fresh, stats_bytes(stats, i));
-        i = i + 1;
-      }
-      prevBytes = fresh;
-      if (not is_list_empty(frozen)) then {
-        suspectPorts = frozen;
-        strikes = strikes + 1;
-        if (strikes >= confirmPolls) then { transit failed; }
-      } else {
-        strikes = 0;
-      }
-    }
-  }
-  state failed {
-    util (res) { return 100; }
-    when (enter) do {
-      send suspectPorts to harvester;
-      strikes = 0;
-      transit healthy;
-    }
-  }
-}
-)ALM";
-
-// --- 10. Traffic change detection (Table I: 7/5) -----------------------------------
-constexpr const char* kTrafficChange = R"ALM(
-machine TrafficChange {
-  place all;
-  external long factor = 3;
-  poll stats = Poll { .ival = 0.1, .what = port ANY };
-  long last = 0;
-  long lastDelta = 0;
-  state watch {
-    util (res) { return res.PCIe; }
-    when (stats as s) do {
-      long total = 0;
-      long i = 0;
-      while (i < stats_size(s)) { total = total + stats_bytes(s, i); i = i + 1; }
-      long delta = total - last;
-      if (lastDelta > 0 and delta > factor * lastDelta) then { send delta to harvester; }
-      lastDelta = delta;
-      last = total;
-    }
-  }
-}
-)ALM";
-
-// --- 11. Flow size distribution (Table I: 30/15) -------------------------------------
-constexpr const char* kFlowSizeDistr = R"ALM(
-machine FlowSizeDistr {
-  place all;
-  external long reportEvery = 500;
-  probe sizeProbe = Probe { .ival = 0.001, .what = proto tcp };
-  list histogram;
-  long samples = 0;
-  state sampling {
-    util (res) {
-      if (res.vCPU >= 0.1 and res.RAM >= 16) then { return res.vCPU; }
-    }
-    when (enter) do {
-      list_clear(histogram);
-      long i = 0;
-      while (i < 8) { list_append(histogram, 0); i = i + 1; }
-    }
-    when (sizeProbe as pkt) do {
-      long bucket = 0;
-      long size = pkt.size;
-      while (size > 64 and bucket < 7) {
-        size = size / 4;
-        bucket = bucket + 1;
-      }
-      list_set(histogram, bucket, to_long(list_get(histogram, bucket)) + 1);
-      samples = samples + 1;
-      if (samples >= reportEvery) then {
-        send histogram to harvester;
-        samples = 0;
-        transit sampling;
-      }
-    }
-  }
-}
-)ALM";
-
-// --- 12. Superspreader (one source contacting many destinations) ---------------------
-constexpr const char* kSuperspreader = R"ALM(
-func long distinctAppend(list keys, list vals, string key, string val) {
-  long i = list_index_of(keys, key);
-  if (i < 0) then {
-    list_append(keys, key);
-    list nested;
-    list_append(nested, val);
-    list_append(vals, nested);
-    return 1;
-  }
-  list seen = list_get(vals, i);
-  if (not list_contains(seen, val)) then { list_append(seen, val); }
-  return list_size(seen);
-}
-machine Superspreader {
-  place all;
-  external long fanoutThreshold = 30;
-  probe connProbe = Probe { .ival = 0.0005, .what = proto tcp };
-  time window = 5.0;
-  list sources;
-  list contacted;
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.3 and res.RAM >= 64) then {
-        return min(3 * res.vCPU, res.PCIe);
-      }
-    }
-    when (connProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        long fanout = distinctAppend(sources, contacted, pkt.srcIP, pkt.dstIP);
-        if (fanout >= fanoutThreshold) then {
-          send pkt.srcIP to harvester;
-          if (is_nil(getTCAMRule(srcIP pkt.srcIP))) then {
-            addTCAMRule(Rule { .pattern = srcIP pkt.srcIP, .act = action_rate_limit(250000) });
-          }
-          transit cooldown;
-        }
-      }
-    }
-    when (window as t) do {
-      list_clear(sources);
-      list_clear(contacted);
-    }
-  }
-  state cooldown {
-    util (res) { return 60; }
-    when (window as t) do {
-      list_clear(sources);
-      list_clear(contacted);
-      transit observe;
-    }
-  }
-}
-)ALM";
-
-// --- 13. SSH brute force (Table I: 34/9) ------------------------------------------------
-constexpr const char* kSshBruteForce = R"ALM(
-machine SshBruteForce {
-  place all;
-  external long attemptThreshold = 12;
-  probe sshProbe = Probe { .ival = 0.001, .what = dstPort 22 };
-  time window = 10.0;
-  list attackers;
-  list attempts;
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.1) then { return res.vCPU; }
-    }
-    when (sshProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        long i = list_index_of(attackers, pkt.srcIP);
-        if (i < 0) then {
-          list_append(attackers, pkt.srcIP);
-          list_append(attempts, 1);
-        } else {
-          long n = to_long(list_get(attempts, i)) + 1;
-          list_set(attempts, i, n);
-          if (n >= attemptThreshold) then {
-            send pkt.srcIP to harvester;
-            filter f = srcIP pkt.srcIP and dstPort 22;
-            if (is_nil(getTCAMRule(f))) then {
-              addTCAMRule(Rule { .pattern = f, .act = action_drop() });
-            }
-          }
-        }
-      }
-    }
-    when (window as t) do {
-      list_clear(attackers);
-      list_clear(attempts);
-    }
-  }
-}
-)ALM";
-
-// --- 14. Port scan (Table I: 44/23) ------------------------------------------------------
-constexpr const char* kPortScan = R"ALM(
-func long recordPort(list scanners, list ports, string src, long probedPort) {
-  long i = list_index_of(scanners, src);
-  if (i < 0) then {
-    list_append(scanners, src);
-    list fresh;
-    list_append(fresh, probedPort);
-    list_append(ports, fresh);
-    return 1;
-  }
-  list seen = list_get(ports, i);
-  if (not list_contains(seen, probedPort)) then { list_append(seen, probedPort); }
-  return list_size(seen);
-}
-machine PortScan {
-  place all;
-  external long portThreshold = 25;
-  probe synProbe = Probe { .ival = 0.0005, .what = proto tcp };
-  time window = 5.0;
-  list scanners;
-  list scannedPorts;
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.2 and res.RAM >= 32) then { return 2 * res.vCPU; }
-    }
-    when (synProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        long distinct = recordPort(scanners, scannedPorts, pkt.srcIP, pkt.dstPort);
-        if (distinct >= portThreshold) then {
-          send pkt.srcIP to harvester;
-          transit react;
-        }
-      }
-    }
-    when (window as t) do {
-      list_clear(scanners);
-      list_clear(scannedPorts);
-    }
-  }
-  state react {
-    util (res) { return 70; }
-    when (enter) do {
-      long i = 0;
-      while (i < list_size(scanners)) {
-        list seen = list_get(scannedPorts, i);
-        if (list_size(seen) >= portThreshold) then {
-          filter f = srcIP to_str(list_get(scanners, i));
-          if (is_nil(getTCAMRule(f))) then {
-            addTCAMRule(Rule { .pattern = f, .act = action_drop() });
-          }
-        }
-        i = i + 1;
-      }
-      list_clear(scanners);
-      list_clear(scannedPorts);
-      transit observe;
-    }
-  }
-  when (recv long newTh from harvester) do { portThreshold = newTh; }
-}
-)ALM";
-
-// --- 15. DNS reflection / amplification (Table I: 83/22) -----------------------------------
-constexpr const char* kDnsReflection = R"ALM(
-machine DnsReflection {
-  place all;
-  external long amplifiedBytes = 1500;
-  external long burstThreshold = 30;
-  external long queryGraceMs = 2000;
-  probe dnsProbe = Probe { .ival = 0.0005, .what = srcPort 53 };
-  probe queryProbe = Probe { .ival = 0.001, .what = dstPort 53 };
-  time window = 2.0;
-  list victims;
-  list bursts;
-  list recentQuerents;
-  list queryTimes;
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.2 and res.RAM >= 32) then {
-        return min(2 * res.vCPU, res.PCIe);
-      }
-    }
-    when (queryProbe as q) do {
-      long i = list_index_of(recentQuerents, q.srcIP);
-      if (i < 0) then {
-        list_append(recentQuerents, q.srcIP);
-        list_append(queryTimes, now_ms());
-      } else {
-        list_set(queryTimes, i, now_ms());
-      }
-    }
-    when (dnsProbe as pkt) do {
-      if (pkt.size >= amplifiedBytes) then {
-        long q = list_index_of(recentQuerents, pkt.dstIP);
-        bool unsolicited = true;
-        if (q >= 0) then {
-          if (now_ms() - to_long(list_get(queryTimes, q)) <= queryGraceMs) then {
-            unsolicited = false;
-          }
-        }
-        if (unsolicited) then {
-          long i = list_index_of(victims, pkt.dstIP);
-          if (i < 0) then {
-            list_append(victims, pkt.dstIP);
-            list_append(bursts, 1);
-          } else {
-            long n = to_long(list_get(bursts, i)) + 1;
-            list_set(bursts, i, n);
-            if (n >= burstThreshold) then { transit mitigate; }
-          }
-        }
-      }
-    }
-    when (window as t) do {
-      list_clear(victims);
-      list_clear(bursts);
-      list_clear(recentQuerents);
-      list_clear(queryTimes);
-    }
-  }
-  state mitigate {
-    util (res) { return 90; }
-    when (enter) do {
-      long i = 0;
-      while (i < list_size(victims)) {
-        if (to_long(list_get(bursts, i)) >= burstThreshold) then {
-          string victim = to_str(list_get(victims, i));
-          send victim to harvester;
-          filter f = dstIP victim and srcPort 53;
-          if (is_nil(getTCAMRule(f))) then {
-            addTCAMRule(Rule { .pattern = f, .act = action_rate_limit(100000) });
-          }
-        }
-        i = i + 1;
-      }
-      list_clear(victims);
-      list_clear(bursts);
-      transit observe;
-    }
-  }
-  when (recv long newTh from harvester) do { burstThreshold = newTh; }
-}
-)ALM";
-
-// --- 16. Entropy estimation (Table I: 67/15) -------------------------------------------
-constexpr const char* kEntropyEstim = R"ALM(
-machine EntropyEstim {
-  place all;
-  external long sampleTarget = 400;
-  external long alarmPermille = 250;
-  probe pktProbe = Probe { .ival = 0.0005, .what = proto tcp };
-  list distinctSrc;
-  long samples = 0;
-  state estimating {
-    util (res) {
-      if (res.vCPU >= 0.2 and res.RAM >= 32) then { return 2 * res.vCPU; }
-    }
-    when (pktProbe as pkt) do {
-      samples = samples + 1;
-      if (not list_contains(distinctSrc, pkt.srcIP)) then {
-        list_append(distinctSrc, pkt.srcIP);
-      }
-      if (samples >= sampleTarget) then {
-        long ratioPermille = 1000 * list_size(distinctSrc) / samples;
-        send ratioPermille to harvester;
-        if (ratioPermille < alarmPermille) then {
-          send "entropy-collapse" to harvester;
-        }
-        list_clear(distinctSrc);
-        samples = 0;
-      }
-    }
-  }
-  when (recv long newTarget from harvester) do { sampleTarget = newTarget; }
-}
-)ALM";
-
-// --- 17. FloodDefender (SDN-aimed DoS protection; Table I: 126/35) ------------------------
-constexpr const char* kFloodDefender = R"ALM(
-func long bumpCount(list keys, list counts, string key) {
-  long i = list_index_of(keys, key);
-  if (i < 0) then {
-    list_append(keys, key);
-    list_append(counts, 1);
-    return 1;
-  }
-  long c = to_long(list_get(counts, i)) + 1;
-  list_set(counts, i, c);
-  return c;
-}
-machine FloodDefender {
-  place all;
-  external long newFlowThreshold = 300;
-  external long talkerThreshold = 40;
-  external long protectMs = 5000;
-  probe flowProbe = Probe { .ival = 0.0005, .what = proto tcp };
-  time epoch = 1.0;
-  list talkers;
-  list talkerCounts;
-  long newFlows = 0;
-  long protectedSince = 0;
-  state normal {
-    util (res) {
-      if (res.vCPU >= 0.3 and res.RAM >= 64) then {
-        return min(3 * res.vCPU, 2 * res.PCIe);
-      }
-    }
-    when (flowProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        newFlows = newFlows + 1;
-        bumpCount(talkers, talkerCounts, pkt.srcIP);
-      }
-    }
-    when (epoch as t) do {
-      if (newFlows >= newFlowThreshold) then {
-        transit defend;
-      }
-      newFlows = 0;
-      list_clear(talkers);
-      list_clear(talkerCounts);
-    }
-  }
-  state defend {
-    util (res) { return 100; }
-    when (enter) do {
-      protectedSince = now_ms();
-      send newFlows to harvester;
-      long i = 0;
-      while (i < list_size(talkers)) {
-        if (to_long(list_get(talkerCounts, i)) >= talkerThreshold) then {
-          string talker = to_str(list_get(talkers, i));
-          send talker to harvester;
-          filter f = srcIP talker and proto tcp;
-          if (is_nil(getTCAMRule(f))) then {
-            addTCAMRule(Rule { .pattern = f, .act = action_drop() });
-          }
-        }
-        i = i + 1;
-      }
-      newFlows = 0;
-      list_clear(talkers);
-      list_clear(talkerCounts);
-    }
-    when (flowProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        newFlows = newFlows + 1;
-        long c = bumpCount(talkers, talkerCounts, pkt.srcIP);
-        if (c >= talkerThreshold) then {
-          filter f = srcIP pkt.srcIP and proto tcp;
-          if (is_nil(getTCAMRule(f))) then {
-            addTCAMRule(Rule { .pattern = f, .act = action_drop() });
-          }
-        }
-      }
-    }
-    when (epoch as t) do {
-      if (now_ms() - protectedSince >= protectMs and newFlows < newFlowThreshold) then {
-        send "recovered" to harvester;
-        transit normal;
-      }
-      newFlows = 0;
-    }
-  }
-  when (recv long newTh from harvester) do { newFlowThreshold = newTh; }
-}
-)ALM";
-
-// --- Extensions (§VIII future work: sketches) ------------------------------------
-// Superspreader with bounded memory: a count-min over first-seen
-// (src,dst) pairs feeds a count-min of per-source fanout — no O(flows)
-// lists, fixed memory regardless of stream size.
-constexpr const char* kSketchSpreader = R"ALM(
-machine SketchSpreader {
-  place all;
-  external long fanoutThreshold = 30;
-  probe connProbe = Probe { .ival = 0.0005, .what = proto tcp };
-  time window = 5.0;
-  sketch pairSeen = cms_new(4096, 4);
-  sketch fanout = cms_new(1024, 4);
-  state observe {
-    util (res) {
-      if (res.vCPU >= 0.1 and res.RAM >= 2) then { return 2 * res.vCPU; }
-    }
-    when (connProbe as pkt) do {
-      if (pkt.syn and not pkt.ack) then {
-        string pair = pkt.srcIP + ">" + pkt.dstIP;
-        if (cms_estimate(pairSeen, pair) == 0) then {
-          cms_add(pairSeen, pair, 1);
-          cms_add(fanout, pkt.srcIP, 1);
-          if (cms_estimate(fanout, pkt.srcIP) >= fanoutThreshold) then {
-            send pkt.srcIP to harvester;
-            if (is_nil(getTCAMRule(srcIP pkt.srcIP))) then {
-              addTCAMRule(Rule {
-                .pattern = srcIP pkt.srcIP,
-                .act = action_rate_limit(250000)
-              });
-            }
-          }
-        }
-      }
-    }
-    when (window as t) do {
-      cms_clear(pairSeen);
-      cms_clear(fanout);
-    }
-  }
-}
-)ALM";
-
-// Entropy estimation with a HyperLogLog instead of an O(n) distinct list.
-constexpr const char* kSketchEntropy = R"ALM(
-machine SketchEntropy {
-  place all;
-  external long sampleTarget = 400;
-  external long alarmPermille = 250;
-  probe pktProbe = Probe { .ival = 0.0005, .what = proto tcp };
-  sketch distinctSrc = hll_new(12);
-  long samples = 0;
-  state estimating {
-    util (res) {
-      if (res.vCPU >= 0.1 and res.RAM >= 1) then { return 2 * res.vCPU; }
-    }
-    when (pktProbe as pkt) do {
-      samples = samples + 1;
-      hll_add(distinctSrc, pkt.srcIP);
-      if (samples >= sampleTarget) then {
-        long ratioPermille = 1000 * hll_estimate(distinctSrc) / samples;
-        send ratioPermille to harvester;
-        if (ratioPermille < alarmPermille) then {
-          send "entropy-collapse" to harvester;
-        }
-        hll_clear(distinctSrc);
-        samples = 0;
-      }
-    }
-  }
-}
-)ALM";
-
-// --- Winnow showcase extensions -----------------------------------------------
-// Three programs whose install loops have small constant bounds. The RS
-// pass scores every loop at 48 iterations; Winnow proves the real trip
-// counts (4 / 8 / 6), so `almanac_tool optimize` and bench_winnow report
-// a large refined-TCAM reduction on exactly these seeds.
-
-// Rate-limits the 4 spine uplinks while a volumetric event is in progress.
-constexpr const char* kUplinkGuard = R"ALM(
-machine UplinkGuard {
-  place all;
-  external long dropThreshold = 500000;
-  poll linkPoll = Poll { .ival = 0.5, .what = port ANY };
-  time calm = 10.0;
-  state watching {
-    util (res) {
-      if (res.vCPU >= 0.05 and res.PCIe >= 1) then { return res.vCPU; }
-    }
-    when (linkPoll as cur) do {
-      long total = 0;
-      long i = 0;
-      while (i < stats_size(cur)) {
-        total = total + stats_packets(cur, i);
-        i = i + 1;
-      }
-      if (total >= dropThreshold) then { transit defending; }
-    }
-  }
-  state defending {
-    util (res) {
-      if (res.vCPU >= 0.05 and res.TCAM >= 4) then { return res.vCPU; }
-    }
-    when (enter) do {
-      long u = 0;
-      while (u < 4) {
-        if (is_nil(getTCAMRule(iface_filter(u)))) then {
-          addTCAMRule(iface_filter(u), action_rate_limit(1000000));
-        }
-        u = u + 1;
-      }
-    }
-    when (calm as t) do {
-      long u = 0;
-      while (u < 4) {
-        removeTCAMRule(iface_filter(u));
-        u = u + 1;
-      }
-      transit watching;
-    }
-  }
-}
-)ALM";
-
-// Pins one counting rule per QoS lane (8 DSCP classes mapped to ports
-// 8000..8007) and reports the aggregate lane traffic each poll.
-constexpr const char* kLaneCounter = R"ALM(
-machine LaneCounter {
-  place all;
-  poll lanePoll = Poll { .ival = 1.0, .what = port ANY };
-  state counting {
-    util (res) {
-      if (res.vCPU >= 0.05 and res.TCAM >= 8) then { return res.vCPU; }
-    }
-    when (enter) do {
-      long c = 0;
-      while (c < 8) {
-        addTCAMRule(dstPort (8000 + c), action_count());
-        c = c + 1;
-      }
-    }
-    when (lanePoll as cur) do {
-      long total = 0;
-      long i = 0;
-      while (i < stats_size(cur)) {
-        total = total + stats_bytes(cur, i);
-        i = i + 1;
-      }
-      send total to harvester;
-    }
-  }
-}
-)ALM";
-
-// Re-arms per-tenant rate quotas (6 /16 prefixes) on a fixed sweep timer
-// and reports how many sweeps have run.
-constexpr const char* kQuotaSweep = R"ALM(
-machine QuotaSweep {
-  place all;
-  external long quotaBps = 2000000;
-  time sweep = 30.0;
-  long epochs = 0;
-  state sweeping {
-    util (res) {
-      if (res.vCPU >= 0.05 and res.TCAM >= 6) then { return res.vCPU; }
-    }
-    when (sweep as t) do {
-      long k = 0;
-      while (k < 6) {
-        string prefix = "10." + k + ".0.0/16";
-        removeTCAMRule(srcIP prefix);
-        addTCAMRule(srcIP prefix, action_rate_limit(quotaBps));
-        k = k + 1;
-      }
-      epochs = epochs + 1;
-      send epochs to harvester;
-    }
-  }
-}
-)ALM";
-
-std::vector<UseCase> build_all() {
-  using almanac::Value;
+std::vector<UseCase> build(std::span<const Row> rows) {
   std::vector<UseCase> out;
-  auto add = [&out](std::string name, std::string source,
-                    std::vector<std::string> machines,
-                    std::unordered_map<std::string, Value> externals = {}) {
+  for (const Row& row : rows) {
     UseCase uc;
-    uc.name = std::move(name);
-    uc.source = std::move(source);
-    uc.machines = std::move(machines);
-    uc.default_externals = std::move(externals);
+    uc.name = row.name;
+    uc.source = program_source(row.file);
+    uc.machines = {row.machine};
     uc.seed_loc = count_loc(uc.source);
     out.push_back(std::move(uc));
-  };
-
-  add("Heavy hitter (HH)", kHeavyHitter, {"HH"});
-  // The inherited HHH shares HH's program text; its own (inherited) LoC is
-  // just the subclass body, exactly Table I's point.
-  add("Hier. HH (inherited)", std::string(kHeavyHitter) + kHierarchicalHH,
-      {"HHH"});
-  add("Hier. HH", std::string(kHeavyHitter) + kHierarchicalHH, {"HHH"});
-  add("DDoS", kDdos, {"DDoS"});
-  add("New TCP conn.", kNewTcpConn, {"NewTCP"});
-  add("TCP SYN flood", kSynFlood, {"SynFlood"});
-  add("Partial TCP flow", kPartialTcp, {"PartialTCP"});
-  add("Slowloris", kSlowloris, {"Slowloris"});
-  add("Link failure", kLinkFailure, {"LinkFailure"});
-  add("Traffic change", kTrafficChange, {"TrafficChange"});
-  add("Flow size distr.", kFlowSizeDistr, {"FlowSizeDistr"});
-  add("Superspreader", kSuperspreader, {"Superspreader"});
-  add("SSH brute force", kSshBruteForce, {"SshBruteForce"});
-  add("Port scan", kPortScan, {"PortScan"});
-  add("DNS reflection", kDnsReflection, {"DnsReflection"});
-  add("Entropy estim.", kEntropyEstim, {"EntropyEstim"});
-  add("FloodDefender", kFloodDefender, {"FloodDefender"});
-
-  // The inherited HHH row reports only the subclass body LoC.
-  out[1].seed_loc = count_loc(kHierarchicalHH);
+  }
   return out;
 }
 
@@ -1066,45 +105,17 @@ int count_loc(const std::string& source) {
 }
 
 const std::vector<UseCase>& all_use_cases() {
-  static const std::vector<UseCase> cases = build_all();
+  static const std::vector<UseCase> cases = [] {
+    std::vector<UseCase> out = build(kTable1);
+    // The inherited HHH row counts only what HHH adds to HH's program.
+    out[1].seed_loc = out[2].seed_loc - out[0].seed_loc;
+    return out;
+  }();
   return cases;
 }
 
 const std::vector<UseCase>& extension_use_cases() {
-  static const std::vector<UseCase> cases = [] {
-    std::vector<UseCase> out;
-    UseCase a;
-    a.name = "Sketch superspreader (ext.)";
-    a.source = kSketchSpreader;
-    a.machines = {"SketchSpreader"};
-    a.seed_loc = count_loc(a.source);
-    out.push_back(std::move(a));
-    UseCase b;
-    b.name = "Sketch entropy (ext.)";
-    b.source = kSketchEntropy;
-    b.machines = {"SketchEntropy"};
-    b.seed_loc = count_loc(b.source);
-    out.push_back(std::move(b));
-    UseCase c;
-    c.name = "Uplink guard (ext.)";
-    c.source = kUplinkGuard;
-    c.machines = {"UplinkGuard"};
-    c.seed_loc = count_loc(c.source);
-    out.push_back(std::move(c));
-    UseCase d;
-    d.name = "QoS lane counters (ext.)";
-    d.source = kLaneCounter;
-    d.machines = {"LaneCounter"};
-    d.seed_loc = count_loc(d.source);
-    out.push_back(std::move(d));
-    UseCase e;
-    e.name = "Tenant quota sweep (ext.)";
-    e.source = kQuotaSweep;
-    e.machines = {"QuotaSweep"};
-    e.seed_loc = count_loc(e.source);
-    out.push_back(std::move(e));
-    return out;
-  }();
+  static const std::vector<UseCase> cases = build(kExtensions);
   return cases;
 }
 

@@ -1,7 +1,7 @@
 // The 16 Table I monitoring & attack-detection use cases, written in
-// Almanac. Each use case bundles its program source, the machine(s) to
-// instantiate, and sensible default externals; per-use-case harvesters live
-// in harvesters.h.
+// Almanac. Each use case bundles its program source — the only copy lives
+// in examples/almanac/*.alm, embedded at configure time — and the machine
+// to instantiate; per-use-case harvesters live in harvesters.h.
 #pragma once
 
 #include <string>
@@ -16,6 +16,7 @@ struct UseCase {
   std::string name;           // Table I row
   std::string source;         // Almanac program
   std::vector<std::string> machines;
+  // Empty for every use case: each program's externals have initializers.
   std::unordered_map<std::string, almanac::Value> default_externals;
   // Lines of Almanac code (non-blank, non-comment) — the Table I "Seed"
   // column equivalent; computed from `source`.

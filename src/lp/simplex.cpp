@@ -1,11 +1,31 @@
+// Revised simplex on a sparse column store with bounded variables — the
+// LP engine behind solve_lp (simplex.h; data structures in DESIGN.md
+// §14.2).
+//
+// A dense tableau carries every coefficient of every column through every
+// pivot and models upper bounds as explicit rows — for the per-switch
+// redistribution LPs that doubles the row count and makes a pivot O(m·n)
+// dense work. This solver keeps the constraint matrix as immutable sparse
+// columns, maintains a dense basis inverse updated by a product-form eta
+// per pivot, and handles box bounds implicitly via a
+// nonbasic-at-lower/at-upper status per variable with bound flips. A pivot
+// costs O(m²) for the inverse update plus O(nnz) for pricing — independent
+// of the (much larger) column count.
+//
+// Determinism and anti-cycling: Dantzig pricing with first-index
+// tie-break, Bland's rule engaged after a degenerate stall longer than
+// 2·(m + n_total) iterations, and an exact-minimum two-pass ratio test
+// whose tie window collapses to zero in Bland mode (the anti-cycling proof
+// needs exact ties). The dense two-phase tableau that lp_test uses as this
+// solver's oracle (tests/dense_tableau.cpp) follows the same rules.
 #include "lp/simplex.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
-#include "lp/revised.h"
 #include "telemetry/prof.h"
 
 namespace farm::lp {
@@ -15,29 +35,29 @@ namespace {
 constexpr double kEps = 1e-9;
 constexpr double kPivotEps = 1e-7;
 
-struct Tableau {
-  // rows: one per constraint. cols: structural (shifted) + slack +
-  // artificial + rhs (last).
-  std::vector<std::vector<double>> rows;
-  std::vector<int> basis;       // basic variable per row
-  std::size_t n_total = 0;      // columns excluding rhs
-  std::size_t n_struct = 0;     // structural variables
-  std::size_t first_artificial = 0;
+// Immutable constraint matrix, one sparse column per variable
+// (structural, then slack/surplus, then artificial). Row indices within
+// a column are strictly increasing.
+struct SparseColumns {
+  std::vector<std::uint32_t> start;  // size n_total + 1
+  std::vector<std::uint32_t> row;
+  std::vector<double> val;
 
-  double& rhs(std::size_t i) { return rows[i][n_total]; }
+  std::size_t begin(std::size_t j) const { return start[j]; }
+  std::size_t end(std::size_t j) const { return start[j + 1]; }
 };
 
-class SimplexSolver {
+enum class VarState : std::uint8_t { kAtLower, kAtUpper, kBasic };
+
+class RevisedSolver {
  public:
-  SimplexSolver(const Model& model, const LpOptions& opt)
+  RevisedSolver(const Model& model, const LpOptions& opt)
       : model_(model), opt_(opt), start_(std::chrono::steady_clock::now()) {}
 
   Solution run();
 
  private:
   bool deadline_hit() {
-    // Checked every iteration: one pivot on a large tableau can take tens
-    // of milliseconds, so throttled checks would overshoot the budget.
     if (deadline_flag_) return true;
     if (opt_.deadline_seconds == kInf) return false;
     double elapsed = std::chrono::duration<double>(
@@ -47,23 +67,61 @@ class SimplexSolver {
     return deadline_flag_;
   }
 
-  // Runs simplex iterations on `t` minimizing the objective expressed by
-  // reduced-cost row `red` (size n_total+1; last entry = -objective value).
-  // `allow` masks columns permitted to enter the basis.
-  // Returns kOptimal / kUnbounded / kTimeLimit / kIterationLimit.
-  SolveStatus iterate(Tableau& t, std::vector<double>& red,
+  // w = B⁻¹ · A_j (FTRAN against the dense inverse).
+  void ftran(std::size_t j, std::vector<double>& w) const {
+    const std::size_t m = m_;
+    std::fill(w.begin(), w.end(), 0.0);
+    for (std::size_t k = cols_.begin(j); k < cols_.end(j); ++k) {
+      const std::size_t r = cols_.row[k];
+      const double v = cols_.val[k];
+      const double* col = binv_.data() + r;
+      for (std::size_t i = 0; i < m; ++i) w[i] += col[i * m] * v;
+    }
+  }
+
+  // Product-form update after `enter`'s column w pivots on row `leave`.
+  void update_binv(const std::vector<double>& w, std::size_t leave) {
+    const std::size_t m = m_;
+    double* prow = binv_.data() + leave * m;
+    const double piv = w[leave];
+    for (std::size_t c = 0; c < m; ++c) prow[c] /= piv;
+    for (std::size_t i = 0; i < m; ++i) {
+      if (i == leave) continue;
+      const double f = w[i];
+      if (std::abs(f) < kEps) continue;
+      double* row = binv_.data() + i * m;
+      for (std::size_t c = 0; c < m; ++c) row[c] -= f * prow[c];
+    }
+  }
+
+  // Simplex iterations minimizing `cost`; `allow` masks entering columns.
+  SolveStatus iterate(const std::vector<double>& cost,
                       const std::vector<bool>& allow);
+
+  void drive_artificials_out();
 
   const Model& model_;
   LpOptions opt_;
   std::chrono::steady_clock::time_point start_;
   std::uint64_t iterations_ = 0;
   bool deadline_flag_ = false;
+
+  std::size_t m_ = 0;           // constraint rows (no upper-bound rows)
+  std::size_t n_total_ = 0;     // structural + slack + artificial
+  std::size_t first_artificial_ = 0;
+  SparseColumns cols_;
+  std::vector<double> ub_;      // shifted upper bound per column (kInf = none)
+  std::vector<double> binv_;    // dense m×m basis inverse, row-major
+  std::vector<int> basis_;      // basic column per row
+  std::vector<VarState> state_;
+  std::vector<double> xb_;      // values of basic variables, by row
+  std::vector<double> scratch_w_;
 };
 
-SolveStatus SimplexSolver::iterate(Tableau& t, std::vector<double>& red,
+SolveStatus RevisedSolver::iterate(const std::vector<double>& cost,
                                    const std::vector<bool>& allow) {
-  const std::size_t m = t.rows.size();
+  const std::size_t m = m_;
+  std::vector<double> y(m), w(m);
   std::uint64_t stall = 0;
   bool was_bland = false;
   while (true) {
@@ -71,84 +129,172 @@ SolveStatus SimplexSolver::iterate(Tableau& t, std::vector<double>& red,
     if (deadline_hit()) return SolveStatus::kTimeLimit;
     ++iterations_;
 
-    // Entering column: Dantzig rule normally; Bland (first eligible) after
-    // a long degenerate stall to guarantee termination.
-    bool bland = stall > 2 * (m + t.n_total);
+    bool bland = stall > 2 * (m + n_total_);
     if (bland && !was_bland) FARM_PROF_COUNT("lp.simplex.bland", 1);
     was_bland = bland;
+
+    // BTRAN: y = c_B^T B⁻¹ — rows with zero basic cost contribute nothing.
+    std::fill(y.begin(), y.end(), 0.0);
+    for (std::size_t r = 0; r < m; ++r) {
+      const double cb = cost[static_cast<std::size_t>(basis_[r])];
+      if (cb == 0) continue;
+      const double* row = binv_.data() + r * m;
+      for (std::size_t i = 0; i < m; ++i) y[i] += cb * row[i];
+    }
+
+    // Price every nonbasic column: O(nnz) total. An at-lower column may
+    // enter increasing when its reduced cost is negative; an at-upper
+    // column may enter decreasing when it is positive. Dantzig picks the
+    // largest violation (first index on exact ties, like the dense
+    // solver's strict `<`); Bland picks the first eligible index.
     int enter = -1;
-    double best = -kEps;
-    for (std::size_t j = 0; j < t.n_total; ++j) {
-      if (!allow[j]) continue;
-      if (red[j] < (bland ? -kEps : best)) {
+    int dir = 0;
+    double best_viol = kEps;
+    for (std::size_t j = 0; j < n_total_; ++j) {
+      if (!allow[j] || state_[j] == VarState::kBasic) continue;
+      double d = cost[j];
+      for (std::size_t k = cols_.begin(j); k < cols_.end(j); ++k)
+        d -= y[cols_.row[k]] * cols_.val[k];
+      double viol;
+      int cand_dir;
+      if (state_[j] == VarState::kAtLower && d < -kEps) {
+        viol = -d;
+        cand_dir = 1;
+      } else if (state_[j] == VarState::kAtUpper && d > kEps) {
+        viol = d;
+        cand_dir = -1;
+      } else {
+        continue;
+      }
+      if (bland) {
         enter = static_cast<int>(j);
-        if (bland) break;
-        best = red[j];
+        dir = cand_dir;
+        break;
+      }
+      if (viol > best_viol) {
+        enter = static_cast<int>(j);
+        dir = cand_dir;
+        best_viol = viol;
       }
     }
     if (enter < 0) return SolveStatus::kOptimal;
+    const auto ej = static_cast<std::size_t>(enter);
 
-    // Ratio test, two passes: first the exact minimum ratio, then the
-    // smallest basic-variable index among the rows at that minimum. The
-    // old single pass updated best_ratio through an eps window, so chained
-    // near-ties could drift it several eps above the true minimum and pick
-    // a row whose pivot leaves a slightly negative rhs — and with an
-    // approximate tie-break Bland's anti-cycling proof does not apply.
+    ftran(ej, w);
+
+    // Ratio test over basic variables: moving the entering variable by
+    // t ≥ 0 in direction `dir` changes x_B by delta·t with
+    // delta_i = −dir·w_i. A shrinking basic limits t at its lower bound
+    // (0 after the shift), a growing one at its finite upper bound.
+    // Two passes, mirroring the dense solver: exact minimum first, then
+    // smallest basic index among ties (zero tie window in Bland mode).
     int leave = -1;
     double best_ratio = 0;
     for (std::size_t i = 0; i < m; ++i) {
-      double a = t.rows[i][static_cast<std::size_t>(enter)];
-      if (a <= kPivotEps) continue;
-      double ratio = t.rhs(i) / a;
+      const double delta = -dir * w[i];
+      double ratio;
+      if (delta < -kPivotEps) {
+        ratio = xb_[i] / -delta;
+      } else if (delta > kPivotEps &&
+                 ub_[static_cast<std::size_t>(basis_[i])] < kInf) {
+        ratio = (ub_[static_cast<std::size_t>(basis_[i])] - xb_[i]) / delta;
+      } else {
+        continue;
+      }
       if (leave < 0 || ratio < best_ratio) {
         leave = static_cast<int>(i);
         best_ratio = ratio;
       }
     }
-    if (leave < 0) return SolveStatus::kUnbounded;
-    // Bland mode needs exact ties for termination; Dantzig mode keeps the
-    // historical eps window, now anchored at the true minimum (bounded
-    // error instead of chained drift).
-    double tie_tol = bland ? 0.0 : kEps;
+    const double tie_tol = bland ? 0.0 : kEps;
     for (std::size_t i = 0; i < m; ++i) {
-      double a = t.rows[i][static_cast<std::size_t>(enter)];
-      if (a <= kPivotEps) continue;
-      double ratio = t.rhs(i) / a;
+      const double delta = -dir * w[i];
+      double ratio;
+      if (delta < -kPivotEps) {
+        ratio = xb_[i] / -delta;
+      } else if (delta > kPivotEps &&
+                 ub_[static_cast<std::size_t>(basis_[i])] < kInf) {
+        ratio = (ub_[static_cast<std::size_t>(basis_[i])] - xb_[i]) / delta;
+      } else {
+        continue;
+      }
       if (ratio <= best_ratio + tie_tol &&
-          t.basis[i] < t.basis[static_cast<std::size_t>(leave)])
+          basis_[i] < basis_[static_cast<std::size_t>(leave)])
         leave = static_cast<int>(i);
     }
+
+    // The entering variable's own opposite bound competes with every row:
+    // if it binds first (ties prefer the flip — it is cheaper and keeps
+    // the basis intact), the variable flips bound and no pivot happens.
+    if (ub_[ej] < kInf && (leave < 0 || ub_[ej] <= best_ratio)) {
+      const double t = ub_[ej];
+      for (std::size_t i = 0; i < m; ++i) xb_[i] += -dir * w[i] * t;
+      state_[ej] =
+          dir > 0 ? VarState::kAtUpper : VarState::kAtLower;
+      stall = t < kEps ? stall + 1 : 0;
+      // Not counted as a pivot: the basis is untouched and no eta is
+      // produced, so `lp.simplex.pivots` stays comparable with the dense
+      // tableau's basis-change count.
+      continue;
+    }
+    if (leave < 0) return SolveStatus::kUnbounded;
     stall = best_ratio < kEps ? stall + 1 : 0;
 
-    // Pivot.
+    // Pivot: entering goes basic on row `leave`, the leaving variable
+    // parks at whichever bound the ratio test hit.
     FARM_PROF_COUNT("lp.simplex.pivots", 1);
-    auto li = static_cast<std::size_t>(leave);
-    auto ej = static_cast<std::size_t>(enter);
-    auto& prow = t.rows[li];
-    double pivot = prow[ej];
-    for (double& v : prow) v /= pivot;
-    for (std::size_t i = 0; i < m; ++i) {
-      if (i == li) continue;
-      double f = t.rows[i][ej];
-      if (std::abs(f) < kEps) continue;
-      auto& row = t.rows[i];
-      for (std::size_t j = 0; j <= t.n_total; ++j) row[j] -= f * prow[j];
-    }
-    double f = red[ej];
-    if (std::abs(f) > 0) {
-      for (std::size_t j = 0; j <= t.n_total; ++j) red[j] -= f * prow[j];
-    }
-    t.basis[li] = enter;
+    const auto li = static_cast<std::size_t>(leave);
+    const double t = best_ratio;
+    const auto lv = static_cast<std::size_t>(basis_[li]);
+    const bool leave_to_upper = -dir * w[li] > 0;
+    for (std::size_t i = 0; i < m; ++i) xb_[i] += -dir * w[i] * t;
+    xb_[li] = dir > 0 ? t : ub_[ej] - t;
+    state_[lv] = leave_to_upper ? VarState::kAtUpper : VarState::kAtLower;
+    basis_[li] = enter;
+    state_[ej] = VarState::kBasic;
+    update_binv(w, li);
   }
 }
 
-Solution SimplexSolver::run() {
+// Post phase 1: replace every basic artificial with the first structural
+// or slack column that has a nonzero coefficient in its row; a row where
+// none exists is redundant and keeps its zero-valued artificial (which
+// the phase-2 mask forbids from re-entering). Mirrors the dense solver.
+void RevisedSolver::drive_artificials_out() {
+  const std::size_t m = m_;
+  std::vector<double>& w = scratch_w_;
+  for (std::size_t r = 0; r < m; ++r) {
+    if (static_cast<std::size_t>(basis_[r]) < first_artificial_) continue;
+    const double* brow = binv_.data() + r * m;
+    for (std::size_t j = 0; j < first_artificial_; ++j) {
+      if (state_[j] == VarState::kBasic) continue;
+      double a = 0;
+      for (std::size_t k = cols_.begin(j); k < cols_.end(j); ++k)
+        a += brow[cols_.row[k]] * cols_.val[k];
+      if (std::abs(a) <= kPivotEps) continue;
+      ftran(j, w);
+      // The artificial sits at ~0, so the entering step is ~0 too: the
+      // basis swap is (numerically) a no-op on the solution itself.
+      const double step = xb_[r] / w[r];
+      const double v0 = state_[j] == VarState::kAtUpper ? ub_[j] : 0.0;
+      for (std::size_t i = 0; i < m; ++i) xb_[i] -= step * w[i];
+      xb_[r] = v0 + step;
+      state_[static_cast<std::size_t>(basis_[r])] = VarState::kAtLower;
+      basis_[r] = static_cast<int>(j);
+      state_[j] = VarState::kBasic;
+      update_binv(w, r);
+      break;
+    }
+  }
+}
+
+Solution RevisedSolver::run() {
   Solution sol;
   const auto& vars = model_.vars();
   const auto& cons = model_.constraints();
   const std::size_t n = vars.size();
 
-  // Count rows: one per constraint + one per finite (shifted) upper bound.
+  // Shift x' = x − lower so every variable lives in [0, ub'].
   std::vector<double> shift(n), ub(n);
   std::size_t ub_rows = 0;
   for (std::size_t j = 0; j < n; ++j) {
@@ -156,171 +302,186 @@ Solution SimplexSolver::run() {
     ub[j] = vars[j].upper - vars[j].lower;
     if (ub[j] < kInf) ++ub_rows;
   }
-  const std::size_t m = cons.size() + ub_rows;
 
-  // Early size guard: row skeletons below are dense (n doubles per row),
-  // so an oversized instance must be refused BEFORE densification — the
-  // tableau itself can only be larger.
-  if (exceeds_cell_budget(m, n, opt_.max_tableau_cells)) {
+  // Size guards use the DENSE-equivalent dimensions (upper bounds as
+  // rows, slack/artificial columns counted), so the limit does not depend
+  // on sparsity — see exceeds_cell_budget in simplex.h.
+  const std::size_t m_dense = cons.size() + ub_rows;
+  if (exceeds_cell_budget(m_dense, n, opt_.max_tableau_cells)) {
     sol.status = SolveStatus::kTimeLimit;  // instance too big: solver gives up
     return sol;
   }
 
-  // Row skeletons in (coeffs over structural vars, sense, rhs) form.
+  // Build constraint rows sparsely: aggregate duplicate terms through a
+  // dense scratch (deterministic ascending-var order), shift the rhs,
+  // then normalize rhs ≥ 0 by negating rows.
   struct Row {
-    std::vector<double> a;
+    std::vector<Term> a;  // ascending var, aggregated
     Sense sense;
     double rhs;
   };
   std::vector<Row> raw;
-  raw.reserve(m);
+  raw.reserve(cons.size());
+  std::vector<double> acc(n, 0.0);
+  std::vector<VarId> touched;
   for (const auto& c : cons) {
-    Row r{std::vector<double>(n, 0.0), c.sense, c.rhs};
+    touched.clear();
     for (const auto& term : c.terms) {
       FARM_CHECK(term.var >= 0 && static_cast<std::size_t>(term.var) < n);
-      r.a[static_cast<std::size_t>(term.var)] += term.coeff;
-      r.rhs -= term.coeff * shift[static_cast<std::size_t>(term.var)];
+      if (acc[static_cast<std::size_t>(term.var)] == 0 && term.coeff != 0)
+        touched.push_back(term.var);
+      acc[static_cast<std::size_t>(term.var)] += term.coeff;
     }
-    raw.push_back(std::move(r));
-  }
-  for (std::size_t j = 0; j < n; ++j) {
-    if (ub[j] >= kInf) continue;
-    Row r{std::vector<double>(n, 0.0), Sense::kLe, ub[j]};
-    r.a[j] = 1;
-    raw.push_back(std::move(r));
-  }
-
-  // Normalize rhs >= 0.
-  for (auto& r : raw) {
+    std::sort(touched.begin(), touched.end());
+    Row r{{}, c.sense, c.rhs};
+    r.a.reserve(touched.size());
+    for (VarId v : touched) {
+      const double coeff = acc[static_cast<std::size_t>(v)];
+      acc[static_cast<std::size_t>(v)] = 0;
+      if (coeff == 0) continue;  // exact cancellation
+      r.a.push_back({v, coeff});
+      r.rhs -= coeff * shift[static_cast<std::size_t>(v)];
+    }
     if (r.rhs < 0) {
-      for (double& v : r.a) v = -v;
+      for (auto& term : r.a) term.coeff = -term.coeff;
       r.rhs = -r.rhs;
       r.sense = r.sense == Sense::kLe   ? Sense::kGe
                 : r.sense == Sense::kGe ? Sense::kLe
                                         : Sense::kEq;
     }
+    raw.push_back(std::move(r));
   }
 
-  // Column layout: [structural | slack/surplus | artificial | rhs].
   std::size_t n_slack = 0, n_art = 0;
   for (const auto& r : raw) {
     if (r.sense != Sense::kEq) ++n_slack;
     if (r.sense != Sense::kLe) ++n_art;
   }
-  Tableau t;
-  t.n_struct = n;
-  t.n_total = n + n_slack + n_art;
-  t.first_artificial = n + n_slack;
+  m_ = raw.size();
+  n_total_ = n + n_slack + n_art;
+  first_artificial_ = n + n_slack;
 
-  if (exceeds_cell_budget(raw.size(), t.n_total, opt_.max_tableau_cells)) {
+  // Second dense-equivalent guard: the full tableau width (every upper
+  // bound contributes a row and that row a slack column).
+  if (exceeds_cell_budget(m_dense, n_total_ + ub_rows,
+                          opt_.max_tableau_cells)) {
     sol.status = SolveStatus::kTimeLimit;  // instance too big: solver gives up
     return sol;
   }
 
-  t.rows.assign(raw.size(), std::vector<double>(t.n_total + 1, 0.0));
-  t.basis.assign(raw.size(), -1);
-  std::size_t slack_next = n, art_next = t.first_artificial;
-  for (std::size_t i = 0; i < raw.size(); ++i) {
-    auto& row = t.rows[i];
-    std::copy(raw[i].a.begin(), raw[i].a.end(), row.begin());
-    row[t.n_total] = raw[i].rhs;
+  // Sparse columns: structural from the rows (transposed via per-column
+  // counts), then ±1 slack/surplus singletons, then +1 artificials.
+  std::vector<std::uint32_t> count(n_total_ + 1, 0);
+  for (const auto& r : raw)
+    for (const auto& term : r.a)
+      ++count[static_cast<std::size_t>(term.var) + 1];
+  std::size_t struct_nnz = 0;
+  for (std::size_t j = 0; j < n; ++j) struct_nnz += count[j + 1];
+  const std::size_t nnz = struct_nnz + n_slack + n_art;
+  cols_.start.assign(n_total_ + 1, 0);
+  for (std::size_t j = 0; j < n_total_; ++j)
+    cols_.start[j + 1] = cols_.start[j] + count[j + 1];
+  cols_.row.resize(nnz);
+  cols_.val.resize(nnz);
+  {
+    std::vector<std::uint32_t> fill(cols_.start.begin(),
+                                    cols_.start.end() - 1);
+    for (std::size_t i = 0; i < m_; ++i)
+      for (const auto& term : raw[i].a) {
+        const auto j = static_cast<std::size_t>(term.var);
+        cols_.row[fill[j]] = static_cast<std::uint32_t>(i);
+        cols_.val[fill[j]] = term.coeff;
+        ++fill[j];
+      }
+  }
+
+  ub_.assign(n_total_, kInf);
+  for (std::size_t j = 0; j < n; ++j) ub_[j] = ub[j];
+  basis_.assign(m_, -1);
+  state_.assign(n_total_, VarState::kAtLower);
+  xb_.assign(m_, 0.0);
+  binv_.assign(m_ * m_, 0.0);
+  for (std::size_t i = 0; i < m_; ++i) binv_[i * m_ + i] = 1.0;
+
+  std::size_t slack_next = n, art_next = first_artificial_;
+  std::size_t fill_slack = cols_.start[n];
+  for (std::size_t i = 0; i < m_; ++i) {
+    xb_[i] = raw[i].rhs;
     switch (raw[i].sense) {
       case Sense::kLe:
-        row[slack_next] = 1;
-        t.basis[i] = static_cast<int>(slack_next++);
+        cols_.row[fill_slack] = static_cast<std::uint32_t>(i);
+        cols_.val[fill_slack] = 1.0;
+        cols_.start[slack_next + 1] = static_cast<std::uint32_t>(++fill_slack);
+        basis_[i] = static_cast<int>(slack_next);
+        state_[slack_next++] = VarState::kBasic;
         break;
       case Sense::kGe:
-        row[slack_next] = -1;
+        cols_.row[fill_slack] = static_cast<std::uint32_t>(i);
+        cols_.val[fill_slack] = -1.0;
+        cols_.start[slack_next + 1] = static_cast<std::uint32_t>(++fill_slack);
         ++slack_next;
-        row[art_next] = 1;
-        t.basis[i] = static_cast<int>(art_next++);
         break;
       case Sense::kEq:
-        row[art_next] = 1;
-        t.basis[i] = static_cast<int>(art_next++);
         break;
     }
   }
+  // Artificial singletons (ge and eq rows), after every slack column.
+  std::size_t fill_art = fill_slack;
+  for (std::size_t i = 0; i < m_; ++i) {
+    if (raw[i].sense == Sense::kLe) continue;
+    cols_.row[fill_art] = static_cast<std::uint32_t>(i);
+    cols_.val[fill_art] = 1.0;
+    cols_.start[art_next + 1] = static_cast<std::uint32_t>(++fill_art);
+    basis_[i] = static_cast<int>(art_next);
+    state_[art_next++] = VarState::kBasic;
+  }
+  FARM_CHECK(fill_art == nnz);
+  scratch_w_.assign(m_, 0.0);
 
-  std::vector<bool> allow(t.n_total, true);
+  std::vector<bool> allow(n_total_, true);
 
-  // --- Phase 1: minimize sum of artificials -------------------------------
+  // --- Phase 1: minimize sum of artificials -----------------------------
   if (n_art > 0) {
-    std::vector<double> red(t.n_total + 1, 0.0);
-    // w = Σ artificial = Σ_{rows with basic artificial} (rhs - Σ a_j x_j)
-    for (std::size_t i = 0; i < t.rows.size(); ++i) {
-      if (static_cast<std::size_t>(t.basis[i]) < t.first_artificial) continue;
-      for (std::size_t j = 0; j <= t.n_total; ++j) red[j] -= t.rows[i][j];
-    }
-    // Reduced costs of basic vars must be 0; artificial columns carry +1.
-    for (std::size_t j = t.first_artificial; j < t.n_total; ++j) red[j] += 1;
-
-    SolveStatus st = iterate(t, red, allow);
+    std::vector<double> cost1(n_total_, 0.0);
+    for (std::size_t j = first_artificial_; j < n_total_; ++j) cost1[j] = 1.0;
+    SolveStatus st = iterate(cost1, allow);
     sol.simplex_iterations = iterations_;
     if (st == SolveStatus::kTimeLimit || st == SolveStatus::kIterationLimit) {
       sol.status = st;
       return sol;
     }
-    double w = -red[t.n_total];
-    if (w > 1e-6) {
+    double w1 = 0;
+    for (std::size_t i = 0; i < m_; ++i)
+      if (static_cast<std::size_t>(basis_[i]) >= first_artificial_)
+        w1 += xb_[i];
+    if (w1 > 1e-6) {
       sol.status = SolveStatus::kInfeasible;
       return sol;
     }
-    // Drive remaining basic artificials out where possible; redundant rows
-    // keep a zero-valued artificial which we simply forbid from re-entering.
-    for (std::size_t i = 0; i < t.rows.size(); ++i) {
-      if (static_cast<std::size_t>(t.basis[i]) < t.first_artificial) continue;
-      for (std::size_t j = 0; j < t.first_artificial; ++j) {
-        if (std::abs(t.rows[i][j]) > kPivotEps) {
-          // Pivot (i, j) manually.
-          auto& prow = t.rows[i];
-          double pivot = prow[j];
-          for (double& v : prow) v /= pivot;
-          for (std::size_t k = 0; k < t.rows.size(); ++k) {
-            if (k == i) continue;
-            double f = t.rows[k][j];
-            if (std::abs(f) < kEps) continue;
-            for (std::size_t c = 0; c <= t.n_total; ++c)
-              t.rows[k][c] -= f * prow[c];
-          }
-          t.basis[i] = static_cast<int>(j);
-          break;
-        }
-      }
-    }
-    for (std::size_t j = t.first_artificial; j < t.n_total; ++j)
+    drive_artificials_out();
+    for (std::size_t j = first_artificial_; j < n_total_; ++j)
       allow[j] = false;
   }
 
-  // --- Phase 2: original objective (as minimization) ----------------------
-  std::vector<double> cost(t.n_total, 0.0);
-  double sign = model_.maximize() ? -1.0 : 1.0;
-  for (std::size_t j = 0; j < n; ++j) cost[j] = sign * vars[j].objective;
-
-  std::vector<double> red(t.n_total + 1, 0.0);
-  for (std::size_t j = 0; j < t.n_total; ++j) red[j] = cost[j];
-  double obj0 = 0;
-  for (std::size_t i = 0; i < t.rows.size(); ++i) {
-    double cb = cost[static_cast<std::size_t>(t.basis[i])];
-    if (cb == 0) continue;
-    for (std::size_t j = 0; j < t.n_total; ++j) red[j] -= cb * t.rows[i][j];
-    obj0 += cb * t.rhs(i);
-  }
-  red[t.n_total] = -obj0;
-
-  SolveStatus st = iterate(t, red, allow);
+  // --- Phase 2: original objective (as minimization) --------------------
+  std::vector<double> cost2(n_total_, 0.0);
+  const double sign = model_.maximize() ? -1.0 : 1.0;
+  for (std::size_t j = 0; j < n; ++j) cost2[j] = sign * vars[j].objective;
+  SolveStatus st = iterate(cost2, allow);
   sol.simplex_iterations = iterations_;
   if (st != SolveStatus::kOptimal) {
     sol.status = st;
     return sol;
   }
 
-  // Extract structural values.
+  // Extract: basics from x_B, nonbasic-at-upper at their shifted bound.
   sol.values.assign(n, 0.0);
-  for (std::size_t i = 0; i < t.rows.size(); ++i) {
-    auto b = static_cast<std::size_t>(t.basis[i]);
-    if (b < n) sol.values[b] = t.rhs(i);
+  for (std::size_t i = 0; i < m_; ++i) {
+    const auto b = static_cast<std::size_t>(basis_[i]);
+    if (b < n) sol.values[b] = xb_[i];
   }
+  for (std::size_t j = 0; j < n; ++j)
+    if (state_[j] == VarState::kAtUpper) sol.values[j] = ub_[j];
   double obj = 0;
   for (std::size_t j = 0; j < n; ++j) {
     sol.values[j] += shift[j];
@@ -336,25 +497,9 @@ Solution SimplexSolver::run() {
 
 }  // namespace
 
-// Historically this guard lived twice in this file with two hand-expanded
-// formulas — `(n + 1) * m` at the skeleton stage and `(n_total + 1) * m`
-// at densification — which could disagree (and silently wrap) near the
-// boundary. Every entry point, dense and sparse, now rejects through this
-// single predicate.
-bool exceeds_cell_budget(std::size_t rows, std::size_t cols_excl_rhs,
-                         std::size_t max_cells) {
-  if (rows == 0) return false;
-  if (cols_excl_rhs == std::numeric_limits<std::size_t>::max()) return true;
-  const std::size_t cols = cols_excl_rhs + 1;  // + rhs column
-  // rows * cols > max_cells, without the multiply that could overflow.
-  return cols > max_cells / rows;
-}
-
 Solution solve_lp(const Model& model, const LpOptions& options) {
   FARM_PROF_SCOPE("simplex");
-  if (options.algorithm == LpAlgorithm::kRevisedSparse)
-    return solve_lp_revised(model, options);
-  SimplexSolver solver(model, options);
+  RevisedSolver solver(model, options);
   return solver.run();
 }
 

@@ -1,52 +1,46 @@
-// Primal simplex solvers for the placement LPs.
+// Primal simplex solver for the placement LPs: the continuous relaxation
+// of placement models and the per-switch resource-redistribution LPs of
+// Algorithm 1 (step 3).
 //
-// Two implementations share one entry point:
-//   * kRevisedSparse (default) — revised simplex over a sparse column
-//     store with bounded variables (revised.cpp). Upper bounds are
-//     handled implicitly (nonbasic-at-upper status + bound flips), so a
-//     model with n box-bounded variables costs n fewer rows than the
-//     dense formulation, and each pivot touches O(nnz + m²) instead of
-//     the full dense tableau.
-//   * kDenseTableau — the original dense two-phase tableau, kept as a
-//     cross-check oracle (the equivalence property tests solve every
-//     instance both ways).
-//
-// Both solve the continuous relaxation of placement models and the
-// per-switch resource-redistribution LPs of Algorithm 1 (step 3), and
-// both refuse oversized instances through the same exceeds_cell_budget
-// predicate — an oversized instance aborts against the deadline exactly
-// like a timed-out solver run.
+// solve_lp runs a revised simplex over a sparse column store with bounded
+// variables (simplex.cpp). Upper bounds are handled implicitly
+// (nonbasic-at-upper status + bound flips), so a model with n box-bounded
+// variables costs n fewer rows than a dense tableau, and each pivot
+// touches O(nnz + m²) instead of the full tableau. Oversized instances are
+// refused through exceeds_cell_budget — an oversized instance aborts
+// against the deadline exactly like a timed-out solver run.
 #pragma once
+
+#include <limits>
 
 #include "lp/model.h"
 
 namespace farm::lp {
 
-enum class LpAlgorithm {
-  kRevisedSparse,  // sparse column store + bounded variables (default)
-  kDenseTableau,   // dense two-phase tableau (oracle / fallback)
-};
-
 struct LpOptions {
   // Wall-clock budget; exceeded ⇒ status kTimeLimit.
   double deadline_seconds = kInf;
   std::uint64_t max_iterations = 10'000'000;
-  // Refuse instances whose dense-equivalent tableau would exceed this many
-  // cells; the returned status is kTimeLimit (treated as "solver gave
-  // up"), keeping large-scale MILP baseline behaviour honest instead of
-  // thrashing. Both algorithms reject through the same predicate with the
-  // same dense-equivalent dimensions, so the choice of algorithm never
-  // changes which instances are refused.
+  // Refuse instances whose dense-equivalent tableau (one row per
+  // constraint and per finite upper bound) would exceed this many cells;
+  // the returned status is kTimeLimit (treated as "solver gave up"),
+  // keeping large-scale MILP baseline behaviour honest instead of
+  // thrashing. The limit does not depend on the model's sparsity.
   std::size_t max_tableau_cells = 64'000'000;
-  LpAlgorithm algorithm = LpAlgorithm::kRevisedSparse;
 };
 
-// Single size guard shared by every solver entry point: true when a
+// The size guard behind LpOptions::max_tableau_cells: true when a
 // working set of `rows` rows by `cols_excl_rhs` columns (plus the rhs
 // column) exceeds `max_cells`. Computed overflow-safe — saturates instead
 // of wrapping — so a pathological model cannot sneak past the guard.
-bool exceeds_cell_budget(std::size_t rows, std::size_t cols_excl_rhs,
-                         std::size_t max_cells);
+inline bool exceeds_cell_budget(std::size_t rows, std::size_t cols_excl_rhs,
+                                std::size_t max_cells) {
+  if (rows == 0) return false;
+  if (cols_excl_rhs == std::numeric_limits<std::size_t>::max()) return true;
+  const std::size_t cols = cols_excl_rhs + 1;  // + rhs column
+  // rows * cols > max_cells, without the multiply that could overflow.
+  return cols > max_cells / rows;
+}
 
 // Integrality markers in the model are ignored (continuous relaxation).
 Solution solve_lp(const Model& model, const LpOptions& options = {});

@@ -91,8 +91,7 @@ void MessageBus::to_machine(const SeedId& from, net::NodeId /*from_switch*/,
       engine_.schedule_after(
           control_delay(bytes), [s, to, from, payload] {
             s->deliver_to_seed(to, payload, /*from_harvester=*/false,
-                               from.machine,
-                               static_cast<std::int64_t>(s->node()));
+                               from.machine);
           });
     }
   }
@@ -120,7 +119,7 @@ void MessageBus::harvester_to_seed(const std::string& task, const SeedId& to,
     if (!seed) continue;
     Soil* s = soil;
     engine_.schedule_after(control_delay(bytes), [s, to, payload] {
-      s->deliver_to_seed(to, payload, /*from_harvester=*/true, "", -1);
+      s->deliver_to_seed(to, payload, /*from_harvester=*/true, "");
     });
     return;
   }
@@ -140,7 +139,7 @@ void MessageBus::harvester_broadcast(const std::string& task,
       Soil* s = soil;
       SeedId to = seed->id();
       engine_.schedule_after(control_delay(bytes), [s, to, payload] {
-        s->deliver_to_seed(to, payload, /*from_harvester=*/true, "", -1);
+        s->deliver_to_seed(to, payload, /*from_harvester=*/true, "");
       });
     }
   }

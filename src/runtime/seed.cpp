@@ -1,6 +1,5 @@
 #include "runtime/seed.h"
 
-#include "almanac/analysis.h"
 #include "runtime/soil.h"
 #include "runtime/wire.h"
 #include "util/log.h"
@@ -15,195 +14,34 @@ std::size_t SeedSnapshot::wire_bytes() const {
 }
 
 Seed::Seed(SeedId id, std::shared_ptr<MachineImage> image, Soil& soil,
-           std::unordered_map<std::string, Value> externals)
-    : id_(std::move(id)),
+           const std::unordered_map<std::string, Value>& externals)
+    : SeedCore(image->machine),
+      id_(std::move(id)),
       image_(std::move(image)),
-      soil_(soil),
-      current_state_(image_->machine.initial_state),
-      interp_(image_->machine, this) {
+      soil_(soil) {
   tel_ = &soil_.engine().telemetry();
   m_handlers_ = tel_->counter("seed.handlers");
   m_transits_ = tel_->counter("seed.transits");
-  // Initialize machine variables: externals override initializers.
-  for (const auto* v : image_->machine.vars) {
-    auto ext = externals.find(v->name);
-    if (ext != externals.end()) {
-      FARM_CHECK_MSG(v->external,
-                     "binding supplied for non-external variable");
-      env_.define(v->name, ext->second);
-      continue;
-    }
-    if (v->init) {
-      env_.define(v->name, interp_.eval(*v->init, env_));
-    } else if (v->trigger) {
-      env_.define(v->name, Value(almanac::TriggerSpec{}));
-    } else {
-      env_.define(v->name, almanac::Interpreter::default_value(v->type));
-    }
-  }
+  bind(externals);
 }
 
 Seed::~Seed() = default;
 
 void Seed::start() {
-  FARM_CHECK(!started_);
-  started_ = true;
-  fire_simple(almanac::EventDecl::TriggerKind::kEnter);
-  apply_pending_transit();
+  SeedCore::start();
   soil_.refresh_triggers(*this);
 }
 
 void Seed::start_from(const SeedSnapshot& snapshot) {
-  FARM_CHECK(!started_);
-  started_ = true;
-  current_state_ = snapshot.current_state;
-  FARM_CHECK_MSG(state() != nullptr, "snapshot references unknown state");
-  for (const auto& [name, v] : snapshot.machine_vars) {
-    // Only known machine variables are restored.
-    if (image_->machine.var(name)) env_.define(name, v);
-  }
-  // Migration resumes execution without re-running enter handlers — the
-  // seed continues exactly where it left off (§V-B).
+  resume(snapshot.current_state, snapshot.machine_vars);
   soil_.refresh_triggers(*this);
-}
-
-void Seed::stop() {
-  if (!started_) return;
-  started_ = false;
 }
 
 SeedSnapshot Seed::snapshot() const {
   SeedSnapshot s;
-  s.current_state = current_state_;
-  s.machine_vars = env_.own();
+  s.current_state = current_state();
+  s.machine_vars = env().own();
   return s;
-}
-
-void Seed::run_handler(const std::vector<almanac::ActionPtr>& actions,
-                       const std::string& bind_name, const Value& bind_value) {
-  Env scope(&env_);
-  if (!bind_name.empty()) scope.define(bind_name, bind_value);
-  tel_->count(m_handlers_);  // fleet-hot: keep it off the event ring
-  try {
-    interp_.exec(actions, scope);
-  } catch (const almanac::EvalError& e) {
-    FARM_LOG(kWarn) << id_.to_string() << ": handler error: " << e.what();
-  }
-  apply_pending_transit();
-}
-
-void Seed::fire_simple(almanac::EventDecl::TriggerKind kind) {
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events)
-    if (ev->kind == kind) run_handler(ev->actions, "", Value());
-}
-
-void Seed::apply_pending_transit() {
-  while (pending_transit_) {
-    if (++transit_depth_ > kMaxTransitChain) {
-      FARM_LOG(kWarn) << id_.to_string() << ": transit chain too deep";
-      pending_transit_.reset();
-      break;
-    }
-    std::string target = *pending_transit_;
-    pending_transit_.reset();
-    if (target == current_state_) continue;
-    // exit handlers of the old state.
-    const almanac::CompiledState* st = state();
-    if (st)
-      for (const auto* ev : st->events)
-        if (ev->kind == almanac::EventDecl::TriggerKind::kExit) {
-          Env scope(&env_);
-          try {
-            interp_.exec(ev->actions, scope);
-          } catch (const almanac::EvalError& e) {
-            FARM_LOG(kWarn) << id_.to_string() << ": exit error: " << e.what();
-          }
-        }
-    current_state_ = target;
-    tel_->add(m_transits_);
-    // enter handlers of the new state (may request further transits —
-    // handled by the loop).
-    st = state();
-    if (st)
-      for (const auto* ev : st->events)
-        if (ev->kind == almanac::EventDecl::TriggerKind::kEnter) {
-          Env scope(&env_);
-          try {
-            interp_.exec(ev->actions, scope);
-          } catch (const almanac::EvalError& e) {
-            FARM_LOG(kWarn) << id_.to_string()
-                            << ": enter error: " << e.what();
-          }
-        }
-    if (started_) soil_.refresh_triggers(*this);
-  }
-  transit_depth_ = 0;
-}
-
-void Seed::on_poll(const std::string& var, const StatsValue& stats) {
-  if (!started_) return;
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events) {
-    if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger ||
-        ev->var != var)
-      continue;
-    run_handler(ev->actions, ev->as_var, Value(stats));
-  }
-}
-
-void Seed::on_probe(const std::string& var, const net::PacketHeader& packet) {
-  if (!started_) return;
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events) {
-    if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger ||
-        ev->var != var)
-      continue;
-    run_handler(ev->actions, ev->as_var, Value(packet));
-  }
-}
-
-void Seed::on_time(const std::string& var) {
-  if (!started_) return;
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events) {
-    if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger ||
-        ev->var != var)
-      continue;
-    run_handler(ev->actions, ev->as_var, Value(now_ms()));
-  }
-}
-
-void Seed::on_message(const Value& payload, bool from_harvester,
-                      const std::string& from_machine,
-                      std::int64_t /*from_switch*/) {
-  if (!started_) return;
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events) {
-    if (ev->kind != almanac::EventDecl::TriggerKind::kRecv) continue;
-    if (ev->from_harvester != from_harvester) continue;
-    if (!from_harvester && !ev->from_machine.empty() &&
-        ev->from_machine != from_machine)
-      continue;
-    // Pattern matching: the payload type must match the declared formal.
-    if (!almanac::Interpreter::matches_type(payload, ev->recv_type)) continue;
-    run_handler(ev->actions, ev->recv_var, payload);
-    return;  // first matching handler consumes the message
-  }
-}
-
-void Seed::on_realloc(const ResourcesValue& resources) {
-  if (!started_) return;
-  const almanac::CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events)
-    if (ev->kind == almanac::EventDecl::TriggerKind::kRealloc)
-      run_handler(ev->actions, "", Value(resources));
 }
 
 std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
@@ -212,9 +50,9 @@ std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
   if (!st) return out;
   for (const auto* ev : st->events) {
     if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger) continue;
-    const almanac::VarDecl* vd = image_->machine.var(ev->var);
+    const almanac::VarDecl* vd = machine().var(ev->var);
     if (!vd || !vd->trigger) continue;
-    const Value* val = env_.find(ev->var);
+    const Value* val = env().find(ev->var);
     if (!val) continue;
     ActiveTrigger t;
     t.var = ev->var;
@@ -231,16 +69,6 @@ std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
     out.push_back(std::move(t));
   }
   return out;
-}
-
-double Seed::utility(const ResourcesValue& r) const {
-  const almanac::CompiledState* st = state();
-  if (!st || !st->util) return almanac::default_utility().utility(r);
-  try {
-    return almanac::analyze_utility(*st->util).utility(r);
-  } catch (const almanac::CompileError&) {
-    return 0;
-  }
 }
 
 // --- SeedHost ---------------------------------------------------------------
@@ -265,12 +93,8 @@ void Seed::send(const Value& payload, const SendTarget& target) {
 
 void Seed::exec(const std::string& command) { soil_.seed_exec(*this, command); }
 
-void Seed::request_transit(const std::string& state) {
-  pending_transit_ = state;
-}
-
 void Seed::trigger_updated(const std::string& /*var*/) {
-  if (started_) soil_.refresh_triggers(*this);
+  if (started()) soil_.refresh_triggers(*this);
 }
 
 std::int64_t Seed::switch_id() {
@@ -283,6 +107,26 @@ std::int64_t Seed::now_ms() {
 
 void Seed::log(const std::string& message) {
   FARM_LOG(kInfo) << id_.to_string() << ": " << message;
+}
+
+// --- SeedCore hooks ---------------------------------------------------------
+
+void Seed::handler_ran() {
+  tel_->count(m_handlers_);  // fleet-hot: keep it off the event ring
+}
+
+void Seed::handler_failed(Site site, const almanac::EvalError& error) {
+  FARM_LOG(kWarn) << id_.to_string() << ": " << site_name(site)
+                  << " error: " << error.what();
+}
+
+void Seed::state_entered() {
+  tel_->add(m_transits_);
+  if (started()) soil_.refresh_triggers(*this);
+}
+
+void Seed::chain_cut() {
+  FARM_LOG(kWarn) << id_.to_string() << ": transit chain too deep";
 }
 
 }  // namespace farm::runtime

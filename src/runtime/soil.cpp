@@ -121,7 +121,7 @@ void Soil::set_allocation(const SeedId& id, const ResourcesValue& alloc) {
   Seed* seed = find(id);
   if (!seed) return;
   allocations_[id.to_string()] = alloc;
-  seed->on_realloc(alloc);
+  seed->on_realloc();
   // Poll intervals may depend on the allocation (ival = f(res)); seeds
   // whose trigger specs were initialized from res() re-arm via the realloc
   // handler; independent of that, group periods get refreshed.
@@ -210,19 +210,16 @@ std::optional<asic::TcamRule> Soil::get_monitor_rule(
 
 void Soil::deliver_to_seed(const SeedId& id, const Value& payload,
                            bool from_harvester,
-                           const std::string& from_machine,
-                           std::int64_t from_switch) {
+                           const std::string& from_machine) {
   engine_.schedule_after(
-      comm_latency(),
-      [this, id, payload, from_harvester, from_machine, from_switch] {
+      comm_latency(), [this, id, payload, from_harvester, from_machine] {
         Seed* seed = find(id);
         if (!seed) return;  // undeployed while in flight
         chassis_.cpu().submit(
             cpu_task_of(*seed), sim::cost::kPollWakeupCpu,
-            [this, id, payload, from_harvester, from_machine, from_switch] {
+            [this, id, payload, from_harvester, from_machine] {
               if (Seed* s = find(id))
-                s->on_message(payload, from_harvester, from_machine,
-                              from_switch);
+                s->on_message(payload, from_harvester, from_machine);
             });
       });
 }

@@ -106,8 +106,7 @@ class Soil {
 
   // --- Inbound messages (from the message bus) ------------------------------
   void deliver_to_seed(const SeedId& id, const Value& payload,
-                       bool from_harvester, const std::string& from_machine,
-                       std::int64_t from_switch);
+                       bool from_harvester, const std::string& from_machine);
 
   // Cost of one exec() invocation (the ML task); replaceable per workload.
   void set_exec_cost(std::function<sim::Duration(const std::string&)> fn) {

@@ -9,6 +9,7 @@
 #include "almanac/interp.h"
 #include "almanac/lexer.h"
 #include "almanac/parser.h"
+#include "almanac/seed_core.h"
 #include "net/topology.h"
 
 namespace farm::almanac {
@@ -613,6 +614,122 @@ TEST(InterpTest, TcamRuleRoundTrip) {
   f.run_event("s", 0);
   EXPECT_TRUE(f.env.find("found")->as_bool());
   ASSERT_EQ(f.host.removed.size(), 1u);
+}
+
+// --- Seed core -------------------------------------------------------------
+
+// Drives the seed core through a host that serves no switch and records
+// what the core reports through its hooks.
+class FakeSeed : public SeedCore {
+ public:
+  explicit FakeSeed(const CompiledMachine& m) : SeedCore(m) { bind({}); }
+
+  int handlers = 0;
+  int entries = 0;
+  int cuts = 0;
+  std::vector<std::pair<Site, int>> errors;  // site, source line
+
+  ResourcesValue resources() override { return {1, 128, 32, 1}; }
+  void add_tcam_rule(const asic::TcamRule&) override {}
+  void remove_tcam_rule(const net::Filter&) override {}
+  std::optional<asic::TcamRule> get_tcam_rule(const net::Filter&) override {
+    return std::nullopt;
+  }
+  void send(const Value&, const SendTarget&) override {}
+  void exec(const std::string&) override {}
+  void trigger_updated(const std::string&) override {}
+  std::int64_t switch_id() override { return 7; }
+  std::int64_t now_ms() override { return 0; }
+  void log(const std::string&) override {}
+
+ private:
+  void handler_ran() override { ++handlers; }
+  void handler_failed(Site site, const EvalError& e) override {
+    errors.emplace_back(site, e.loc().line);
+  }
+  void state_entered() override { ++entries; }
+  void chain_cut() override { ++cuts; }
+};
+
+TEST(SeedCoreTest, PingPongTransitChainIsCutAndTheNextEventRuns) {
+  auto c = compile(R"(
+    machine M {
+      long got = 0;
+      state a { when (enter) do { transit b; } }
+      state b { when (enter) do { transit a; } }
+      when (recv long x from harvester) do { got = x; }
+    }
+  )",
+                   "M");
+  FakeSeed seed(c.machine);
+  seed.start();
+  EXPECT_EQ(seed.cuts, 1);
+  EXPECT_EQ(seed.entries, SeedCore::kMaxTransitChain);
+  EXPECT_EQ(seed.current_state(), "a");  // an even number of hops from a
+  EXPECT_EQ(seed.handlers, 1);           // a's enter handler at start
+
+  seed.on_message(Value(std::int64_t{42}), /*from_harvester=*/true, "");
+  EXPECT_EQ(seed.handlers, 2);
+  EXPECT_EQ(seed.env().find("got")->as_int(), 42);
+  EXPECT_EQ(seed.cuts, 1);
+  EXPECT_EQ(seed.entries, SeedCore::kMaxTransitChain);
+}
+
+TEST(SeedCoreTest, EnterAndExitErrorsAreReportedAndTheTransitCompletes) {
+  auto c = compile(R"(
+    machine M {
+      long x;
+      state s {
+        when (exit) do { x = 1/0; }
+        when (recv long go from harvester) do { transit t; }
+      }
+      state t { when (enter) do { x = 2/0; } }
+    }
+  )",
+                   "M");
+  FakeSeed seed(c.machine);
+  seed.start();
+  seed.on_message(Value(std::int64_t{1}), /*from_harvester=*/true, "");
+  using Site = SeedCore::Site;
+  EXPECT_EQ(seed.errors, (std::vector<std::pair<Site, int>>{
+                             {Site::kExit, 5}, {Site::kEnter, 8}}));
+  EXPECT_EQ(seed.current_state(), "t");
+  EXPECT_EQ(seed.entries, 1);
+  EXPECT_EQ(seed.cuts, 0);
+}
+
+TEST(SeedCoreTest, EventsBeforeStartAndAfterStopRunNoHandler) {
+  auto c = compile(R"(
+    machine M {
+      long n = 0;
+      time tick = 1.0;
+      state s {
+        when (tick as t) do { n = n + 1; }
+        when (realloc) do { n = n + 1; }
+        when (recv long x from harvester) do { n = n + x; }
+      }
+    }
+  )",
+                   "M");
+  FakeSeed seed(c.machine);
+  auto deliver_all = [&] {
+    seed.on_time("tick");
+    seed.on_realloc();
+    seed.on_message(Value(std::int64_t{1}), /*from_harvester=*/true, "");
+  };
+  deliver_all();
+  EXPECT_EQ(seed.handlers, 0);
+  EXPECT_EQ(seed.env().find("n")->as_int(), 0);
+
+  seed.start();
+  deliver_all();
+  EXPECT_EQ(seed.handlers, 3);
+  EXPECT_EQ(seed.env().find("n")->as_int(), 3);
+
+  seed.stop();
+  deliver_all();
+  EXPECT_EQ(seed.handlers, 3);
+  EXPECT_EQ(seed.env().find("n")->as_int(), 3);
 }
 
 // --- Utility analysis -------------------------------------------------------

@@ -245,8 +245,7 @@ TEST(EndToEndTest, AllUseCasesDeployTogether) {
     harvesters.push_back(
         std::make_unique<CollectingHarvester>(farm.engine(), task));
     farm.bus().attach_harvester(task, *harvesters.back());
-    auto ids = farm.install_task(
-        {task, uc.source, uc.machines, uc.default_externals});
+    auto ids = farm.install_task({task, uc.source, uc.machines, {}});
     installed += ids.size();
   }
   EXPECT_GT(installed, 5 * farm.topology().switches().size());

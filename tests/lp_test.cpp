@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "dense_tableau.h"
 #include "lp/milp.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
@@ -349,17 +350,14 @@ TEST(MilpTest, WarmStartObjectivePrunesWithoutChangingOptimum) {
   EXPECT_FALSE(pruned.feasible());
 }
 
-// --- Revised sparse simplex vs dense tableau --------------------------------
+// --- Revised sparse simplex vs the dense tableau oracle ----------------------
 
 // Random LPs mixing senses, finite/infinite upper bounds, and objective
-// signs: both implementations must agree on status and (when optimal) on
-// the objective, and the sparse solution must satisfy the model exactly
-// like the dense one.
+// signs: solve_lp and the dense oracle (dense_tableau.h) must agree on
+// status and (when optimal) on the objective, and the sparse solution must
+// satisfy the model exactly like the dense one.
 TEST(SimplexTest, SparseAndDenseAgreeOnRandomInstances) {
   util::Rng rng(2024);
-  LpOptions sparse, dense;
-  sparse.algorithm = LpAlgorithm::kRevisedSparse;
-  dense.algorithm = LpAlgorithm::kDenseTableau;
   int optimal = 0;
   for (int trial = 0; trial < 60; ++trial) {
     Model m;
@@ -383,8 +381,8 @@ TEST(SimplexTest, SparseAndDenseAgreeOnRandomInstances) {
       m.add_constraint("c" + std::to_string(i), terms, sense,
                        rng.next_double(-2, 8));
     }
-    auto a = solve_lp(m, sparse);
-    auto b = solve_lp(m, dense);
+    auto a = solve_lp(m);
+    auto b = solve_lp_dense(m);
     ASSERT_EQ(a.status, b.status) << "trial " << trial;
     if (a.status != SolveStatus::kOptimal) continue;
     ++optimal;
@@ -418,11 +416,10 @@ TEST(SimplexTest, CellBudgetHelperBoundaryAndOverflow) {
       2, std::numeric_limits<std::size_t>::max(), 1'000'000));
 }
 
-// The guard used to live in two hand-duplicated copies (dense build +
-// dense entry); the sparse path added a third client. Sweeping the budget
-// across the whole interesting range must show both algorithms flipping
-// from rejection (kTimeLimit) to solving at exactly the same threshold —
-// the guard is computed on dense-equivalent dimensions for both.
+// Sweeping the budget across the whole interesting range must show
+// solve_lp and the dense oracle flipping from rejection (kTimeLimit) to
+// solving at exactly the same threshold — solve_lp measures the instance
+// by its dense-equivalent dimensions.
 TEST(SimplexTest, CellBudgetRejectsIdenticallyAcrossAlgorithms) {
   Model m;
   VarId x = m.add_continuous("x", 0, 9, 2);     // finite ub → dense ub row
@@ -432,16 +429,13 @@ TEST(SimplexTest, CellBudgetRejectsIdenticallyAcrossAlgorithms) {
   m.add_constraint("c2", {{y, 1}, {z, -1}}, Sense::kGe, 1);
   m.add_constraint("c3", {{x, 1}, {z, 1}}, Sense::kEq, 5);
 
-  LpOptions sparse, dense;
-  sparse.algorithm = LpAlgorithm::kRevisedSparse;
-  dense.algorithm = LpAlgorithm::kDenseTableau;
   int transitions = 0;
   SolveStatus prev_sparse = SolveStatus::kTimeLimit;
   for (std::size_t cells = 1; cells <= 400; ++cells) {
-    sparse.max_tableau_cells = cells;
-    dense.max_tableau_cells = cells;
-    auto a = solve_lp(m, sparse);
-    auto b = solve_lp(m, dense);
+    LpOptions opts;
+    opts.max_tableau_cells = cells;
+    auto a = solve_lp(m, opts);
+    auto b = solve_lp_dense(m, opts);
     ASSERT_EQ(a.status, b.status) << "budget " << cells;
     if (a.status != prev_sparse) {
       ++transitions;

@@ -32,9 +32,8 @@ struct Fixture {
   void install(const std::string& use_case_name,
                std::unordered_map<std::string, Value> externals = {}) {
     const UseCase& uc = use_case(use_case_name);
-    auto ext = uc.default_externals;
-    for (auto& [k, v] : externals) ext[k] = v;
-    auto ids = farm.install_task({"uc", uc.source, uc.machines, ext});
+    auto ids = farm.install_task(
+        {"uc", uc.source, uc.machines, std::move(externals)});
     ASSERT_FALSE(ids.empty()) << use_case_name << " failed to deploy";
   }
 
@@ -262,8 +261,7 @@ TEST(UseCaseE2E, BenignTrafficTriggersNoAttackDetectors) {
        {"TCP SYN flood", "Port scan", "SSH brute force", "Slowloris"}) {
     const UseCase& uc = use_case(name);
     fx.farm.install_task(
-        {std::string("neg-") + name, uc.source, uc.machines,
-         uc.default_externals});
+        {std::string("neg-") + name, uc.source, uc.machines, {}});
   }
   util::Rng rng(9);
   fx.farm.load_traffic(net::background_traffic(fx.farm.topology(), rng, 50,
@@ -279,9 +277,9 @@ TEST(UseCaseE2E, SketchSuperspreaderExtensionDetects) {
   // attack as the list-based superspreader.
   Fixture fx;
   const UseCase& uc = extension_use_cases()[0];
-  auto ext = uc.default_externals;
-  ext["fanoutThreshold"] = Value(std::int64_t{12});
-  auto ids = fx.farm.install_task({"uc", uc.source, uc.machines, ext});
+  auto ids = fx.farm.install_task(
+      {"uc", uc.source, uc.machines,
+       {{"fanoutThreshold", Value(std::int64_t{12})}}});
   ASSERT_FALSE(ids.empty());
   util::Rng rng(12);
   auto sched = net::superspreader(fx.farm.topology(), rng, fx.host(0, 0), 60,
@@ -297,9 +295,9 @@ TEST(UseCaseE2E, SketchSuperspreaderExtensionDetects) {
 TEST(UseCaseE2E, SketchEntropyExtensionSignalsCollapse) {
   Fixture fx;
   const UseCase& uc = extension_use_cases()[1];
-  auto ext = uc.default_externals;
-  ext["sampleTarget"] = Value(std::int64_t{100});
-  auto ids = fx.farm.install_task({"uc", uc.source, uc.machines, ext});
+  auto ids = fx.farm.install_task(
+      {"uc", uc.source, uc.machines,
+       {{"sampleTarget", Value(std::int64_t{100})}}});
   ASSERT_FALSE(ids.empty());
   net::FlowSchedule sched;
   net::FlowSpec f;

@@ -332,14 +332,9 @@ TEST(WinnowShipped, EveryUseCaseOptimizesToIdenticalBehavior) {
     for (const auto& name : uc.machines) {
       SCOPED_TRACE(uc.name + " / " + name);
       auto cm = almanac::compile_machine(program, name);
-      AbsintOptions aopts;
-      aopts.externals = uc.default_externals;
-      auto opt = almanac::opt::optimize_machine(cm, aopts);
+      auto opt = almanac::opt::optimize_machine(cm);
       EXPECT_TRUE(opt.stats.applied);
-      almanac::opt::ReplayOptions ropts;
-      ropts.externals = uc.default_externals;
-      auto report =
-          almanac::opt::replay_compare(cm, opt.machine, opt.analysis, ropts);
+      auto report = almanac::opt::replay_compare(cm, opt.machine, opt.analysis);
       EXPECT_TRUE(report.ok()) << report.divergence;
       ++machines;
     }
