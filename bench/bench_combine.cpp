@@ -1,8 +1,8 @@
-// Combine: deterministic parallel placement & scenario execution.
+// Combine: deterministic parallel placement.
 //
 // BM_PlacementParallel — the 10k-seed placement instance of Fig. 7's top
-// end, solved sequentially (threads=1) and with the Combine worker pool at
-// 2/4/8 threads. Two claims under test:
+// end, solved with the Combine worker pool pinned (util::ScopedThreads) to
+// 1, 2, 4 and 8 threads. Two claims under test:
 //
 //   1. Determinism: the parallel placements are bit-identical to the
 //      sequential run at every thread count (hard shape check).
@@ -11,19 +11,16 @@
 //      still recorded (with the core count) so the trajectory stays
 //      comparable across hosts.
 //
-// A second section measures the Combine scenario runner (sim/sweep.h) on a
-// batch of independent chaos-style engine runs, with the same
-// equality-then-speedup structure.
-#include <algorithm>
-#include <chrono>
+// Results → BENCH_combine.json; every row carries the solve's farm_threads
+// and the host's hw_threads.
 #include <cstdio>
 #include <thread>
+#include <vector>
 
 #include "bench_json.h"
 #include "placement/generator.h"
 #include "placement/heuristic.h"
-#include "sim/sweep.h"
-#include "util/rng.h"
+#include "util/pool.h"
 
 using namespace farm;
 using namespace farm::placement;
@@ -49,8 +46,7 @@ bool same_placement(const PlacementResult& a, const PlacementResult& b) {
 int main() {
   bench::BenchJson json("combine");
   unsigned hw = std::thread::hardware_concurrency();
-  std::printf("Combine — parallel placement & scenario execution "
-              "(%u hardware threads)\n\n", hw);
+  std::printf("Combine — parallel placement (%u hardware threads)\n\n", hw);
 
   // --- BM_PlacementParallel ----------------------------------------------
   GeneratorSpec spec;
@@ -65,114 +61,46 @@ int main() {
   std::printf("%8s | %10s %10s %10s\n", "threads", "t(s)", "speedup",
               "identical");
 
-  HeuristicOptions seq;
-  seq.threads = 1;
-  auto base = solve_heuristic(problem, seq);
+  auto solve_at = [&](int threads) {
+    util::ScopedThreads scoped(threads);
+    return solve_heuristic(problem);
+  };
+  auto params = [&](int threads) {
+    return std::vector<bench::BenchParam>{
+        bench::param("farm_threads", threads),
+        bench::param("hw_threads", static_cast<int>(hw))};
+  };
+  auto record_solve = [&](int threads, double seconds) {
+    auto p = params(threads);
+    p.push_back(bench::param("seeds", spec.n_tasks * spec.seeds_per_task));
+    json.record("solve_seconds", seconds, "s", std::move(p));
+  };
+
+  auto base = solve_at(1);
   double t1 = base.solve_seconds;
-  json.record("solve_seconds", t1, "s",
-              {bench::param("threads", 1), bench::param("hw_threads",
-                                                        static_cast<int>(hw)),
-               bench::param("seeds", spec.n_tasks * spec.seeds_per_task)});
+  record_solve(1, t1);
   std::printf("%8d | %10.2f %10s %10s\n", 1, t1, "1.00x", "-");
 
   bool identical = true;
   double speedup8 = 1;
   for (int threads : {2, 4, 8}) {
-    HeuristicOptions par;
-    par.threads = threads;
-    auto r = solve_heuristic(problem, par);
+    auto r = solve_at(threads);
     bool same = same_placement(base, r) && base.lp_solves == r.lp_solves;
     identical &= same;
     double speedup = r.solve_seconds > 0 ? t1 / r.solve_seconds : 0;
     if (threads == 8) speedup8 = speedup;
-    json.record("solve_seconds", r.solve_seconds, "s",
-                {bench::param("threads", threads),
-                 bench::param("hw_threads", static_cast<int>(hw)),
-                 bench::param("seeds", spec.n_tasks * spec.seeds_per_task)});
-    json.record("speedup", speedup, "x",
-                {bench::param("threads", threads),
-                 bench::param("hw_threads", static_cast<int>(hw))});
+    record_solve(threads, r.solve_seconds);
+    json.record("speedup", speedup, "x", params(threads));
     std::printf("%8d | %10.2f %9.2fx %10s\n", threads, r.solve_seconds,
                 speedup, same ? "yes" : "NO");
   }
 
-  // --- Scenario sweep ------------------------------------------------------
-  // 64 independent engine runs, each scheduling/cancelling a few thousand
-  // events — the shape of a chaos sweep without the fault machinery.
-  auto scenario = [](std::size_t index, sim::Engine& engine) {
-    util::Rng rng(index + 1);
-    double fired = 0;
-    for (int i = 0; i < 2000; ++i) {
-      auto id = engine.schedule_at(
-          sim::TimePoint::origin() + sim::Duration::ms(rng.next_below(5000)),
-          [&fired] { fired += 1; });
-      if (rng.next_bool(0.3)) engine.cancel(id);
-    }
-    engine.run_until(sim::TimePoint::origin() + sim::Duration::sec(10));
-    sim::ScenarioMetrics m;
-    m.set("fired", fired);
-    return m;
-  };
-  const std::size_t kScenarios = 64;
-  auto run_timed = [&](int threads) {
-    auto t0 = std::chrono::steady_clock::now();
-    auto r = sim::run_scenarios(kScenarios, scenario, {.threads = threads});
-    double secs = std::chrono::duration<double>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
-    return std::pair{r, secs};
-  };
-  auto [sweep1, st1] = run_timed(1);
-  auto [sweep8, st8] = run_timed(8);
-  bool sweep_same = sweep1 == sweep8;
-  double sweep_speedup = st8 > 0 ? st1 / st8 : 0;
-  std::printf("\nscenario sweep — %zu engines: seq %.2fs, 8 threads %.2fs "
-              "(%.2fx), identical: %s\n", kScenarios, st1, st8, sweep_speedup,
-              sweep_same ? "yes" : "NO");
-  json.record("sweep_seconds", st1, "s", {bench::param("threads", 1)});
-  json.record("sweep_seconds", st8, "s", {bench::param("threads", 8)});
-  json.record("sweep_speedup", sweep_speedup, "x",
-              {bench::param("hw_threads", static_cast<int>(hw))});
-
-  // --- Engine reuse --------------------------------------------------------
-  // chunks=1 runs every scenario on one engine (reset between scenarios);
-  // chunks=kScenarios constructs a fresh engine per scenario — the old
-  // runner's behavior. Reuse must be free: bit-identical results and at
-  // most 5% single-thread overhead (best of 3 to shed scheduler noise).
-  auto time_chunked = [&](std::size_t chunks) {
-    sim::SweepResult r;
-    double best = 1e30;
-    for (int rep = 0; rep < 3; ++rep) {
-      auto t0 = std::chrono::steady_clock::now();
-      r = sim::run_scenarios(kScenarios, scenario,
-                             {.threads = 1, .chunks = chunks});
-      best = std::min(best, std::chrono::duration<double>(
-                                std::chrono::steady_clock::now() - t0)
-                                .count());
-    }
-    return std::pair{r, best};
-  };
-  auto [reuse_r, reuse_t] = time_chunked(1);
-  auto [fresh_r, fresh_t] = time_chunked(kScenarios);
-  bool reuse_same = reuse_r == fresh_r && reuse_r == sweep1;
-  double reuse_overhead = fresh_t > 0 ? reuse_t / fresh_t - 1.0 : 0;
-  std::printf("engine reuse — 1 thread: reused %.3fs, fresh %.3fs "
-              "(%+.1f%%), identical: %s\n", reuse_t, fresh_t,
-              reuse_overhead * 100, reuse_same ? "yes" : "NO");
-  json.record("sweep_reuse_seconds", reuse_t, "s", {bench::param("chunks", 1)});
-  json.record("sweep_fresh_seconds", fresh_t, "s",
-              {bench::param("chunks", static_cast<int>(kScenarios))});
-  json.record("sweep_reuse_overhead", reuse_overhead, "ratio", {});
-  bool reuse_ok = reuse_same && reuse_overhead <= 0.05;
-
   // Determinism is unconditional; the 2x bar needs the cores to exist.
-  bool ok = identical && sweep_same && reuse_ok;
+  bool ok = identical;
   if (hw >= 8) ok &= speedup8 >= 2.0;
-  std::printf("\nparallel == sequential: %s; 8-thread speedup %.2fx%s; "
-              "engine-reuse overhead %s\n",
-              identical && sweep_same ? "HOLDS" : "VIOLATED", speedup8,
+  std::printf("\nparallel == sequential: %s; 8-thread speedup %.2fx%s\n",
+              identical ? "HOLDS" : "VIOLATED", speedup8,
               hw >= 8 ? (speedup8 >= 2.0 ? " (>=2x HOLDS)" : " (<2x VIOLATED)")
-                      : " (host has <8 hardware threads; bar not applied)",
-              reuse_ok ? "<=5% HOLDS" : "VIOLATED");
+                      : " (host has <8 hardware threads; bar not applied)");
   return ok ? 0 : 1;
 }

@@ -68,14 +68,13 @@ struct Pass {
 };
 
 // One memo, warmed by a solve of `base`; then the arrival re-solve through
-// it, the same arrival without it, and the departure back to `base`.
+// it, the same arrival without it, and the departure back to `base`, all
+// at `threads` workers.
 Pass run_pass(const PlacementProblem& base, const PlacementProblem& arrival,
               const PlacementResult& base_reference, int threads) {
-  HeuristicOptions plain;
-  plain.threads = threads;
+  farm::util::ScopedThreads scoped(threads);
   SolveMemo memo;
-  HeuristicOptions memoized = plain;
-  memoized.memo = &memo;
+  const HeuristicOptions memoized{.memo = &memo};
   solve_heuristic(base, memoized);
 
   Pass pass;
@@ -84,7 +83,7 @@ Pass run_pass(const PlacementProblem& base, const PlacementProblem& arrival,
   pass.arrival_seconds = seconds_since(t0);
 
   t0 = std::chrono::steady_clock::now();
-  auto arrival_scratch = solve_heuristic(arrival, plain);
+  auto arrival_scratch = solve_heuristic(arrival);
   pass.scratch_seconds = seconds_since(t0);
 
   t0 = std::chrono::steady_clock::now();
@@ -139,11 +138,14 @@ int main() {
   out.record("farm_threads", farm_threads, "count");
 
   // The memo-less solve of the base problem: the departure's reference.
-  HeuristicOptions sequential;
-  sequential.threads = 1;
-  auto t0 = std::chrono::steady_clock::now();
-  auto base_reference = solve_heuristic(problem, sequential);
-  const double full_seconds = seconds_since(t0);
+  PlacementResult base_reference;
+  double full_seconds = 0;
+  {
+    farm::util::ScopedThreads sequential(1);
+    auto t0 = std::chrono::steady_clock::now();
+    base_reference = solve_heuristic(problem);
+    full_seconds = seconds_since(t0);
+  }
   std::printf("full solve (memo-less, 1 thread) %.3fs  (MU %.0f)\n",
               full_seconds, base_reference.total_utility);
   out.record("full_solve_seconds", full_seconds, "seconds");

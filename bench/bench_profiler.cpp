@@ -34,6 +34,7 @@
 #include "placement/heuristic.h"
 #include "telemetry/export.h"
 #include "telemetry/prof.h"
+#include "util/pool.h"
 
 using namespace farm;
 using namespace farm::telemetry;
@@ -168,8 +169,7 @@ int main() {
   spec.seeds_per_task = 1000;  // 10k seeds, Fig. 7 top end
   spec.seed = 42;
   placement::PlacementProblem problem = placement::generate_problem(spec);
-  placement::HeuristicOptions opt;
-  opt.threads = 1;  // sequential: no pool scheduling noise in the gate
+  util::ScopedThreads sequential(1);  // no pool scheduling noise in the gate
 
   int reps = 3;
   if (const char* env = std::getenv("FARM_BENCH_REPS"); env && *env)
@@ -181,11 +181,11 @@ int main() {
   for (int rep = 0; rep < reps; ++rep) {
     prof.set_enabled(false);
     prof.reset();
-    placement::PlacementResult off = placement::solve_heuristic(problem, opt);
+    placement::PlacementResult off = placement::solve_heuristic(problem);
     best_off = std::min(best_off, off.solve_seconds);
     prof.set_enabled(true);
     prof.reset();
-    placement::PlacementResult on = placement::solve_heuristic(problem, opt);
+    placement::PlacementResult on = placement::solve_heuristic(problem);
     best_on = std::min(best_on, on.solve_seconds);
     profile = prof.snapshot();
     std::printf("  rep %d: off %.3fs on %.3fs\n", rep, off.solve_seconds,

@@ -7,8 +7,8 @@
 # UBSan-only build over the lint+winnow labels (the interpreter and
 # abstract-interpreter arithmetic edge cases are exactly where UB hides),
 # telemetry compiled out, and TSan over the Combine-labelled concurrency
-# tests (the worker pool, the parallel placement/sweep paths and the LP
-# memo shared by the parallel LP batches, run at FARM_THREADS=8). A single
+# tests (the worker pool, the parallel placement paths and the LP memo
+# shared by the parallel LP batches, run at FARM_THREADS=8). A single
 # label re-runs on the default tree with `ctest --test-dir build -L <label>`.
 # Then three fatal bench gates: bench_incremental must re-solve a single
 # seed event on the 100k-seed fabric through the LP memo in under a

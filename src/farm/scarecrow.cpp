@@ -29,7 +29,7 @@ std::vector<std::string> Scarecrow::default_rules() {
       // Monitoring TCAM partition nearly full: the next count rule drops.
       "tcam-occupancy: value(tcam.*.mon_frac) > 0.9",
       // A Silo shard whose lifetime-append gauge stops moving has lost its
-      // metric families (instrumentation wedged or the hub muted mid-run).
+      // metric families (instrumentation wedged mid-run).
       // Shards that never received a row stay silent (never-active gauges
       // measure as nullopt), so idle shards in short runs cannot false-fire;
       // 30 s of silence after traffic is decisive.
@@ -39,10 +39,8 @@ std::vector<std::string> Scarecrow::default_rules() {
 
 Scarecrow::Scarecrow(FarmSystem& system, ScarecrowConfig config)
     : system_(system), config_(config), alerts_(system.telemetry()) {
-  if (config_.install_default_rules) {
-    for (const std::string& spec : default_rules())
-      FARM_CHECK_MSG(alerts_.add_rule(spec), "bad built-in rule");
-  }
+  for (const std::string& spec : default_rules())
+    FARM_CHECK_MSG(alerts_.add_rule(spec), "bad built-in rule");
   for (const std::string& spec : config_.rules) {
     if (!alerts_.add_rule(spec)) {
       FARM_LOG(kWarn) << "scarecrow: unparseable rule skipped: " << spec;
@@ -63,10 +61,9 @@ Scarecrow::Scarecrow(FarmSystem& system, ScarecrowConfig config)
 
   m_fabric_ = system_.telemetry().gauge("health.fabric");
 
-  // The evaluator only runs when telemetry actually records: muted or
-  // compiled-out hubs would feed it frozen aggregates and pay for nothing.
-  if (config_.enabled && telemetry::Hub::compiled_in() &&
-      system_.telemetry().enabled() && config_.eval_period.is_positive()) {
+  // The evaluator only runs when telemetry actually records: a
+  // compiled-out hub would feed it frozen aggregates and pay for nothing.
+  if (telemetry::Hub::compiled_in() && config_.eval_period.is_positive()) {
     task_ = std::make_unique<sim::PeriodicTask>(
         system_.engine(), config_.eval_period, [this] { evaluate_now(); });
     task_->start();

@@ -16,7 +16,7 @@
 // that caused them. The end-of-run "farm report" (text or JSON) renders
 // hub + alerts + health in one snapshot.
 //
-// With FARM_TELEMETRY=OFF, or the hub muted, the periodic task never
+// With FARM_TELEMETRY=OFF, or a zero eval_period, the periodic task never
 // starts: Scarecrow costs exactly nothing when telemetry is off.
 #pragma once
 
@@ -34,14 +34,12 @@ namespace farm::core {
 class FarmSystem;
 
 struct ScarecrowConfig {
-  bool enabled = true;
   // Alert evaluation cadence (virtual time). Detection latency of a
-  // staleness rule is its threshold plus at most one period.
+  // staleness rule is its threshold plus at most one period. Zero stops
+  // the evaluator.
   sim::Duration eval_period = sim::Duration::ms(100);
-  // Install default_rules() on construction.
-  bool install_default_rules = true;
-  // Extra declarative rules (SloRule::parse grammar), applied after the
-  // defaults. Unparseable entries are skipped.
+  // Extra declarative rules (SloRule::parse grammar), applied after
+  // default_rules(). Unparseable entries are skipped.
   std::vector<std::string> rules;
   // Leaves per pod group in the health tree; spines form their own group.
   int pod_leaves = 4;
@@ -59,12 +57,12 @@ class Scarecrow {
   const telemetry::HealthTree& health() const { return health_; }
   double fabric_score() const { return health_.fabric_score(); }
   // Whether the periodic evaluator is active (false when telemetry is
-  // compiled out, muted, or enabled=false).
+  // compiled out or eval_period is zero).
   bool running() const { return task_ != nullptr; }
 
   // One evaluation right now — what the periodic task does each tick.
-  // Callable even when !running() (e.g. before a report with telemetry
-  // muted: alerts see frozen aggregates, health still reflects the seeder).
+  // Callable even when !running() (e.g. before a report with the evaluator
+  // stopped: alerts see the current aggregates, health reflects the seeder).
   void evaluate_now();
 
   // "farm report" renderers over this system's hub + alerts + health.

@@ -3,12 +3,18 @@
 #include <algorithm>
 
 #include "almanac/analysis.h"
+#include "placement/heuristic.h"
 #include "runtime/wire.h"
 #include "sim/cost_model.h"
 #include "telemetry/prof.h"
 #include "util/log.h"
 
 namespace farm::core {
+
+namespace {
+// Silent heartbeat periods before a switch is declared dead.
+constexpr int kHeartbeatMissLimit = 3;
+}  // namespace
 
 Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
                MessageBus& bus, std::vector<Soil*> soils,
@@ -59,8 +65,7 @@ Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
 
 void Seeder::heartbeat_tick() {
   const sim::Duration limit =
-      options_.heartbeat_period *
-      static_cast<std::int64_t>(options_.heartbeat_miss_limit);
+      options_.heartbeat_period * std::int64_t{kHeartbeatMissLimit};
   const sim::TimePoint now = engine_.now();
   for (Soil* soil : soils_) {
     NodeHealth& h = health_[soil->node()];
@@ -161,9 +166,9 @@ double Seeder::health_grade(net::NodeId node) const {
   auto it = health_.find(node);
   if (it == health_.end()) return 1;
   if (it->second.failed) return 0;
-  const int limit = std::max(1, options_.heartbeat_miss_limit);
-  return 1.0 - static_cast<double>(std::min(it->second.miss_streak, limit)) /
-                   static_cast<double>(limit);
+  return 1.0 - static_cast<double>(
+                   std::min(it->second.miss_streak, kHeartbeatMissLimit)) /
+                   kHeartbeatMissLimit;
 }
 
 int Seeder::miss_streak(net::NodeId node) const {
@@ -250,10 +255,6 @@ placement::PlacementProblem Seeder::build_problem() const {
   for (Soil* soil : soils_) {
     // Dead switches are not placement candidates until they come back.
     if (node_failed(soil->node())) continue;
-    // Graded health gate: with min_health_grade > 0 a switch mid
-    // miss-streak (suspected but not yet declared dead) is also excluded,
-    // so re-placement stops choosing flapping switches.
-    if (health_grade(soil->node()) < options_.min_health_grade) continue;
     placement::SwitchModel sw;
     sw.node = soil->node();
     sw.capacity = soil->total_capacity();
@@ -380,9 +381,7 @@ void Seeder::reoptimize_once() {
     mo.timeout_seconds = options_.milp_timeout_seconds;
     last_ = placement::solve_milp_placement(problem, mo);
   } else {
-    placement::HeuristicOptions ho = options_.heuristic;
-    ho.memo = &memo_;
-    last_ = placement::solve_heuristic(problem, ho);
+    last_ = placement::solve_heuristic(problem, {.memo = &memo_});
   }
   realize(last_);
 }
@@ -423,7 +422,6 @@ void Seeder::reoptimize() {
 bool Seeder::lint_intake(const TaskSpec& spec) {
   FARM_PROF_SCOPE("lint");
   last_lint_.clear();
-  if (!options_.lint_gate) return true;
 
   // Score resource estimates against the *tightest* deployed switch: the
   // smallest monitoring TCAM bank and the widest interface fan-out any

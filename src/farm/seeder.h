@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "almanac/verify/verify.h"
-#include "placement/heuristic.h"
 #include "placement/memo.h"
 #include "placement/milp_placement.h"
 #include "runtime/bus.h"
@@ -46,28 +45,10 @@ struct SeederOptions {
   // Use the Algorithm-1 heuristic (default) or the MILP.
   bool use_milp = false;
   double milp_timeout_seconds = 10;
-  // Combine knobs ride along here: heuristic.threads spreads the LP
-  // batches across workers, heuristic.multi_start races perturbed greedy
-  // starts — both deterministic at any thread count. heuristic.memo is
-  // replaced by the seeder's own LP memo, kept across re-solves.
-  placement::HeuristicOptions heuristic;
   // Heartbeat-based switch failure detection (§II-C b: the seeder must
-  // notice dead switches and re-place their seeds). Zero disables probing.
+  // notice dead switches and re-place their seeds). A switch is declared
+  // dead after three silent periods. Zero disables probing.
   sim::Duration heartbeat_period = sim::Duration::ms(250);
-  // A switch is declared dead after this many silent periods.
-  int heartbeat_miss_limit = 3;
-  // Minimum health_grade() a switch must hold to stay a placement
-  // candidate. 0 (default) keeps the historical binary behavior: only
-  // switches already declared dead are excluded. Raising it makes the
-  // placement shy away from switches with an active heartbeat-miss streak
-  // before they cross the dead-switch verdict.
-  double min_health_grade = 0;
-  // Sickle pre-deployment gate (§III-B, DESIGN.md §10): task intake runs
-  // the static verifier and rejects tasks whose seeds carry error-severity
-  // diagnostics before any elaboration or placement happens. Warnings
-  // deploy, but stay readable via last_lint(). Disable for experiments
-  // that deliberately install ill-formed seeds.
-  bool lint_gate = true;
 };
 
 class Seeder {
@@ -75,12 +56,15 @@ class Seeder {
   Seeder(sim::Engine& engine, const net::SdnController& controller,
          MessageBus& bus, std::vector<Soil*> soils, SeederOptions options = {});
 
-  // Installs the task and (re)optimizes the global placement. Returns the
-  // ids of the task's deployed seeds (empty if the task did not fit, or if
-  // the Sickle gate rejected it — see last_lint()).
+  // Installs the task and (re)optimizes the global placement. Task intake
+  // first runs the Sickle verifier (§III-B, DESIGN.md §10) and rejects a
+  // task whose seeds carry error-severity diagnostics before any
+  // elaboration or placement; warnings deploy. Returns the ids of the
+  // task's deployed seeds (empty if the task did not fit, or if the Sickle
+  // gate rejected it — see last_lint()).
   std::vector<SeedId> install_task(const TaskSpec& spec);
   // Diagnostics of the most recent install_task intake (empty when the
-  // lint gate is off or the task was clean).
+  // task was clean).
   const std::vector<almanac::verify::Diagnostic>& last_lint() const {
     return last_lint_;
   }
@@ -111,9 +95,8 @@ class Seeder {
   std::vector<net::NodeId> failed_nodes() const;
   bool node_failed(net::NodeId node) const;
   // Graded liveness in [0, 1]: 1 = heartbeats current, 0 = declared dead,
-  // in between = an active miss streak (1 - streak / miss_limit). Scarecrow
-  // folds this into the fabric health tree; min_health_grade gates
-  // placement candidates on it.
+  // in between = an active miss streak (1 - streak / miss limit). Scarecrow
+  // folds this into the fabric health tree.
   double health_grade(net::NodeId node) const;
   // Consecutive heartbeat periods the switch has been silent (0 = current).
   int miss_streak(net::NodeId node) const;

@@ -9,9 +9,7 @@ namespace {
 // refuses to run once a default Hub exists.
 sim::Engine& with_telemetry(sim::Engine& engine,
                             const FarmSystemConfig& config) {
-  telemetry::HubConfig hub_config = config.hub;
-  hub_config.enabled = config.telemetry;
-  engine.configure_telemetry(hub_config);
+  engine.configure_telemetry(config.hub);
   return engine;
 }
 

@@ -29,12 +29,8 @@ struct FarmSystemConfig {
   // Scarecrow SLO alerting + health scoring over this system's telemetry.
   ScarecrowConfig scarecrow;
   sim::Duration traffic_tick = sim::Duration::ms(1);
-  // Granary runtime switch: false builds the system with telemetry muted
-  // (registrations still resolve; mutations short-circuit). The compile-time
-  // kill switch is the FARM_TELEMETRY CMake option.
-  bool telemetry = true;
-  // Hub geometry (event-store capacity, Silo shard count, ...). `enabled`
-  // is overridden by `telemetry` above.
+  // Hub geometry (event-store capacity, Silo shard count, ...). Telemetry
+  // itself is switched off only at compile time (FARM_TELEMETRY=OFF).
   telemetry::HubConfig hub;
 };
 

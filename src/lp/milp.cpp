@@ -32,20 +32,6 @@ class BranchAndBound {
   }
   double remaining() const { return opt_.timeout_seconds - elapsed(); }
 
-  // Best known objective bound: the incumbent, tightened by any
-  // warm-start objective from the options.
-  std::optional<double> cutoff() const {
-    std::optional<double> c = opt_.warm_start_objective;
-    if (incumbent_) {
-      double inc = incumbent_->objective;
-      if (!c)
-        c = inc;
-      else
-        c = work_.base.maximize() ? std::max(*c, inc) : std::min(*c, inc);
-    }
-    return c;
-  }
-
   Solution solve_node();
   // Fixes fractional integers of `relax` by rounding and re-solving the
   // continuous part; installs the result as incumbent if feasible & better.
@@ -151,16 +137,13 @@ void BranchAndBound::dive(int depth) {
     return;
   }
 
-  // Bound pruning against the incumbent — or, before one exists, against
-  // the warm-start objective handed in by the caller.
-  if (auto cut = cutoff()) {
-    double tol = opt_.mip_gap * std::max(1.0, std::abs(*cut));
-    if (work_.base.maximize() ? relax.objective <= *cut + tol
-                              : relax.objective >= *cut - tol) {
+  // Bound pruning against the incumbent.
+  if (incumbent_) {
+    double cut = incumbent_->objective;
+    double tol = opt_.mip_gap * std::max(1.0, std::abs(cut));
+    if (work_.base.maximize() ? relax.objective <= cut + tol
+                              : relax.objective >= cut - tol) {
       FARM_PROF_COUNT("lp.milp.pruned", 1);
-      // No incumbent yet means the bound came from the caller's warm
-      // start — the pruning the warm-start machinery exists to buy.
-      if (!incumbent_) FARM_PROF_COUNT("lp.milp.pruned_warm", 1);
       return;
     }
   }

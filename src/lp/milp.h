@@ -6,8 +6,6 @@
 // ones — exactly the behaviour Fig. 7 contrasts with FARM's heuristic.
 #pragma once
 
-#include <optional>
-
 #include "lp/model.h"
 #include "lp/simplex.h"
 
@@ -18,11 +16,6 @@ struct MilpOptions {
   // Relative optimality gap at which search stops.
   double mip_gap = 1e-6;
   std::uint64_t max_nodes = 5'000'000;
-  // Objective of an externally-known feasible solution (e.g. FARM's
-  // heuristic). Branch-and-bound prunes every subtree whose relaxation
-  // cannot beat it, exactly as if it were an incumbent — the caller keeps
-  // the external solution if the search never produces anything better.
-  std::optional<double> warm_start_objective;
   LpOptions lp;
 };
 

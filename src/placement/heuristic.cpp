@@ -11,7 +11,6 @@
 #include "util/check.h"
 #include "util/log.h"
 #include "util/pool.h"
-#include "util/rng.h"
 
 namespace farm::placement {
 
@@ -21,6 +20,10 @@ namespace {
 // applying them would churn placements (and with interacting moves can
 // make the objective drift downward through LP round-off).
 constexpr double kBenefitEps = 1e-9;
+
+// Step 4 prices at most this many (seed, alternative-switch) moves per
+// solve; keeps it subquadratic on 10k-seed instances.
+constexpr std::size_t kMaxMigrationEvals = 5000;
 
 double res_dim(const ResourcesValue& r, std::size_t d) {
   switch (d) {
@@ -147,12 +150,11 @@ double utility_of(const std::unordered_map<net::NodeId, double>& utilities,
   return it == utilities.end() ? 0 : it->second;
 }
 
-PlacementResult solve_single_start(const PlacementProblem& problem,
-                                   const HeuristicOptions& options,
-                                   util::ThreadPool& pool,
-                                   std::uint64_t tie_break) {
-  // Root-anchored task scope: a start records the same profile path whether
-  // it runs on a Combine worker (multi_start > 1) or inline on the caller.
+PlacementResult solve_once(const PlacementProblem& problem,
+                           const HeuristicOptions& options,
+                           util::ThreadPool& pool) {
+  // A root-anchored task, not a scope: the path stays placement/start
+  // beside placement/solve, where farmbench's placement.start_ms reads it.
   FARM_PROF_TASK("placement/start");
   PlacementResult result;
 
@@ -169,10 +171,6 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
 
   std::unordered_map<net::NodeId, SwitchState> switches;
   for (const auto& sw : problem.switches) switches[sw.node].model = &sw;
-
-  // Multi-start tie-break perturbation (tie_break == 0 is the unperturbed
-  // greedy): a deterministic stream drawn in fixed iteration order.
-  util::Rng jitter_rng(0x9E3779B97F4A7C15ull ^ tie_break);
 
   // Pre-compute per-seed, per-variant minimum utility / minimal allocation
   // (capacity-independent part). One independent LP per variant — the
@@ -232,25 +230,9 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
       for (const auto& vi : variant_info[s]) best = std::max(best, vi.min_util);
       u += best;
     }
-    // Tiny multiplicative jitter reorders only near-equal tasks; the map
-    // iterates in task-name order, so the stream is stable per start.
-    if (tie_break != 0) u *= 1.0 + 1e-3 * jitter_rng.next_double();
     task_order.emplace_back(u, task);
   }
   std::sort(task_order.rbegin(), task_order.rend());
-
-  // Perturbed candidate scan order per seed (greedy ties go to the first
-  // scanned candidate; shuffling explores different tied choices).
-  std::unordered_map<const SeedModel*, std::vector<std::size_t>> cand_order;
-  if (tie_break != 0) {
-    for (const auto& s : problem.seeds) {
-      std::vector<std::size_t> order(s.candidates.size());
-      for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
-      for (std::size_t i = order.size(); i > 1; --i)
-        std::swap(order[i - 1], order[jitter_rng.next_below(i)]);
-      cand_order[&s] = std::move(order);
-    }
-  }
 
   // --- Step 2: greedy placement --------------------------------------------
   for (const auto& [task_util, task] : task_order) {
@@ -271,10 +253,7 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
       double best_score = -1;
       double best_poll = 0;
       bool best_is_current = false;
-      for (std::size_t ci = 0; ci < s->candidates.size(); ++ci) {
-        net::NodeId n =
-            tie_break == 0 ? s->candidates[ci]
-                           : s->candidates[cand_order[s][ci]];
+      for (net::NodeId n : s->candidates) {
         auto swit = switches.find(n);
         if (swit == switches.end()) continue;
         SwitchState& st = swit->second;
@@ -422,6 +401,57 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
   }
 
   // --- Steps 4 & 5: migration by decreasing benefit ------------------------
+  struct Move {
+    const SeedModel* seed;
+    net::NodeId from, to;
+    int variant;
+    double benefit = 0;
+  };
+  // A move's price: the target's LP with the seed, then the source's LP
+  // without it (with the seed's residue), against the current switch
+  // utilities. Step 4 prices every candidate through it and step 5
+  // re-prices each move before applying it. It reads the maps through
+  // find() only, so the pricing batch may call it from any worker.
+  struct Priced {
+    std::vector<PinnedSeed> target_pinned, source_pinned;
+    ResourcesValue source_reserved;
+    SwitchLpResult target_lp, source_lp;
+    double benefit = 0;
+  };
+  auto price = [&](const Move& mv,
+                   std::uint64_t* solves) -> std::optional<Priced> {
+    Priced p;
+    const SwitchState& target = switches.find(mv.to)->second;
+    p.target_pinned = target.pinned;
+    p.target_pinned.push_back({mv.seed, mv.variant});
+    auto target_lp = redistribute(*target.model, p.target_pinned,
+                                  reserved_of(reserved, mv.to), solves);
+    if (!target_lp) return std::nullopt;
+    const SwitchState& source = switches.find(mv.from)->second;
+    for (const auto& pin : source.pinned)
+      if (pin.seed->id != mv.seed->id) p.source_pinned.push_back(pin);
+    // Residue applies only when the seed is *actually deployed* at the
+    // source (plc' = 1): the doubled-resources window exists while its
+    // state transfers. Re-deciding a fresh placement is free.
+    p.source_reserved = reserved_of(reserved, mv.from);
+    auto cur = problem.current_placement.find(mv.seed->id);
+    if (cur != problem.current_placement.end() && cur->second == mv.from) {
+      ResourcesValue own = residue_of(problem, mv.seed->id);
+      p.source_reserved.vCPU += own.vCPU;
+      p.source_reserved.RAM += own.RAM;
+      p.source_reserved.TCAM += own.TCAM;
+    }
+    auto source_lp = redistribute(*source.model, p.source_pinned,
+                                  p.source_reserved, solves);
+    if (!source_lp) return std::nullopt;
+    p.target_lp = std::move(*target_lp);
+    p.source_lp = std::move(*source_lp);
+    // Benefit = ΔU(target with s) + ΔU(source without s).
+    p.benefit = (p.target_lp.utility - utility_of(switch_utility, mv.to)) +
+                (p.source_lp.utility - utility_of(switch_utility, mv.from));
+    return p;
+  };
+
   // Repeated until a sweep applies nothing (bounded): applying a move
   // changes the marginal value of others, so benefits are recomputed.
   std::size_t evals = 0;
@@ -430,87 +460,45 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
   FARM_PROF_SCOPE("migrate");
   for (int sweep = 0; sweep < 4 && improved; ++sweep) {
     improved = false;
-    struct Move {
-      double benefit;
-      const SeedModel* seed;
-      net::NodeId from, to;
-      int variant;
-    };
     // Enumerate candidate moves sequentially (cheap; also what meters the
     // eval budget), then price them as a parallel LP batch. The pricing
     // phase only reads the step-3 state — every mutation happens in the
     // apply phase below — so the batch decomposes perfectly.
-    struct EvalJob {
-      const SeedModel* seed;
-      net::NodeId from, to;
-      int variant;
-    };
-    std::vector<EvalJob> eval_jobs;
+    std::vector<Move> candidates;
     for (const auto& s : problem.seeds) {
-      if (evals >= options.max_migration_evals) break;
+      if (evals >= kMaxMigrationEvals) break;
       auto eit = entries.find(s.id);
       if (eit == entries.end()) continue;
       net::NodeId from = eit->second.node;
       for (net::NodeId to : s.candidates) {
         if (to == from) continue;
-        if (evals >= options.max_migration_evals) break;
+        if (evals >= kMaxMigrationEvals) break;
         if (!switches.count(to) || !switches.count(from)) continue;
         ++evals;
-        eval_jobs.push_back({&s, from, to, eit->second.variant});
+        candidates.push_back({&s, from, to, eit->second.variant});
       }
     }
 
     struct EvalOut {
-      bool beneficial = false;
-      double benefit = 0;
+      double benefit = 0;  // 0 when either LP is infeasible
       std::uint64_t solves = 0;
     };
     auto priced = pool.parallel_map<EvalOut>(
-        eval_jobs.size(), [&](std::size_t i) {
+        candidates.size(), [&](std::size_t i) {
           FARM_PROF_TASK("placement/step4_price");
-          const EvalJob& job = eval_jobs[i];
           EvalOut out;
-          // Benefit = ΔU(target with s) + ΔU(source without s).
-          const SwitchState& target = switches.find(job.to)->second;
-          auto target_pinned = target.pinned;
-          target_pinned.push_back({job.seed, job.variant});
-          auto target_lp = redistribute(
-              *target.model, target_pinned, reserved_of(reserved, job.to),
-              &out.solves);
-          if (!target_lp) return out;
-          const SwitchState& source = switches.find(job.from)->second;
-          std::vector<PinnedSeed> source_pinned;
-          for (const auto& p : source.pinned)
-            if (p.seed->id != job.seed->id) source_pinned.push_back(p);
-          // Residue applies only when the seed is *actually deployed* at
-          // the source (plc' = 1): the doubled-resources window exists
-          // while its state transfers. Re-deciding a fresh placement is
-          // free.
-          ResourcesValue source_res = reserved_of(reserved, job.from);
-          auto curp = problem.current_placement.find(job.seed->id);
-          if (curp != problem.current_placement.end() &&
-              curp->second == job.from) {
-            ResourcesValue own = residue_of(problem, job.seed->id);
-            source_res.vCPU += own.vCPU;
-            source_res.RAM += own.RAM;
-            source_res.TCAM += own.TCAM;
-          }
-          auto source_lp = redistribute(*source.model, source_pinned,
-                                        source_res, &out.solves);
-          if (!source_lp) return out;
-          out.benefit = (target_lp->utility - utility_of(switch_utility, job.to)) +
-                        (source_lp->utility - utility_of(switch_utility, job.from));
-          out.beneficial = out.benefit > kBenefitEps;
+          if (auto p = price(candidates[i], &out.solves))
+            out.benefit = p->benefit;
           return out;
         });
 
     std::vector<Move> moves;
-    for (std::size_t i = 0; i < eval_jobs.size(); ++i) {
+    for (std::size_t i = 0; i < candidates.size(); ++i) {
       result.lp_solves += priced[i].solves;
-      if (priced[i].beneficial)
-        moves.push_back({priced[i].benefit, eval_jobs[i].seed,
-                         eval_jobs[i].from, eval_jobs[i].to,
-                         eval_jobs[i].variant});
+      if (priced[i].benefit > kBenefitEps) {
+        moves.push_back(candidates[i]);
+        moves.back().benefit = priced[i].benefit;
+      }
     }
     std::sort(moves.begin(), moves.end(),
               [](const Move& a, const Move& b) {
@@ -527,67 +515,38 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
       // state and apply only if the *recomputed* benefit stays positive —
       // an interacting move whose recomputed benefit turns ≤ 0 must be
       // skipped, not applied on the strength of its stale score.
-      auto& src = switches[mv.from];
-      auto& dst = switches[mv.to];
       auto eit = entries.find(mv.seed->id);
-      if (eit == entries.end() || eit->second.node != mv.from) {
-        FARM_PROF_COUNT("placement.migration.rejected", 1);
-        continue;
-      }
-      auto dst_pinned = dst.pinned;
-      dst_pinned.push_back({mv.seed, mv.variant});
-      auto dst_lp = redistribute(*dst.model, dst_pinned,
-                                 reserved_of(reserved, mv.to),
-                                 &result.lp_solves);
-      if (!dst_lp) {
-        FARM_PROF_COUNT("placement.migration.rejected", 1);
-        continue;
-      }
-      std::vector<PinnedSeed> src_pinned;
-      for (const auto& p : src.pinned)
-        if (p.seed->id != mv.seed->id) src_pinned.push_back(p);
-      ResourcesValue src_res = reserved_of(reserved, mv.from);
-      auto curp2 = problem.current_placement.find(mv.seed->id);
-      if (curp2 != problem.current_placement.end() &&
-          curp2->second == mv.from) {
-        ResourcesValue own = residue_of(problem, mv.seed->id);
-        src_res.vCPU += own.vCPU;
-        src_res.RAM += own.RAM;
-        src_res.TCAM += own.TCAM;
-      }
-      auto src_lp = redistribute(*src.model, src_pinned, src_res,
-                                 &result.lp_solves);
-      if (!src_lp) {
-        FARM_PROF_COUNT("placement.migration.rejected", 1);
-        continue;
-      }
-      double benefit = (dst_lp->utility - utility_of(switch_utility, mv.to)) +
-                       (src_lp->utility - utility_of(switch_utility, mv.from));
-      if (benefit <= kBenefitEps) {
+      std::optional<Priced> p;
+      if (eit != entries.end() && eit->second.node == mv.from)
+        p = price(mv, &result.lp_solves);
+      if (!p || p->benefit <= kBenefitEps) {
         FARM_PROF_COUNT("placement.migration.rejected", 1);
         continue;
       }
       improved = true;
       FARM_PROF_COUNT("placement.migration.applied", 1);
       // Apply the move.
+      SwitchState& src = switches.find(mv.from)->second;
+      SwitchState& dst = switches.find(mv.to)->second;
       src.remove(mv.seed->id);
-      dst.pinned = dst_pinned;
+      dst.pinned = std::move(p->target_pinned);
       dst.pinned_ids.push_back(mv.seed->id);
-      reserved[mv.from] = src_res;  // residue persists during transfer
-      switch_utility[mv.to] = dst_lp->utility;
-      switch_utility[mv.from] = src_lp->utility;
+      // The residue persists while the state transfers.
+      reserved[mv.from] = p->source_reserved;
+      switch_utility[mv.to] = p->target_lp.utility;
+      switch_utility[mv.from] = p->source_lp.utility;
       for (std::size_t i = 0; i < dst.pinned.size(); ++i) {
         auto& e = entries[dst.pinned[i].seed->id];
         e.seed = dst.pinned[i].seed->id;
         e.node = mv.to;
         e.variant = dst.pinned[i].variant;
-        e.alloc = dst_lp->allocs[i];
-        e.utility = dst_lp->utilities[i];
+        e.alloc = p->target_lp.allocs[i];
+        e.utility = p->target_lp.utilities[i];
       }
-      for (std::size_t i = 0; i < src_pinned.size(); ++i) {
-        auto& e = entries[src_pinned[i].seed->id];
-        e.alloc = src_lp->allocs[i];
-        e.utility = src_lp->utilities[i];
+      for (std::size_t i = 0; i < p->source_pinned.size(); ++i) {
+        auto& e = entries[p->source_pinned[i].seed->id];
+        e.alloc = p->source_lp.allocs[i];
+        e.utility = p->source_lp.utilities[i];
       }
     }
   }
@@ -603,39 +562,12 @@ PlacementResult solve_single_start(const PlacementProblem& problem,
   return result;
 }
 
-// Every start of one solve, folded to the best one.
-PlacementResult solve_starts(const PlacementProblem& problem,
-                             const HeuristicOptions& options,
-                             util::ThreadPool& pool) {
-  int starts = std::max(1, options.multi_start);
-  FARM_PROF_COUNT("placement.starts", starts);
-  if (starts == 1) return solve_single_start(problem, options, pool, 0);
-  // The outer fan-out owns the pool; each start's inner batches detect
-  // they run on pool workers and execute inline (no oversubscription).
-  auto all = pool.parallel_map<PlacementResult>(
-      static_cast<std::size_t>(starts), [&](std::size_t k) {
-        return solve_single_start(problem, options, pool,
-                                  static_cast<std::uint64_t>(k));
-      });
-  std::size_t best = 0;
-  std::uint64_t lp_solves = 0;
-  for (std::size_t k = 0; k < all.size(); ++k) {
-    lp_solves += all[k].lp_solves;
-    // Strictly-greater keeps the lowest index among exact ties — the
-    // winner is a pure function of the inputs, not of scheduling.
-    if (all[k].total_utility > all[best].total_utility) best = k;
-  }
-  PlacementResult result = std::move(all[best]);
-  result.lp_solves = lp_solves;
-  return result;
-}
-
 // One solve through the memo, bracketed by its per-solve lifecycle.
 PlacementResult solve_memoized(const PlacementProblem& problem,
                                const HeuristicOptions& options,
                                util::ThreadPool& pool) {
   options.memo->prepare(problem);
-  PlacementResult result = solve_starts(problem, options, pool);
+  PlacementResult result = solve_once(problem, options, pool);
   options.memo->finish();
   return result;
 }
@@ -646,11 +578,11 @@ PlacementResult solve_heuristic(const PlacementProblem& problem,
                                 const HeuristicOptions& options) {
   FARM_PROF_SCOPE("placement/solve");
   auto t0 = std::chrono::steady_clock::now();
-  util::ThreadPool pool(options.threads);
+  util::ThreadPool pool;
 
   PlacementResult result;
   if (!options.memo) {
-    result = solve_starts(problem, options, pool);
+    result = solve_once(problem, options, pool);
   } else {
     result = solve_memoized(problem, options, pool);
     // Memo values are pure, so with an intact memo this never fires; a

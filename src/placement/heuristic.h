@@ -15,13 +15,12 @@
 //
 // Combine: steps 3 and 4 and the per-variant minimal-allocation precompute
 // are embarrassingly parallel LP batches. They fan out across a worker
-// pool (util/pool.h) and reduce in index order, so the output placement is
+// pool (util/pool.h) sized by FARM_THREADS or a util::ScopedThreads
+// override, and reduce in index order, so the output placement is
 // bit-identical to the sequential run at any thread count. The greedy pass
 // and migration application stay sequential — they thread a single evolving
 // state.
 #pragma once
-
-#include <cstdint>
 
 #include "placement/model.h"
 
@@ -31,18 +30,6 @@ class SolveMemo;
 
 struct HeuristicOptions {
   bool enable_migration_pass = true;
-  // Upper bound on (seed, alternative-switch) benefit evaluations; keeps
-  // step 4 subquadratic on 10k-seed instances.
-  std::size_t max_migration_evals = 5000;
-  // Worker threads for the LP batches. 0 resolves via FARM_THREADS (or a
-  // util::ScopedThreads override); 1 forces the sequential path.
-  int threads = 0;
-  // Multi-start: solve this many greedy variants concurrently — start 0 is
-  // the unperturbed historical greedy, starts k > 0 perturb only greedy
-  // tie-breaking (task order jitter + candidate scan order). The highest
-  // total utility wins; ties go to the lowest start index, so the result
-  // is deterministic at any thread count.
-  int multi_start = 1;
   // Optional LP memo (memo.h), kept by the caller across solves: every
   // minimal-allocation and per-switch redistribution LP is looked up by
   // exact content first. Cached values are pure functions of their keys,

@@ -5,7 +5,6 @@
 #include <map>
 #include <unordered_map>
 
-#include "placement/heuristic.h"
 #include "placement/switch_lp.h"
 #include "telemetry/prof.h"
 #include "util/check.h"
@@ -299,12 +298,6 @@ PlacementResult solve_milp_placement(const PlacementProblem& problem,
   // --- Solve -----------------------------------------------------------------
   lp::MilpOptions mo = options.milp;
   mo.timeout_seconds = options.timeout_seconds;
-  std::optional<PlacementResult> warm;
-  if (options.warm_start) {
-    warm = solve_heuristic(problem, options.warm_start_heuristic);
-    // Prune every subtree that cannot beat the heuristic's objective.
-    mo.warm_start_objective = warm->total_utility;
-  }
   auto sol = lp::solve_milp(m, mo);
 
   PlacementResult out;
@@ -315,12 +308,9 @@ PlacementResult solve_milp_placement(const PlacementProblem& problem,
           .count();
 
   if (!sol.feasible() || sol.values.empty()) {
-    // No incumbent beating the cutoff within budget: the warm start (when
-    // requested) IS the answer — branch-and-bound just proved, or ran out
-    // of time trying to disprove, that it can't do better. Without a warm
-    // start, fall back to the first-fit start heuristic (what a commercial
-    // solver's presolve would have supplied).
-    PlacementResult best = warm ? std::move(*warm) : first_fit_placement(problem);
+    // No incumbent within budget: fall back to the first-fit start
+    // heuristic (what a commercial solver's presolve would have supplied).
+    PlacementResult best = first_fit_placement(problem);
     best.timed_out = sol.status == lp::SolveStatus::kTimeLimit;
     best.milp_nodes = sol.nodes_explored;
     best.solve_seconds = out.solve_seconds;
@@ -341,14 +331,6 @@ PlacementResult solve_milp_placement(const PlacementProblem& problem,
     e.utility = s.variants[pv.variant].utility(e.alloc);
     out.total_utility += e.utility;
     out.placements.push_back(std::move(e));
-  }
-  // The root rounding heuristic can install an incumbent below the warm
-  // start's objective; never return something worse than the warm start.
-  if (warm && warm->total_utility > out.total_utility) {
-    warm->timed_out = out.timed_out;
-    warm->milp_nodes = out.milp_nodes;
-    warm->solve_seconds = out.solve_seconds;
-    return std::move(*warm);
   }
   return out;
 }

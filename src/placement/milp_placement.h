@@ -11,7 +11,6 @@
 #pragma once
 
 #include "lp/milp.h"
-#include "placement/heuristic.h"
 #include "placement/model.h"
 
 namespace farm::placement {
@@ -19,13 +18,6 @@ namespace farm::placement {
 struct MilpPlacementOptions {
   double timeout_seconds = 60;
   lp::MilpOptions milp;  // inner solver knobs (gap, node limit, …)
-  // Combine: run the (parallel, optionally multi-start) heuristic first and
-  // hand its objective to branch-and-bound as a warm-start cutoff. Subtrees
-  // that cannot beat the heuristic are pruned immediately; if the search
-  // finds nothing better within budget, the heuristic placement is
-  // returned instead of the first-fit fallback.
-  bool warm_start = false;
-  HeuristicOptions warm_start_heuristic;
 };
 
 PlacementResult solve_milp_placement(const PlacementProblem& problem,

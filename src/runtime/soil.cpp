@@ -492,11 +492,6 @@ void Soil::fire_poll_group(const std::string& subject_key) {
       kMaxPollRetries, tel_->begin_span(track_, "poll_group"));
 }
 
-void Soil::deliver_poll(Registration& reg, const StatsValue& stats,
-                        sim::TimePoint due) {
-  deliver_poll_to(reg.seed->id(), reg.var, stats, due);
-}
-
 void Soil::deliver_poll_to(const SeedId& id, const std::string& var,
                            const StatsValue& stats, sim::TimePoint due) {
   sim::TimePoint available = engine_.now();

@@ -156,8 +156,6 @@ class Soil {
   int subject_entry_count(const net::Filter& what);
   void schedule_poll(Registration& reg);
   void fire_poll_group(const std::string& subject_key);
-  void deliver_poll(Registration& reg, const StatsValue& stats,
-                    sim::TimePoint due);
   void deliver_poll_to(const SeedId& id, const std::string& var,
                        const StatsValue& stats, sim::TimePoint due);
   // PCIe poll transfer with timeout-and-retry: a lost completion (injected

@@ -26,16 +26,6 @@ EventId Engine::schedule_after(Duration d, Callback cb) {
   return schedule_at(now_ + d, std::move(cb));
 }
 
-void Engine::reset() {
-  now_ = TimePoint{};
-  next_id_ = 1;
-  executed_ = 0;
-  telemetry_.reset();
-  events_metric_ = telemetry::kInvalidMetric;
-  heap_.clear();  // clear(), not a fresh vector: the capacity is the point
-  live_.clear();
-}
-
 void Engine::cancel(EventId id) {
   if (id == kInvalidEvent) return;
   live_.erase(id);

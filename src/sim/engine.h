@@ -43,16 +43,6 @@ class Engine {
   // is a harmless no-op (components often race their own timers).
   void cancel(EventId id);
 
-  // Returns the engine to its default-constructed observable state —
-  // clock at origin, empty queue, event ids restarting at 1, telemetry
-  // Hub destroyed — while keeping internal buffer capacity. Sweep workers
-  // reuse one engine across scenarios instead of constructing a fresh one
-  // each time; because ids restart (they break same-time heap ties), a
-  // scenario runs bit-identically on a reset engine and on a fresh one.
-  // Every object holding EventIds or a Hub reference (PeriodicTask, world
-  // state) must be destroyed before the reset.
-  void reset();
-
   // Executes the next pending event; returns false when the queue is empty.
   bool step();
   // Runs events with timestamp <= t, then advances the clock to exactly t.

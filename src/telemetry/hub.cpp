@@ -20,8 +20,7 @@ void on_check_failure() {
 }  // namespace
 
 Hub::Hub(HubConfig config)
-    : enabled_(compiled_in() && config.enabled),
-      store_(SiloConfig{.shards = config.silo_shards,
+    : store_(SiloConfig{.shards = config.silo_shards,
                         .capacity = config.store_capacity}),
       tracer_(config.track_capacity),
       flight_(std::make_unique<FlightRecorder>(*this)) {}

@@ -6,11 +6,9 @@
 // Engine is an isolated telemetry domain — concurrent experiments never
 // interfere, matching the old sim/metrics.h philosophy).
 //
-// Cost discipline:
-//   - compile-time: configure with -DFARM_TELEMETRY=OFF and every mutation
-//     below compiles to nothing (the FARM_TELEMETRY_DISABLED branch);
-//   - runtime: set_enabled(false) short-circuits mutations behind one
-//     predictable branch; registration and queries still work.
+// Cost discipline: configure with -DFARM_TELEMETRY=OFF and every mutation
+// below compiles to nothing (the FARM_TELEMETRY_DISABLED branch);
+// registration and queries still work.
 #pragma once
 
 #include <array>
@@ -34,7 +32,6 @@ struct HubConfig {
   // Event-store shards; 0 → one per default worker thread (silo.h). Pin to
   // 1 for exact single-ring eviction semantics (e.g. capacity tests).
   std::size_t silo_shards = 0;
-  bool enabled = true;
 };
 
 class Hub {
@@ -51,9 +48,6 @@ class Hub {
     return true;
 #endif
   }
-  bool enabled() const { return enabled_; }
-  void set_enabled(bool on) { enabled_ = compiled_in() && on; }
-
   // Virtual-time source; unset, records stamp at origin (plain unit tests).
   void set_clock(std::function<TimePoint()> clock) {
     clock_ = std::move(clock);
@@ -79,7 +73,6 @@ class Hub {
   // --- Hot-path mutations ----------------------------------------------------
   void add(MetricId id, double delta = 1) {
 #ifndef FARM_TELEMETRY_DISABLED
-    if (!enabled_) return;
     registry_.add(id, delta);
     store_.append(now(), id, EventKind::kAdd, delta);
 #else
@@ -88,7 +81,6 @@ class Hub {
   }
   void set(MetricId id, double value) {
 #ifndef FARM_TELEMETRY_DISABLED
-    if (!enabled_) return;
     registry_.set(id, value);
     store_.append(now(), id, EventKind::kSet, value);
 #else
@@ -97,7 +89,6 @@ class Hub {
   }
   void observe(MetricId id, double value) {
 #ifndef FARM_TELEMETRY_DISABLED
-    if (!enabled_) return;
     registry_.observe(id, value);
     store_.append(now(), id, EventKind::kObserve, value);
 #else
@@ -110,7 +101,7 @@ class Hub {
   // evict sparser, more interesting events.
   void count(MetricId id, double delta = 1) {
 #ifndef FARM_TELEMETRY_DISABLED
-    if (enabled_) registry_.add(id, delta);
+    registry_.add(id, delta);
 #else
     (void)id, (void)delta;
 #endif
@@ -119,7 +110,7 @@ class Hub {
   // levels that change on every request (e.g. the PCIe busy horizon).
   void level(MetricId id, double value) {
 #ifndef FARM_TELEMETRY_DISABLED
-    if (enabled_) registry_.set(id, value);
+    registry_.set(id, value);
 #else
     (void)id, (void)value;
 #endif
@@ -127,7 +118,6 @@ class Hub {
   // Point event only — no live aggregate behind it.
   void mark(MetricId id, double value = 0) {
 #ifndef FARM_TELEMETRY_DISABLED
-    if (!enabled_) return;
     store_.append(now(), id, EventKind::kMark, value);
 #else
     (void)id, (void)value;
@@ -136,11 +126,11 @@ class Hub {
 
   SpanId begin_span(TrackId t, std::string_view name) {
 #ifndef FARM_TELEMETRY_DISABLED
-    if (enabled_) return tracer_.begin(t, name, now());
+    return tracer_.begin(t, name, now());
 #else
     (void)t, (void)name;
-#endif
     return kInvalidSpan;
+#endif
   }
   void end_span(TrackId t, SpanId id) {
 #ifndef FARM_TELEMETRY_DISABLED
@@ -159,7 +149,6 @@ class Hub {
   void publish_silo_gauges();
 
  private:
-  bool enabled_;
   std::function<TimePoint()> clock_;
   Registry registry_;
   SiloStore store_;

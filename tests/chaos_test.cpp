@@ -14,7 +14,6 @@
 #include "farm/system.h"
 #include "net/traffic.h"
 #include "sim/fault.h"
-#include "sim/sweep.h"
 #include "telemetry/hub.h"
 
 namespace farm::core {
@@ -286,47 +285,6 @@ TEST(ChaosTest, RandomPlanChaosRunsToCompletionDeterministically) {
   EXPECT_EQ(std::get<1>(a), 20u);
   // A different seed yields a genuinely different scenario.
   EXPECT_NE(run(99), a);
-}
-
-TEST(ChaosTest, CombineSweepAcrossFaultSeedsMatchesSequential) {
-  // The Combine scenario runner fans a chaos sweep (one fault-plan seed
-  // per scenario) across threads. Each scenario builds a full FarmSystem —
-  // its own engine, topology, telemetry — so nothing is shared; the sweep
-  // must be bit-identical to the sequential run.
-  auto scenario = [](std::size_t index, sim::Engine&) {
-    FarmSystem farm(FarmSystemConfig{
-        .topology = {.spines = 2, .leaves = 4, .hosts_per_leaf = 2}});
-    CollectingHarvester harv(farm.engine(), "chaos");
-    farm.bus().attach_harvester("chaos", harv);
-    farm.install_task({"chaos", kReporterAll, {"Reporter"}, {}});
-
-    sim::ChaosSpec spec = ChaosController::default_spec(farm);
-    spec.start = at(500);
-    spec.end = at(2500);
-    spec.incidents = 5;
-    ChaosController chaos(farm, sim::random_plan(spec, 1000 + index));
-    chaos.arm();
-
-    util::Rng rng(7);
-    farm.load_traffic(net::background_traffic(farm.topology(), rng, 20, 5e6,
-                                              Duration::sec(3)));
-    // Past the plan's end so every incident's recovery event also fires.
-    farm.run_for(Duration::sec(5));
-
-    sim::ScenarioMetrics m;
-    m.set("executed", static_cast<double>(farm.engine().executed_events()));
-    m.set("injected", static_cast<double>(chaos.injector().injected()));
-    m.set("reports", static_cast<double>(harv.count()));
-    m.set("reseeds", static_cast<double>(farm.seeder().reseed_count()));
-    return m;
-  };
-  auto seq = sim::run_scenarios(4, scenario, {.threads = 1});
-  auto par = sim::run_scenarios(4, scenario, {.threads = 4});
-  EXPECT_TRUE(seq == par);
-  // Distinct fault seeds really produce distinct scenarios…
-  EXPECT_NE(seq.runs[0], seq.runs[1]);
-  // …and every scenario fired its full plan (5 incidents → 10 events).
-  EXPECT_EQ(seq.aggregate().at("injected").min, 10);
 }
 
 TEST(ChaosTest, FaultMarksPrecedeSymptomsAndFlightRecorderDumps) {

@@ -13,10 +13,7 @@
 
 #include "placement/generator.h"
 #include "placement/heuristic.h"
-#include "placement/milp_placement.h"
-#include "sim/sweep.h"
 #include "util/pool.h"
-#include "util/rng.h"
 
 using namespace farm;
 using namespace farm::placement;
@@ -103,7 +100,7 @@ TEST(ThreadPoolTest, ZeroItemsAndOneItemAreNoOpsInline) {
 }
 
 // ---------------------------------------------------------------------------
-// Placement equivalence: sequential vs parallel, the ISSUE's 1/4/16 matrix.
+// Placement equivalence: sequential vs parallel at 1/4/16 threads.
 
 PlacementProblem medium_problem(std::uint64_t seed) {
   GeneratorSpec spec;
@@ -145,13 +142,14 @@ void expect_identical(const PlacementResult& a, const PlacementResult& b) {
 TEST(CombinePlacementTest, ParallelSolveBitIdenticalAt1_4_16Threads) {
   for (std::uint64_t seed : {7u, 21u}) {
     auto problem = medium_problem(seed);
-    HeuristicOptions seq;
-    seq.threads = 1;
-    auto base = solve_heuristic(problem, seq);
+    PlacementResult base;
+    {
+      util::ScopedThreads one(1);
+      base = solve_heuristic(problem);
+    }
     for (int threads : {4, 16}) {
-      HeuristicOptions par;
-      par.threads = threads;
-      auto r = solve_heuristic(problem, par);
+      util::ScopedThreads scoped(threads);
+      auto r = solve_heuristic(problem);
       SCOPED_TRACE(testing::Message() << "seed=" << seed
                                       << " threads=" << threads);
       expect_identical(base, r);
@@ -167,148 +165,6 @@ TEST(CombinePlacementTest, FarmThreadsEnvControlsDefaultResolution) {
   util::ThreadPool pool(0);
   EXPECT_EQ(pool.size(), 2);
   ::unsetenv("FARM_THREADS");
-}
-
-TEST(CombinePlacementTest, MultiStartDeterministicAndNeverWorse) {
-  auto problem = medium_problem(5);
-  HeuristicOptions single;
-  single.threads = 1;
-  auto base = solve_heuristic(problem, single);
-
-  HeuristicOptions multi;
-  multi.multi_start = 4;
-  multi.threads = 1;
-  auto seq = solve_heuristic(problem, multi);
-  // Start 0 is the unperturbed greedy, so best-of-N can only match or beat
-  // the single start.
-  EXPECT_GE(seq.total_utility, base.total_utility);
-  EXPECT_TRUE(validate_placement(problem, seq).empty());
-
-  for (int threads : {4, 16}) {
-    HeuristicOptions par = multi;
-    par.threads = threads;
-    auto r = solve_heuristic(problem, par);
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    expect_identical(seq, r);
-  }
-}
-
-TEST(CombinePlacementTest, WarmStartMilpNeverBelowHeuristic) {
-  GeneratorSpec spec;
-  spec.n_switches = 6;
-  spec.n_tasks = 3;
-  spec.seeds_per_task = 2;
-  spec.seed = 11;
-  auto problem = generate_problem(spec);
-
-  auto heur = solve_heuristic(problem);
-  MilpPlacementOptions opt;
-  opt.timeout_seconds = 10;
-  opt.warm_start = true;
-  auto milp = solve_milp_placement(problem, opt);
-  EXPECT_GE(milp.total_utility, heur.total_utility - 1e-6);
-  EXPECT_TRUE(validate_placement(problem, milp).empty());
-}
-
-TEST(CombinePlacementTest, WarmStartReturnsHeuristicWhenSearchBudgetIsZero) {
-  auto problem = medium_problem(3);
-  MilpPlacementOptions opt;
-  opt.timeout_seconds = 0;  // branch-and-bound gets no time at all
-  opt.warm_start = true;
-  auto milp = solve_milp_placement(problem, opt);
-  auto heur = solve_heuristic(problem, opt.warm_start_heuristic);
-  // With no budget the MILP cannot beat the warm start; the warm start
-  // itself must come back (not the weaker first-fit fallback).
-  EXPECT_EQ(milp.total_utility, heur.total_utility);
-  EXPECT_TRUE(milp.timed_out);
-}
-
-// ---------------------------------------------------------------------------
-// Scenario sweep
-
-sim::ScenarioMetrics chaos_like_scenario(std::size_t index,
-                                         sim::Engine& engine) {
-  util::Rng rng(index * 977 + 1);
-  double fired = 0;
-  std::vector<sim::EventId> ids;
-  for (int i = 0; i < 500; ++i) {
-    ids.push_back(engine.schedule_at(
-        sim::TimePoint::origin() + sim::Duration::ms(rng.next_below(2000)),
-        [&fired] { fired += 1; }));
-    if (rng.next_bool(0.4)) engine.cancel(ids.back());
-  }
-  engine.run_until(sim::TimePoint::origin() + sim::Duration::sec(3));
-  sim::ScenarioMetrics m;
-  m.set("fired", fired);
-  m.set("executed", static_cast<double>(engine.executed_events()));
-  return m;
-}
-
-TEST(CombineSweepTest, SweepBitIdenticalAt1_4_16Threads) {
-  auto base = sim::run_scenarios(32, chaos_like_scenario, {.threads = 1});
-  ASSERT_EQ(base.runs.size(), 32u);
-  for (int threads : {4, 16}) {
-    auto r = sim::run_scenarios(32, chaos_like_scenario, {.threads = threads});
-    SCOPED_TRACE(testing::Message() << "threads=" << threads);
-    EXPECT_TRUE(base == r);
-  }
-}
-
-TEST(CombineSweepTest, AggregateSummarizesPerKey) {
-  auto result = sim::run_scenarios(
-      8,
-      [](std::size_t i, sim::Engine&) {
-        sim::ScenarioMetrics m;
-        m.set("x", static_cast<double>(i));
-        if (i % 2 == 0) m.set("even_only", 1);
-        return m;
-      },
-      {.threads = 4});
-  auto agg = result.aggregate();
-  EXPECT_EQ(agg.at("x").count, 8u);
-  EXPECT_EQ(agg.at("x").min, 0);
-  EXPECT_EQ(agg.at("x").max, 7);
-  EXPECT_DOUBLE_EQ(agg.at("x").mean(), 3.5);
-  EXPECT_EQ(agg.at("even_only").count, 4u);
-}
-
-TEST(CombineSweepTest, EnginesAreIndependentAcrossScenarios) {
-  // Each scenario gets a fresh engine: event ids and clocks must not leak
-  // between runs, whatever thread executed them.
-  auto result = sim::run_scenarios(
-      16,
-      [](std::size_t, sim::Engine& engine) {
-        sim::ScenarioMetrics m;
-        auto id = engine.schedule_after(sim::Duration::ms(1), [] {});
-        m.set("first_id", static_cast<double>(id));
-        engine.run_until(sim::TimePoint::origin() + sim::Duration::ms(2));
-        m.set("now_ms", engine.now().seconds() * 1000);
-        return m;
-      },
-      {.threads = 8});
-  for (const auto& run : result.runs) {
-    EXPECT_EQ(run.get("first_id"), 1);
-    EXPECT_EQ(run.get("now_ms"), 2);
-  }
-}
-
-TEST(CombineSweepTest, EngineReuseChunkingIsUnobservable) {
-  // chunks=count constructs a fresh engine per scenario (the historical
-  // runner); every other chunking reuses engines via Engine::reset. All
-  // of them must produce bit-identical sweeps.
-  const std::size_t n = 24;
-  auto fresh =
-      sim::run_scenarios(n, chaos_like_scenario, {.threads = 2, .chunks = n});
-  for (std::size_t chunks : {std::size_t{1}, std::size_t{3}, std::size_t{7},
-                             std::size_t{16}}) {
-    auto r = sim::run_scenarios(n, chaos_like_scenario,
-                                {.threads = 2, .chunks = chunks});
-    SCOPED_TRACE(testing::Message() << "chunks=" << chunks);
-    EXPECT_TRUE(fresh == r);
-  }
-  // Auto chunking too.
-  auto r = sim::run_scenarios(n, chaos_like_scenario, {.threads = 2});
-  EXPECT_TRUE(fresh == r);
 }
 
 }  // namespace

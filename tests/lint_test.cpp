@@ -145,19 +145,6 @@ TEST(SeederLintGate, WarningsOnlySeedStillDeploys) {
 #endif
 }
 
-TEST(SeederLintGate, DisabledGateLetsErrorSeedThrough) {
-  core::FarmSystemConfig cfg = small_config();
-  cfg.seeder.lint_gate = false;
-  core::FarmSystem farm(cfg);
-  // write_external is semantically deployable (the write is legal at
-  // runtime); with the gate off the historical behavior is preserved.
-  auto ids = farm.install_task(
-      {"bad", corpus_source("write_external.alm"), {}, {}});
-  EXPECT_FALSE(ids.empty());
-  EXPECT_EQ(farm.seeder().lint_rejections(), 0u);
-  EXPECT_TRUE(farm.seeder().last_lint().empty());
-}
-
 TEST(SeederLintGate, CleanSeedLeavesNoDiagnostics) {
   core::FarmSystem farm(small_config());
   const auto& hh = core::use_case("Heavy hitter (HH)");

@@ -322,34 +322,6 @@ TEST(SimplexTest, MassivelyDegenerateTiesStayFeasible) {
   EXPECT_LE(total, 1 + 1e-6);
 }
 
-TEST(MilpTest, WarmStartObjectivePrunesWithoutChangingOptimum) {
-  // max 5a + 4b + 3c s.t. a+b+c <= 2 (binary) → optimum 9 (a, b).
-  Model m;
-  VarId a = m.add_binary("a", 5);
-  VarId b = m.add_binary("b", 4);
-  VarId c = m.add_binary("c", 3);
-  m.add_constraint("cap", {{a, 1}, {b, 1}, {c, 1}}, Sense::kLe, 2);
-
-  auto plain = solve_milp(m);
-  ASSERT_EQ(plain.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(plain.objective, 9, kTol);
-
-  // A warm start below the optimum must not cut off the true solution.
-  MilpOptions warm;
-  warm.warm_start_objective = 8.5;
-  auto s = solve_milp(m, warm);
-  ASSERT_EQ(s.status, SolveStatus::kOptimal);
-  EXPECT_NEAR(s.objective, 9, kTol);
-  EXPECT_LE(s.nodes_explored, plain.nodes_explored);
-
-  // A warm start AT the optimum prunes everything: no incumbent is found,
-  // which tells the caller its warm solution already wins.
-  MilpOptions tight;
-  tight.warm_start_objective = 9;
-  auto pruned = solve_milp(m, tight);
-  EXPECT_FALSE(pruned.feasible());
-}
-
 // --- Revised sparse simplex vs the dense tableau oracle ----------------------
 
 // Random LPs mixing senses, finite/infinite upper bounds, and objective

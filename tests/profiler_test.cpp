@@ -307,9 +307,7 @@ std::string profile_fingerprint_of_solve(int threads) {
   spec.seeds_per_task = 20;
   spec.seed = 7;
   placement::PlacementProblem problem = placement::generate_problem(spec);
-  placement::HeuristicOptions opt;
-  opt.multi_start = 2;
-  (void)placement::solve_heuristic(problem, opt);
+  (void)placement::solve_heuristic(problem);
   prof::Snapshot snap = Profiler::instance().snapshot();
   std::ostringstream os;
   write_prof_collapsed(os, snap, CollapsedWeight::kCount);
@@ -332,8 +330,6 @@ TEST_F(ProfilerTest, SolveProfileIsBitIdenticalAcrossThreadCounts) {
   EXPECT_NE(baseline.find("placement;start"), std::string::npos) << baseline;
   EXPECT_NE(baseline.find("simplex"), std::string::npos) << baseline;
   EXPECT_NE(baseline.find("lp.simplex.pivots"), std::string::npos) << baseline;
-  EXPECT_NE(baseline.find("placement.starts 2"), std::string::npos)
-      << baseline;
   for (int threads : {4, 16}) {
     SCOPED_TRACE("threads " + std::to_string(threads));
     EXPECT_EQ(profile_fingerprint_of_solve(threads), baseline);

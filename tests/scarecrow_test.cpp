@@ -436,7 +436,7 @@ TEST(Scarecrow, RunsByDefaultWithDefaultRules) {
 
 TEST(Scarecrow, DisabledConfigDoesNotStartTheEvaluator) {
   core::FarmSystemConfig config = small_config();
-  config.scarecrow.enabled = false;
+  config.scarecrow.eval_period = Duration{};
   core::FarmSystem farm(config);
   EXPECT_FALSE(farm.scarecrow().running());
   farm.run_for(Duration::ms(300));

@@ -32,36 +32,6 @@ TEST(EngineTest, SimultaneousEventsRunInScheduleOrder) {
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
-TEST(EngineTest, ResetRestoresDefaultConstructedState) {
-  // A reset engine must be indistinguishable from a fresh one — including
-  // event ids, which break same-time ties, and the telemetry Hub, which
-  // must not leak metrics across sweep scenarios.
-  auto scenario = [](Engine& e) {
-    std::vector<int> order;
-    auto t = TimePoint::origin() + Duration::ms(3);
-    e.schedule_at(t, [&] { order.push_back(1); });
-    e.schedule_at(t, [&] { order.push_back(2); });
-    auto dropped = e.schedule_after(Duration::ms(1), [&] { order.push_back(9); });
-    e.cancel(dropped);
-    e.run();
-    return order;
-  };
-  Engine fresh, reused;
-  reused.schedule_after(Duration::ms(7), [] {});
-  reused.run();
-  reused.telemetry();  // instantiate a Hub so reset has one to destroy
-  ASSERT_GT(reused.executed_events(), 0u);
-
-  reused.reset();
-  EXPECT_EQ(reused.now(), TimePoint::origin());
-  EXPECT_EQ(reused.pending_events(), 0u);
-  EXPECT_EQ(reused.executed_events(), 0u);
-  EXPECT_FALSE(reused.has_telemetry());
-  EXPECT_EQ(scenario(reused), scenario(fresh));
-  EXPECT_EQ(reused.executed_events(), fresh.executed_events());
-  EXPECT_EQ(reused.now(), fresh.now());
-}
-
 TEST(EngineTest, CancelPreventsExecution) {
   Engine e;
   bool fired = false;

@@ -235,25 +235,6 @@ TEST(Tracer, RingWraparound) {
 
 // --- Hub ---------------------------------------------------------------------
 
-TEST(Hub, DisabledHubMutatesNothing) {
-  Hub hub;
-  MetricId m = hub.counter("a.b");
-  TrackId t = hub.track("tr");
-  hub.set_enabled(false);
-  hub.add(m, 5);
-  hub.observe(hub.histogram("h"), 1.0);
-  hub.mark(m, 1);
-  SpanId s = hub.begin_span(t, "dead");
-  hub.end_span(t, s);
-  EXPECT_EQ(hub.events().size(), 0u);
-  EXPECT_DOUBLE_EQ(hub.query().label("a.b").total(), 0);
-  EXPECT_EQ(hub.tracer().completed_total(t), 0u);
-  // Re-enabling resumes recording.
-  hub.set_enabled(true);
-  hub.add(m, 5);
-  EXPECT_EQ(hub.events().size(), 1u);
-}
-
 TEST(Hub, EngineStampsVirtualTime) {
   sim::Engine engine;
   Hub& hub = engine.telemetry();
