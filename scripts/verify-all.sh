@@ -1,9 +1,7 @@
 #!/usr/bin/env bash
-# verify-all: configure + build + test the six supported configurations
+# verify-all: configure + build + test the five supported configurations
 # in sequence — default (RelWithDebInfo, every test: the lint, accuracy,
-# profile and winnow labels included), the Silo sharded-store suite at
-# FARM_THREADS=16 (`silo` label — exercises the multi-shard defaults and
-# parallel query folds this host's core count may not), ASan+UBSan, a
+# profile, telemetry and winnow labels included), ASan+UBSan, a
 # UBSan-only build over the lint+winnow labels (the interpreter and
 # abstract-interpreter arithmetic edge cases are exactly where UB hides),
 # telemetry compiled out, and TSan over the Combine-labelled concurrency
@@ -27,7 +25,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workflows=(verify-default verify-silo verify-asan verify-ubsan verify-telemetry-off verify-tsan)
+workflows=(verify-default verify-asan verify-ubsan verify-telemetry-off verify-tsan)
 failed=()
 
 for wf in "${workflows[@]}"; do

@@ -28,12 +28,6 @@ std::vector<std::string> Scarecrow::default_rules() {
       "reseed-downtime: value(seeder.last_downtime_ms) > 2000",
       // Monitoring TCAM partition nearly full: the next count rule drops.
       "tcam-occupancy: value(tcam.*.mon_frac) > 0.9",
-      // A Silo shard whose lifetime-append gauge stops moving has lost its
-      // metric families (instrumentation wedged mid-run).
-      // Shards that never received a row stay silent (never-active gauges
-      // measure as nullopt), so idle shards in short runs cannot false-fire;
-      // 30 s of silence after traffic is decisive.
-      "silo-shard-stalled: staleness(silo.shard.*.appended) > 30",
   };
 }
 
@@ -72,9 +66,6 @@ Scarecrow::Scarecrow(FarmSystem& system, ScarecrowConfig config)
 
 void Scarecrow::evaluate_now() {
   FARM_PROF_SCOPE("scarecrow/evaluate");
-  // Refresh the silo.shard.* gauge family first so this tick's rules (the
-  // silo-shard-stalled staleness watch) see current shard occupancy.
-  system_.telemetry().publish_silo_gauges();
   alerts_.evaluate(system_.engine().now());
   refresh_health();
 }

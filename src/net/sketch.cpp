@@ -75,18 +75,81 @@ void CountMinSketch::merge(const CountMinSketch& other) {
   total_ += other.total_;
 }
 
+MisraGries::MisraGries(int capacity) : capacity_(capacity) {
+  FARM_CHECK(capacity > 0);
+}
+
+void MisraGries::add(std::string_view key, std::uint64_t count) {
+  total_ += count;
+  counters_[std::string(key)] += count;
+  if (counters_.size() <= static_cast<std::size_t>(capacity_)) return;
+  // Drop every counter by the table minimum; at least one slot zeroes out,
+  // so one reduction restores the capacity invariant after a single insert.
+  std::uint64_t d = ~0ull;
+  for (const auto& [_, c] : counters_) d = std::min(d, c);
+  decremented_ += d;
+  for (auto it = counters_.begin(); it != counters_.end();) {
+    it->second -= d;
+    it = it->second == 0 ? counters_.erase(it) : std::next(it);
+  }
+}
+
+std::uint64_t MisraGries::estimate(std::string_view key) const {
+  auto it = counters_.find(std::string(key));
+  return it == counters_.end() ? 0 : it->second;
+}
+
+std::vector<std::pair<std::string, std::uint64_t>> MisraGries::hitters(
+    std::uint64_t min_count) const {
+  std::vector<std::pair<std::string, std::uint64_t>> out;
+  for (const auto& [k, c] : counters_)
+    if (c >= min_count) out.emplace_back(k, c);
+  return out;
+}
+
+void MisraGries::clear() {
+  counters_.clear();
+  total_ = 0;
+  decremented_ = 0;
+}
+
+void MisraGries::merge(const MisraGries& other) {
+  FARM_CHECK(capacity_ == other.capacity_);
+  for (const auto& [k, c] : other.counters_) counters_[k] += c;
+  total_ += other.total_;
+  decremented_ += other.decremented_;
+  if (counters_.size() <= static_cast<std::size_t>(capacity_)) return;
+  // One reduction back to capacity: subtract the (capacity+1)-th largest
+  // count from every counter (Agarwal et al., mergeable summaries).
+  std::vector<std::uint64_t> counts;
+  counts.reserve(counters_.size());
+  for (const auto& [_, c] : counters_) counts.push_back(c);
+  std::nth_element(counts.begin(),
+                   counts.begin() + static_cast<std::ptrdiff_t>(capacity_),
+                   counts.end(), std::greater<>());
+  std::uint64_t d = counts[static_cast<std::size_t>(capacity_)];
+  decremented_ += d;
+  for (auto it = counters_.begin(); it != counters_.end();) {
+    std::uint64_t c = it->second > d ? it->second - d : 0;
+    it->second = c;
+    it = c == 0 ? counters_.erase(it) : std::next(it);
+  }
+}
+
 MisraGries MisraGries::restore(int capacity, std::uint64_t total,
                                std::uint64_t decremented,
                                std::map<std::string, std::uint64_t> counters) {
   MisraGries mg(capacity);
-  mg.impl_ = util::MisraGriesT<std::string>::restore(
-      capacity, total, decremented, std::move(counters));
+  FARM_CHECK(counters.size() <= static_cast<std::size_t>(capacity));
+  mg.total_ = total;
+  mg.decremented_ = decremented;
+  mg.counters_ = std::move(counters);
   return mg;
 }
 
 std::size_t MisraGries::memory_bytes() const {
   std::size_t bytes = 0;
-  for (const auto& [k, _] : counters())
+  for (const auto& [k, _] : counters_)
     bytes += k.size() + sizeof(std::uint64_t);
   return bytes;
 }

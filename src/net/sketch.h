@@ -30,8 +30,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/heavy.h"
-
 namespace farm::net {
 
 // Master seed shared by every sketch that does not ask for its own.
@@ -85,50 +83,43 @@ class CountMinSketch {
 // true count by at most decremented(); keys with true count > decremented()
 // are guaranteed present. State is held in a sorted map so serialization
 // and iteration are deterministic.
-//
-// The algebra lives in util::MisraGriesT (src/util/heavy.h) so the Silo
-// telemetry aggregates share the identical implementation; this class is
-// the string-keyed adapter the Almanac builtins and DiSketch fragments use.
 class MisraGries {
  public:
-  explicit MisraGries(int capacity) : impl_(capacity) {}
+  explicit MisraGries(int capacity);
 
-  void add(std::string_view key, std::uint64_t count = 1) {
-    impl_.add(key, count);
-  }
+  void add(std::string_view key, std::uint64_t count = 1);
   // Lower-bound estimate; 0 when the key is not tracked.
-  std::uint64_t estimate(std::string_view key) const {
-    return impl_.estimate(key);
-  }
+  std::uint64_t estimate(std::string_view key) const;
   // Tracked keys with counter >= min_count, sorted by key.
   std::vector<std::pair<std::string, std::uint64_t>> hitters(
-      std::uint64_t min_count) const {
-    return impl_.hitters(min_count);
-  }
-  void clear() { impl_.clear(); }
+      std::uint64_t min_count) const;
+  void clear();
   // Agarwal-style fold: sum counters key-wise, then reduce back to
   // capacity by subtracting the (capacity+1)-th largest count. Preserves
   // the N/(k+1) error bound of the concatenated streams.
-  void merge(const MisraGries& other) { impl_.merge(other.impl_); }
+  void merge(const MisraGries& other);
 
   // Rebuilds a summary from serialized state (DiSketch wire format).
   static MisraGries restore(int capacity, std::uint64_t total,
                             std::uint64_t decremented,
                             std::map<std::string, std::uint64_t> counters);
 
-  int capacity() const { return impl_.capacity(); }
-  std::uint64_t total_added() const { return impl_.total_added(); }
+  int capacity() const { return capacity_; }
+  std::uint64_t total_added() const { return total_; }
   // Total count subtracted from every surviving counter so far — the
   // summary's worst-case under-estimation.
-  std::uint64_t decremented() const { return impl_.decremented(); }
-  std::size_t size() const { return impl_.size(); }
+  std::uint64_t decremented() const { return decremented_; }
+  std::size_t size() const { return counters_.size(); }
   const std::map<std::string, std::uint64_t>& counters() const {
-    return impl_.counters();
+    return counters_;
   }
   std::size_t memory_bytes() const;
 
  private:
-  util::MisraGriesT<std::string> impl_;
+  int capacity_;
+  std::uint64_t total_ = 0;
+  std::uint64_t decremented_ = 0;
+  std::map<std::string, std::uint64_t> counters_;
 };
 
 class HyperLogLog {

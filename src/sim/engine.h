@@ -65,8 +65,8 @@ class Engine {
   // this pay only a null-pointer check per executed event.
   telemetry::Hub& telemetry();
   bool has_telemetry() const { return telemetry_ != nullptr; }
-  // Creates the Hub with an explicit config (store capacity, silo shard
-  // count, ...). Must run before the first telemetry() call — the Hub's
+  // Creates the Hub with an explicit config (event-ring and span-track
+  // capacity). Must run before the first telemetry() call — the Hub's
   // store geometry is fixed at construction.
   telemetry::Hub& configure_telemetry(telemetry::HubConfig config);
 

@@ -4,14 +4,7 @@
 #include <cctype>
 #include <charconv>
 
-#include "telemetry/prof.h"
-#include "util/pool.h"
-
 namespace farm::telemetry {
-
-// Instance-count floor for the parallel evaluation phase: below this the
-// fan-out overhead beats the registry reads it distributes.
-constexpr std::size_t kParallelAlerts = 256;
 
 std::string to_string(SloKind kind) {
   switch (kind) {
@@ -212,30 +205,33 @@ std::optional<double> AlertManager::measure(const SloRule& rule, Alert& a,
   return std::nullopt;
 }
 
-AlertManager::Step AlertManager::step_alert(Alert& a, TimePoint now) {
-  Step out;
+void AlertManager::step(Alert& a, TimePoint now) {
   const SloRule& rule = rules_[a.rule];
   std::optional<double> m = measure(rule, a, now);
-  if (!m) return out;
+  if (!m) return;
   a.value = *m;
   const bool breach = rule.op == SloOp::kGreater ? *m > rule.threshold
                                                  : *m < rule.threshold;
   const RuleMarks& marks = marks_[a.rule];
+  auto emit = [&](MetricId mark) {
+    ++transitions_;
+    hub_.mark(mark, a.value);
+  };
   auto go = [&](AlertState to) {
     a.state = to;
     switch (to) {
       case AlertState::kPending:
         a.pending_since = now;
-        out.marks[out.n++] = {marks.pending, a.value};
+        emit(marks.pending);
         break;
       case AlertState::kFiring:
         a.firing_since = now;
         ++a.fires;
-        out.marks[out.n++] = {marks.firing, a.value};
+        emit(marks.firing);
         break;
       case AlertState::kResolved:
         a.resolved_at = now;
-        out.marks[out.n++] = {marks.resolved, a.value};
+        emit(marks.resolved);
         break;
       case AlertState::kInactive:
         break;  // pending that cleared before the hold elapsed; no mark
@@ -259,38 +255,12 @@ AlertManager::Step AlertManager::step_alert(Alert& a, TimePoint now) {
       if (!breach) go(AlertState::kResolved);
       break;
   }
-  return out;
 }
 
 void AlertManager::evaluate(TimePoint now) {
   ++evaluations_;
   for (std::size_t r = 0; r < rules_.size(); ++r) discover(r);
-  // Phase 1 — per-instance measure + state machine. Each step mutates only
-  // its own Alert and reads only live registry aggregates, so large fleets
-  // fan out on the Combine pool; small ones (the common case) stay on the
-  // caller's thread where the fan-out would cost more than the work.
-  std::vector<Step> steps(alerts_.size());
-  util::ThreadPool& pool = util::ThreadPool::shared();
-  // Both branches anchor each step at the profiler root so an alert's
-  // profile path (and any Silo query scopes under it) is identical whether
-  // the fleet fanned out or stayed sequential.
-  if (alerts_.size() >= kParallelAlerts && pool.size() > 1) {
-    pool.parallel_for(alerts_.size(), [&](std::size_t i) {
-      FARM_PROF_TASK("scarecrow/alert_step");
-      steps[i] = step_alert(alerts_[i], now);
-    });
-  } else {
-    for (std::size_t i = 0; i < alerts_.size(); ++i) {
-      FARM_PROF_TASK("scarecrow/alert_step");
-      steps[i] = step_alert(alerts_[i], now);
-    }
-  }
-  // Phase 2 — fold: emit the planned transition marks in alert index
-  // order, the exact append sequence a sequential evaluation produces.
-  for (const Step& s : steps) {
-    transitions_ += static_cast<std::uint64_t>(s.n);
-    for (int i = 0; i < s.n; ++i) hub_.mark(s.marks[i].first, s.marks[i].second);
-  }
+  for (Alert& a : alerts_) step(a, now);
   hub_.level(m_firing_total_, static_cast<double>(firing_count()));
 }
 

@@ -25,12 +25,10 @@
 // the event store.
 #pragma once
 
-#include <array>
 #include <optional>
 #include <string>
 #include <string_view>
 #include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "telemetry/hub.h"
@@ -135,22 +133,12 @@ class AlertManager {
     std::size_t scanned = 0;
   };
 
-  // Mark emissions planned by one instance's state-machine step (at most
-  // pending + firing). Steps run per-alert — in parallel for large fleets —
-  // and the planned marks are applied sequentially in alert index order, so
-  // the event-ring append sequence matches a sequential evaluation exactly.
-  struct Step {
-    std::array<std::pair<MetricId, double>, 2> marks{};
-    int n = 0;
-  };
-
   void discover(std::size_t rule_index);
   // Returns the measured value, or nullopt while the instance has no data
   // (first rate sample, never-active staleness source).
   std::optional<double> measure(const SloRule& rule, Alert& a, TimePoint now);
-  // Measure + state machine for one instance; mutates only `a` (thread-safe
-  // across distinct instances) and returns the marks to emit.
-  Step step_alert(Alert& a, TimePoint now);
+  // Measure + state machine for one instance; emits its transition marks.
+  void step(Alert& a, TimePoint now);
 
   Hub& hub_;
   std::vector<SloRule> rules_;

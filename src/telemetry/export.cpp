@@ -120,7 +120,7 @@ void collapse_node(std::ostream& os, const prof::ProfNode& node,
 void write_chrome_trace(std::ostream& os, const Hub& hub,
                         const ChromeTraceOptions& options) {
   const Tracer& tracer = hub.tracer();
-  const SiloStore& store = hub.events();
+  const EventStore& store = hub.events();
   const Registry& reg = hub.registry();
   bool first = true;
   auto sep = [&] {
@@ -154,7 +154,7 @@ void write_chrome_trace(std::ostream& os, const Hub& hub,
   // in one pass so truncated exports still show correct totals.
   std::vector<double> level(reg.size(), 0);
   std::size_t i = 0;
-  store.for_each_ordered([&](const EventRow& r) {
+  hub.query().for_each([&](const EventRow& r) {
     if (r.kind == EventKind::kAdd && r.metric < level.size())
       level[r.metric] += r.value;
     if (i++ < begin) return;

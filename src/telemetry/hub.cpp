@@ -3,6 +3,7 @@
 #include <fstream>
 
 #include "telemetry/export.h"
+#include "util/check.h"
 #include "util/log.h"
 
 namespace farm::telemetry {
@@ -20,33 +21,14 @@ void on_check_failure() {
 }  // namespace
 
 Hub::Hub(HubConfig config)
-    : store_(SiloConfig{.shards = config.silo_shards,
-                        .capacity = config.store_capacity}),
+    : store_(config.store_capacity),
       tracer_(config.track_capacity),
-      flight_(std::make_unique<FlightRecorder>(*this)) {}
+      flight_(std::make_unique<FlightRecorder>(*this)) {
+  FARM_CHECK_MSG(config.silo_shards <= 1,
+                 "the Hub keeps one event ring; silo_shards must be 0 or 1");
+}
 
 Hub::~Hub() = default;
-
-void Hub::publish_silo_gauges() {
-  if (shard_gauges_.empty()) {
-    shard_gauges_.reserve(store_.shard_count());
-    for (std::size_t i = 0; i < store_.shard_count(); ++i) {
-      std::string base = "silo.shard." + std::to_string(i);
-      shard_gauges_.push_back({gauge(base + ".appended"),
-                               gauge(base + ".events"),
-                               gauge(base + ".dropped")});
-    }
-  }
-  for (std::size_t i = 0; i < shard_gauges_.size(); ++i) {
-    const EventStore& s = store_.shard(i);
-    // data_appended, not total_appended: alert transition marks land in
-    // these shards too, and a staleness rule watching .appended must not
-    // be reset by its own firing mark.
-    level(shard_gauges_[i][0], static_cast<double>(s.data_appended()));
-    level(shard_gauges_[i][1], static_cast<double>(s.size()));
-    level(shard_gauges_[i][2], static_cast<double>(s.dropped()));
-  }
-}
 
 FlightRecorder::~FlightRecorder() {
   if (g_check_recorder == this) {

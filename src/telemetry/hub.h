@@ -11,14 +11,11 @@
 // registration and queries still work.
 #pragma once
 
-#include <array>
 #include <functional>
 #include <memory>
 #include <string_view>
-#include <vector>
 
 #include "telemetry/registry.h"
-#include "telemetry/silo.h"
 #include "telemetry/store.h"
 #include "telemetry/trace.h"
 
@@ -29,8 +26,9 @@ class FlightRecorder;
 struct HubConfig {
   std::size_t store_capacity = EventStore::kDefaultCapacity;
   std::size_t track_capacity = Tracer::kDefaultTrackCapacity;
-  // Event-store shards; 0 → one per default worker thread (silo.h). Pin to
-  // 1 for exact single-ring eviction semantics (e.g. capacity tests).
+  // Retired: the Hub keeps one event ring. Kept only so callers that still
+  // pin it to 1 compile; the Hub checks it is 0 or 1 and reads it nowhere
+  // else.
   std::size_t silo_shards = 0;
 };
 
@@ -56,8 +54,8 @@ class Hub {
 
   Registry& registry() { return registry_; }
   const Registry& registry() const { return registry_; }
-  SiloStore& events() { return store_; }
-  const SiloStore& events() const { return store_; }
+  EventStore& events() { return store_; }
+  const EventStore& events() const { return store_; }
   Tracer& tracer() { return tracer_; }
   const Tracer& tracer() const { return tracer_; }
   FlightRecorder& flight() { return *flight_; }
@@ -142,20 +140,12 @@ class Hub {
 
   Query query() const { return Query(store_, registry_); }
 
-  // Registers (first call) and refreshes the silo.shard.<i>.{appended,
-  // events,dropped} gauge family — registry-only levels (no ring rows), so
-  // Scarecrow can watch shard health without the gauges themselves flooding
-  // the very rings they describe. Scarecrow calls this each evaluation tick.
-  void publish_silo_gauges();
-
  private:
   std::function<TimePoint()> clock_;
   Registry registry_;
-  SiloStore store_;
+  EventStore store_;
   Tracer tracer_;
   std::unique_ptr<FlightRecorder> flight_;
-  // silo.shard.<i>.{appended, events, dropped} gauge ids, by shard.
-  std::vector<std::array<MetricId, 3>> shard_gauges_;
 };
 
 // RAII span for scopes that cover a contiguous stretch of virtual time

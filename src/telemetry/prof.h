@@ -2,7 +2,7 @@
 //
 // Granary's Tracer observes the *simulated fabric* on virtual time; Furrow
 // observes FARM's own control plane — placement heuristic steps, simplex /
-// MILP solves, Silo query folds, the Combine pool — on wall-clock time, so
+// MILP solves, Scarecrow ticks, the Combine pool — on wall-clock time, so
 // "where does the 1.4 s solve actually go" has a measured answer.
 //
 // Model:
@@ -21,7 +21,7 @@
 //     parent/child: a task branch sums CPU time across workers and may
 //     exceed any one scope's elapsed time.
 //   * FARM_PROF_COUNT("name", n) — named monotonic counter (simplex
-//     pivots, MILP nodes, migration moves, Silo rows, ...); thread-local
+//     pivots, MILP nodes, migration moves, pool tasks, ...); thread-local
 //     cells, summed at snapshot. Counts, unlike times, are invariant under
 //     FARM_THREADS because Combine executes identical work at any width.
 //

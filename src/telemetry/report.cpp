@@ -55,8 +55,7 @@ void write_farm_report(std::ostream& os, const ReportInputs& in) {
   os << "telemetry: " << (Hub::compiled_in() ? "on" : "compiled out")
      << "; metrics " << hub.registry().size() << "; events "
      << hub.events().total_appended() << " recorded, " << hub.events().dropped()
-     << " evicted (" << hub.events().shard_count() << " silo shard"
-     << (hub.events().shard_count() == 1 ? "" : "s") << ")\n";
+     << " evicted\n";
 
   if (in.health) {
     os << "\n--- fabric health ---\n";
@@ -105,8 +104,7 @@ void write_farm_report_json(std::ostream& os, const ReportInputs& in) {
      << (Hub::compiled_in() ? "on" : "compiled-out")
      << "\",\"events\":{\"appended\":" << hub.events().total_appended()
      << ",\"retained\":" << hub.events().size()
-     << ",\"dropped\":" << hub.events().dropped()
-     << ",\"silo_shards\":" << hub.events().shard_count() << "}";
+     << ",\"dropped\":" << hub.events().dropped() << "}";
 
   os << ",\"alerts\":[";
   if (in.alerts) {

@@ -1,22 +1,18 @@
 // Granary columnar event store + query API.
 //
 // Every metric update is appended as one row across parallel column arrays
-// (timestamp, metric id, kind, value, sequence) — the struct-of-arrays
-// layout keeps scans cache-friendly and the per-event footprint fixed. The
-// store is a bounded ring: when full, the oldest rows are overwritten,
-// which is exactly the retention policy the flight recorder wants ("the
-// last N events before the crash"). Timestamps are sim virtual time only,
-// so stores from two same-seed runs are identical.
+// (timestamp, metric id, kind, value) — the struct-of-arrays layout keeps
+// scans cache-friendly and the per-event footprint fixed. The store is one
+// bounded ring: when full, the oldest row is overwritten, which is exactly
+// the retention policy the flight recorder wants ("the last N events before
+// the crash"). What the ring keeps depends only on its capacity and the
+// append stream, never on the host's thread count, and timestamps are sim
+// virtual time only, so stores from two same-seed runs are identical.
 //
-// EventStore is one ring. The Silo subsystem (silo.h) shards appends
-// across many rings by a stable hash of the MetricId; Query is the
-// compatibility façade over either: the same composable filters
-// (metric/label pattern/kind/time window), with every aggregate evaluated
-// as a two-phase partial-state → fold computation (aggstate.h) so sharded
-// results are bit-identical to a monolithic scan at any shard and thread
-// count. Label patterns and group-by components are resolved once per
-// MetricId per query (not once per row), and ring scans run as two
-// branch-free segments instead of a per-row `%`.
+// Query is the composable filter + aggregate over one ring (metric/label
+// pattern/kind/time window). Label patterns and group-by components are
+// resolved once per MetricId per query (not once per row), and ring scans
+// run as two branch-free segments instead of a per-row `%` (DESIGN.md §7).
 #pragma once
 
 #include <cstdint>
@@ -26,7 +22,6 @@
 #include <string>
 #include <vector>
 
-#include "telemetry/aggstate.h"
 #include "telemetry/registry.h"
 #include "util/time.h"
 
@@ -48,10 +43,6 @@ struct EventRow {
   MetricId metric = kInvalidMetric;
   EventKind kind = EventKind::kMark;
   double value = 0;
-  // Append sequence number (0-based) within the owning store. A SiloStore
-  // stamps one store-wide sequence across all its shards, so merged shard
-  // scans recover the exact monolithic append order.
-  std::uint64_t seq = 0;
 };
 
 class EventStore {
@@ -61,21 +52,12 @@ class EventStore {
   explicit EventStore(std::size_t capacity = kDefaultCapacity);
 
   void append(TimePoint at, MetricId metric, EventKind kind, double value);
-  // Appends with a caller-provided sequence number (SiloStore stamps its
-  // global sequence); callers must keep sequences strictly increasing.
-  void append_seq(TimePoint at, MetricId metric, EventKind kind, double value,
-                  std::uint64_t seq);
 
   // Rows currently retained (≤ capacity).
   std::size_t size() const { return size_; }
   std::size_t capacity() const { return capacity_; }
   // Lifetime appends, including rows the ring has since overwritten.
   std::uint64_t total_appended() const { return appended_; }
-  // Lifetime appends excluding kMark rows. Staleness-style liveness checks
-  // (the `silo.shard.*.appended` gauges) watch this one: alert lifecycle
-  // transitions are emitted as marks, so a staleness alert firing must not
-  // bump the very activity counter it watches and resolve itself.
-  std::uint64_t data_appended() const { return data_appended_; }
   std::uint64_t dropped() const { return appended_ - size_; }
 
   // Logical index: 0 = oldest retained row, size()-1 = newest.
@@ -85,14 +67,13 @@ class EventStore {
   // Branch-free scans: the retained rows as at most two contiguous column
   // segments ([head, capacity) then [0, head) once the ring has wrapped),
   // so hot aggregate loops never pay the per-row `%` of row(). fn is
-  // fn(at_ns, metric, kind, value, seq) -> bool; returning false stops the
-  // scan (and makes scan() return false).
+  // fn(at_ns, metric, kind, value) -> bool; returning false stops the scan
+  // (and makes scan() return false).
   template <typename Fn>
   bool scan(Fn&& fn) const {  // oldest → newest
     auto run = [&](std::size_t b, std::size_t e) {
       for (std::size_t s = b; s < e; ++s)
-        if (!fn(at_ns_[s], metric_[s], kind_[s], value_[s], seq_[s]))
-          return false;
+        if (!fn(at_ns_[s], metric_[s], kind_[s], value_[s])) return false;
       return true;
     };
     if (size_ < capacity_) return run(0, size_);  // unwrapped: head_ == 0
@@ -102,8 +83,7 @@ class EventStore {
   bool scan_reverse(Fn&& fn) const {  // newest → oldest
     auto run = [&](std::size_t b, std::size_t e) {
       for (std::size_t s = e; s > b; --s)
-        if (!fn(at_ns_[s - 1], metric_[s - 1], kind_[s - 1], value_[s - 1],
-                seq_[s - 1]))
+        if (!fn(at_ns_[s - 1], metric_[s - 1], kind_[s - 1], value_[s - 1]))
           return false;
       return true;
     };
@@ -118,31 +98,20 @@ class EventStore {
   std::size_t head_ = 0;  // physical index of the oldest row
   std::size_t size_ = 0;
   std::uint64_t appended_ = 0;
-  std::uint64_t data_appended_ = 0;
   // Parallel columns, all `size_` long (physically `capacity_` once full).
   std::vector<std::int64_t> at_ns_;
   std::vector<MetricId> metric_;
   std::vector<EventKind> kind_;
   std::vector<double> value_;
-  std::vector<std::uint64_t> seq_;
 };
 
-class SiloStore;
-
-// Composable filter + aggregate over an EventStore or a sharded SiloStore.
-// Cheap value type — build one per question:
+// Composable filter + aggregate over an EventStore. Cheap value type —
+// build one per question:
 //   double b = Query(store, reg).label("bus.up.bytes").since(t0).sum();
-//
-// Every aggregate runs as partial-state → fold (aggstate.h): one partial
-// per shard (computed on the Combine pool when the store is sharded and
-// large), merged in shard-index order — results are bit-identical to the
-// monolithic single-ring scan at any shard/thread count (DESIGN.md §12).
 class Query {
  public:
   Query(const EventStore& store, const Registry& registry)
       : store_(&store), registry_(&registry) {}
-  Query(const SiloStore& silo, const Registry& registry)
-      : silo_(&silo), registry_(&registry) {}
 
   Query& metric(MetricId id) {
     metric_ = id;
@@ -170,6 +139,7 @@ class Query {
 
   // --- Aggregates ------------------------------------------------------------
   std::size_t count() const;
+  // Sum of matching row values, added in append order.
   double sum() const;
   // Sum of the *live registry aggregates* of every metric matching the
   // metric/label filters: counter totals, gauge levels, histogram sample
@@ -180,8 +150,6 @@ class Query {
   double max() const;
   double mean() const;
   // Nearest-rank percentile over matching row values; p clamped to [0,100].
-  // Evaluated as per-shard sorted runs merged in order — identical to the
-  // old monolithic full sort, without ever sorting one giant array.
   double percentile(double p) const;
   std::optional<EventRow> first() const;
   std::optional<EventRow> last() const;
@@ -195,27 +163,17 @@ class Query {
   std::map<std::string, double> sum_by_component(int i) const;
   std::map<std::string, std::size_t> count_by_component(int i) const;
 
-  // Heavy-hitter label components under bounded state (Misra-Gries with
-  // `capacity` counters per shard, one Agarwal reduction after the fold):
-  // (component, row count) pairs with count >= min_count, sorted by key.
-  // Exact whenever no per-shard table overflows `capacity`; otherwise each
-  // count under-estimates by at most the summary's error bound.
-  std::vector<std::pair<std::string, std::uint64_t>> heavy_hitters(
-      int component, int capacity = 64, std::uint64_t min_count = 1) const;
-
-  // Mergeable bounded-memory quantile histogram over matching row values —
-  // the eviction-tolerant alternative to exact percentile() for hot series
-  // (bucket counts fold exactly across shards).
-  HistogramState value_histogram(const HistogramSpec& spec) const;
-
-  // Matching rows oldest → newest in exact append order.
+  // Matching rows oldest → newest.
   void for_each(const std::function<void(const EventRow&)>& fn) const;
 
  private:
   struct Resolved;
+  // Calls fn(row) for every matching row oldest → newest; fn returns false
+  // to stop early.
+  template <typename Fn>
+  void scan(Fn&& fn) const;
 
-  const EventStore* store_ = nullptr;
-  const SiloStore* silo_ = nullptr;
+  const EventStore* store_;
   const Registry* registry_;
   std::optional<MetricId> metric_;
   std::optional<std::string> pattern_;

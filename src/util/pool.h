@@ -1,6 +1,5 @@
 // Combine — deterministic parallel execution for embarrassingly parallel
-// hot paths (placement LP batches, migration-benefit evaluation, Silo
-// query folds).
+// hot paths (placement LP batches, migration-benefit evaluation).
 //
 // Design rules that keep results bit-identical to a sequential run:
 //   * work is expressed as a pure function of the item index;

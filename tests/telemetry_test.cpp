@@ -10,11 +10,14 @@
 #include <map>
 #include <optional>
 #include <sstream>
+#include <string>
+#include <vector>
 
 #include "sim/engine.h"
 #include "telemetry/export.h"
 #include "telemetry/hub.h"
 #include "util/check.h"
+#include "util/pool.h"
 
 namespace farm::telemetry {
 namespace {
@@ -183,16 +186,58 @@ TEST(Query, GroupByComponentAndPercentile) {
   EXPECT_DOUBLE_EQ(q.mean(), 3.0);
 }
 
+TEST(Query, PercentileGoldens) {
+  Registry reg;
+  MetricId a = reg.counter("m.a");
+  MetricId b = reg.counter("m.b");
+  MetricId c = reg.counter("m.c");
+  EventStore store;
+  const double vals[] = {5, 1, 3, 2, 4};
+  const MetricId ms[] = {a, b, c, a, b};
+  for (int i = 0; i < 5; ++i)
+    store.append(at_ms(i), ms[i], EventKind::kObserve, vals[i]);
+  Query q(store, reg);
+  EXPECT_DOUBLE_EQ(q.percentile(0), 1.0);
+  EXPECT_DOUBLE_EQ(q.percentile(50), 3.0);
+  EXPECT_DOUBLE_EQ(q.percentile(100), 5.0);
+  EXPECT_DOUBLE_EQ(q.percentile(-10), 1.0);  // clamped
+  EXPECT_DOUBLE_EQ(q.mean(), 3.0);
+  EXPECT_EQ(q.count(), 5u);
+}
+
 TEST(Query, TotalReadsLiveAggregatesAcrossEviction) {
-  // One shard: the whole 8-row budget is a single ring, so retention is
-  // exact regardless of the host's thread count.
-  Hub hub({.store_capacity = 8, .silo_shards = 1});
+  Hub hub({.store_capacity = 8});
   MetricId m = hub.counter("hot.counter");
   for (int i = 0; i < 100; ++i) hub.add(m, 2);
   // The ring only retains 8 rows, but the registry total is exact.
   EXPECT_EQ(hub.events().size(), 8u);
   EXPECT_DOUBLE_EQ(hub.query().label("hot.counter").sum(), 16);
   EXPECT_DOUBLE_EQ(hub.query().label("hot.counter").total(), 200);
+  // A wildcard total sums the live aggregate of every matching metric.
+  hub.add(hub.counter("hot.other"), 3);
+  EXPECT_DOUBLE_EQ(hub.query().label("hot.*").total(), 203);
+}
+
+TEST(Silo, TotalIsEvictionImmuneAtAnyShardCount) {
+  // Tiny ring: nearly everything is evicted, yet total() (registry-backed)
+  // stays exact. silo_shards still accepts 0 and 1, and both keep the one
+  // ring, so they must retain and total alike.
+  std::size_t retained[2] = {};
+  for (std::size_t shards : {0u, 1u}) {
+    Hub hub({.store_capacity = 32, .silo_shards = shards});
+    MetricId a = hub.counter("hot.a");
+    MetricId b = hub.counter("hot.b");
+    for (int i = 0; i < 1000; ++i) {
+      hub.add(a, 2);
+      hub.add(b, 3);
+    }
+    EXPECT_GT(hub.events().dropped(), 0u);
+    EXPECT_DOUBLE_EQ(hub.query().label("hot.*").total(), 5000.0);
+    EXPECT_DOUBLE_EQ(hub.query().label("hot.a").total(), 2000.0);
+    retained[shards] = hub.events().size();
+  }
+  EXPECT_EQ(retained[0], 32u);
+  EXPECT_EQ(retained[1], 32u);
 }
 
 // --- Tracer ------------------------------------------------------------------
@@ -246,6 +291,59 @@ TEST(Hub, EngineStampsVirtualTime) {
   EXPECT_EQ(row->at, at_ms(250));
   // The engine's own event counter ticked (registry-only).
   EXPECT_GE(hub.query().label("sim.engine.events").total(), 1.0);
+}
+
+TEST(Hub, RetentionIsIndependentOfThreadCount) {
+  // What the ring keeps depends only on its capacity: the same skewed
+  // append stream (one hot switch, seven quiet ones) leaves the same rows,
+  // the same windowed answers and the same flight record at any thread
+  // count.
+  struct Outcome {
+    std::size_t rows = 0;
+    std::size_t count = 0;
+    double sum = 0;
+    std::optional<EventRow> first;
+    std::string trace;
+  };
+  auto run = [](int threads) {
+    util::ScopedThreads scoped(threads);
+    Hub hub({.store_capacity = 4096});
+    std::int64_t now_ms = 0;
+    hub.set_clock([&now_ms] { return at_ms(now_ms); });
+    MetricId hot = hub.counter("soil.sw0.poll_requests");
+    std::vector<MetricId> quiet;
+    for (int s = 1; s <= 7; ++s)
+      quiet.push_back(
+          hub.counter("soil.sw" + std::to_string(s) + ".poll_requests"));
+    std::size_t next_quiet = 0;
+    for (int i = 0; i < 20000; ++i, ++now_ms)
+      hub.add(i % 10 < 7 ? hot : quiet[next_quiet++ % quiet.size()],
+              1 + i % 3);
+    Outcome out;
+    out.rows = hub.events().size();
+    Query q = hub.query().label("soil.sw3.poll_requests");
+    out.count = q.count();
+    out.sum = q.sum();
+    out.first = q.first();
+    std::ostringstream os;
+    write_chrome_trace(os, hub, {.reason = "retention"});
+    out.trace = os.str();
+    return out;
+  };
+  const Outcome one = run(1);
+  EXPECT_EQ(one.rows, 4096u);
+  ASSERT_TRUE(one.first.has_value());
+  for (int threads : {4, 16}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const Outcome n = run(threads);
+    EXPECT_EQ(n.rows, one.rows);
+    EXPECT_EQ(n.count, one.count);
+    EXPECT_EQ(n.sum, one.sum);
+    ASSERT_TRUE(n.first.has_value());
+    EXPECT_EQ(n.first->at, one.first->at);
+    EXPECT_EQ(n.first->value, one.first->value);
+    EXPECT_EQ(n.trace, one.trace);
+  }
 }
 
 // --- Chrome trace export -----------------------------------------------------
