@@ -11,6 +11,8 @@
 #include "farm/scarecrow.h"
 #include "farm/usecases.h"
 #include "lp/simplex.h"
+#include "placement/generator.h"
+#include "placement/switch_lp.h"
 #include "sim/engine.h"
 #include "telemetry/alert.h"
 #include "telemetry/hub.h"
@@ -129,6 +131,32 @@ void BM_SimplexRedistributionLp(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimplexRedistributionLp);
+
+void BM_SwitchLp25Seeds(benchmark::State& state) {
+  // One per-switch redistribution LP at the size an install solves:
+  // 25 generated seeds pinned to a 32-core switch make 114 rows and 325
+  // columns with slacks and artificials (farmbench's LPs average 112 and
+  // 331). BM_SimplexRedistributionLp keeps the small-LP case.
+  placement::GeneratorSpec spec;
+  spec.n_switches = 1;
+  spec.n_tasks = 5;
+  spec.seeds_per_task = 5;
+  spec.candidates_per_seed = 1;
+  const auto problem = placement::generate_problem(spec);
+  placement::SwitchModel sw = problem.switches[0];
+  sw.capacity = {32, 32768, 2048, 8};
+  std::vector<placement::PinnedSeed> pinned;
+  for (const auto& seed : problem.seeds) pinned.push_back({&seed, 0});
+  state.counters["rows"] = static_cast<double>(
+      placement::redistribution_model(sw, pinned, {}).num_constraints());
+  if (!placement::redistribute_on_switch(sw, pinned, {}))
+    state.SkipWithError("the 25-seed LP is infeasible");
+  for (auto _ : state) {
+    auto lp = placement::redistribute_on_switch(sw, pinned, {});
+    benchmark::DoNotOptimize(lp);
+  }
+}
+BENCHMARK(BM_SwitchLp25Seeds);
 
 void BM_AlertEvaluate128Metrics(benchmark::State& state) {
   // One Scarecrow evaluator tick over a 128-metric registry with the six

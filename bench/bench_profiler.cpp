@@ -170,6 +170,10 @@ int main() {
   spec.seed = 42;
   placement::PlacementProblem problem = placement::generate_problem(spec);
   util::ScopedThreads sequential(1);  // no pool scheduling noise in the gate
+  json.record("hw_threads",
+              static_cast<double>(std::thread::hardware_concurrency()),
+              "count");
+  json.record("farm_threads", util::ThreadPool::default_threads(), "count");
 
   int reps = 3;
   if (const char* env = std::getenv("FARM_BENCH_REPS"); env && *env)

@@ -1,6 +1,8 @@
 #include "farm/seeder.h"
 
 #include <algorithm>
+#include <functional>
+#include <unordered_map>
 
 #include "almanac/analysis.h"
 #include "placement/heuristic.h"
@@ -14,6 +16,14 @@ namespace farm::core {
 namespace {
 // Silent heartbeat periods before a switch is declared dead.
 constexpr int kHeartbeatMissLimit = 3;
+
+struct SeedIdHash {
+  std::size_t operator()(const SeedId& id) const {
+    std::size_t h = std::hash<std::string>{}(id.task);
+    h = h * 31 + std::hash<std::string>{}(id.machine);
+    return h * 31 + std::hash<int>{}(id.index);
+  }
+};
 }  // namespace
 
 Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
@@ -251,6 +261,17 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
 }
 
 placement::PlacementProblem Seeder::build_problem() const {
+  // Where each seed runs, from one pass over the soils' seed lists. The
+  // first soil holding an id wins, as in deployed_at. Nothing below
+  // raises a callback, so no seed moves while the index is in use.
+  std::unordered_map<std::reference_wrapper<const SeedId>,
+                     std::pair<Soil*, Seed*>, SeedIdHash,
+                     std::equal_to<SeedId>>
+      deployed;
+  for (Soil* soil : soils_)
+    for (Seed* seed : soil->seeds())
+      deployed.try_emplace(std::cref(seed->id()), soil, seed);
+
   placement::PlacementProblem p;
   for (Soil* soil : soils_) {
     // Dead switches are not placement candidates until they come back.
@@ -278,17 +299,15 @@ placement::PlacementProblem Seeder::build_problem() const {
       // Live seeds contribute their *current* state's utility; fresh ones
       // the initial state's.
       sm.variants = ps.variants;
-      if (auto node = deployed_at(ps.id)) {
-        p.current_placement[sm.id] = *node;
-        Soil* soil = soil_at(*node);
-        if (Seed* seed = soil->find(ps.id)) {
-          p.current_alloc[sm.id] = soil->allocation(*seed);
-          const auto* st = ps.image->machine.state(seed->current_state());
-          if (st && st->util) {
-            try {
-              sm.variants = almanac::analyze_utility(*st->util).variants;
-            } catch (const almanac::CompileError&) {
-            }
+      if (auto it = deployed.find(std::cref(ps.id)); it != deployed.end()) {
+        const auto [soil, seed] = it->second;
+        p.current_placement[sm.id] = soil->node();
+        p.current_alloc[sm.id] = soil->allocation(*seed);
+        const auto* st = ps.image->machine.state(seed->current_state());
+        if (st && st->util) {
+          try {
+            sm.variants = almanac::analyze_utility(*st->util).variants;
+          } catch (const almanac::CompileError&) {
           }
         }
       }

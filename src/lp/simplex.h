@@ -5,10 +5,13 @@
 // solve_lp runs a revised simplex over a sparse column store with bounded
 // variables (simplex.cpp). Upper bounds are handled implicitly
 // (nonbasic-at-upper status + bound flips), so a model with n box-bounded
-// variables costs n fewer rows than a dense tableau, and each pivot
-// touches O(nnz + m²) instead of the full tableau. Oversized instances are
-// refused through exceeds_cell_budget — an oversized instance aborts
-// against the deadline exactly like a timed-out solver run.
+// variables costs n fewer rows than a dense tableau. The explicit basis
+// inverse carries an exact nonzero list per row, and each pivot visits
+// only entries that can be nonzero — O(n + m·nnz(A_j)) plus the nonzeros
+// it touches, not the full tableau or the full m² inverse — with results
+// bit-identical to a full dense sweep. Oversized instances are refused
+// through exceeds_cell_budget — an oversized instance aborts against the
+// deadline exactly like a timed-out solver run.
 #pragma once
 
 #include <limits>

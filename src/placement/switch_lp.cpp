@@ -57,17 +57,15 @@ double min_utility(const UtilityVariant& variant) {
   return variant.utility(*alloc);
 }
 
-std::optional<SwitchLpResult> redistribute_on_switch(
-    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
-    const ResourcesValue& reserved, std::uint64_t* lp_solves) {
-  if (seeds.empty()) return SwitchLpResult{};
-  FARM_PROF_SCOPE("switch_lp");
-
+lp::Model redistribution_model(const SwitchModel& sw,
+                               const std::vector<PinnedSeed>& seeds,
+                               const ResourcesValue& reserved) {
   lp::Model m;
   m.set_maximize(true);
   const std::size_t R = almanac::kNumResources;
 
-  // Variables: res(s,d) then t(s) then pollres(p).
+  // Variables: res(s,d) then t(s) then pollres(p) — the layout
+  // redistribute_on_switch reads the solution by.
   std::vector<lp::VarId> res_base(seeds.size());
   std::vector<lp::VarId> t_var(seeds.size());
   for (std::size_t i = 0; i < seeds.size(); ++i) {
@@ -155,16 +153,26 @@ std::optional<SwitchLpResult> redistribute_on_switch(
   // Each seed's assumed PCIe share is also individually capped (C3 box
   // bound set at variable creation).
 
-  auto sol = lp::solve_lp(m);
+  return m;
+}
+
+std::optional<SwitchLpResult> redistribute_on_switch(
+    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
+    const ResourcesValue& reserved, std::uint64_t* lp_solves) {
+  if (seeds.empty()) return SwitchLpResult{};
+  FARM_PROF_SCOPE("switch_lp");
+
+  auto sol = lp::solve_lp(redistribution_model(sw, seeds, reserved));
   if (lp_solves) ++*lp_solves;
   if (sol.status != lp::SolveStatus::kOptimal) return std::nullopt;
 
+  const std::size_t R = almanac::kNumResources;
   SwitchLpResult out;
   out.utility = sol.objective;
   for (std::size_t i = 0; i < seeds.size(); ++i) {
-    out.allocs.push_back(
-        from_values(sol.values, static_cast<std::size_t>(res_base[i])));
-    out.utilities.push_back(sol.value(t_var[i]));
+    out.allocs.push_back(from_values(sol.values, i * R));
+    out.utilities.push_back(
+        sol.value(static_cast<lp::VarId>(seeds.size() * R + i)));
   }
   return out;
 }

@@ -24,9 +24,16 @@ struct SwitchLpResult {
   std::vector<double> utilities;
 };
 
-// Maximizes total utility of the pinned seeds on `sw` under (C2)-(C4),
-// with `reserved` capacity already consumed (migration residue).
-// Returns nullopt if the LP is infeasible.
+// The redistribution LP of the pinned seeds on `sw` under (C2)-(C4),
+// with `reserved` capacity already consumed (migration residue): the
+// 4 resource variables of seed i at 4i..4i+3, then one utility variable
+// per seed (its objective term), then one pollres per polling subject.
+lp::Model redistribution_model(const SwitchModel& sw,
+                               const std::vector<PinnedSeed>& seeds,
+                               const ResourcesValue& reserved);
+
+// Maximizes total utility of the pinned seeds on `sw`: solves
+// redistribution_model. Returns nullopt if the LP is infeasible.
 std::optional<SwitchLpResult> redistribute_on_switch(
     const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
     const ResourcesValue& reserved, std::uint64_t* lp_solves = nullptr);

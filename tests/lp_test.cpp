@@ -2,17 +2,79 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <limits>
 
+#include "dense_inverse.h"
 #include "dense_tableau.h"
 #include "lp/milp.h"
 #include "lp/simplex.h"
+#include "placement/generator.h"
+#include "placement/switch_lp.h"
 #include "util/rng.h"
 
 namespace farm::lp {
 namespace {
 
 constexpr double kTol = 1e-6;
+
+// Beale (1955): the classic LP on which Dantzig's rule cycles forever
+// under naive tie-breaking. Optimum -1/20 at x = (1/25, 0, 1, 0).
+Model beale_model() {
+  Model m;
+  m.set_maximize(false);
+  VarId x1 = m.add_continuous("x1", 0, kInf, -0.75);
+  VarId x2 = m.add_continuous("x2", 0, kInf, 150);
+  VarId x3 = m.add_continuous("x3", 0, kInf, -0.02);
+  VarId x4 = m.add_continuous("x4", 0, kInf, 6);
+  m.add_constraint("c1", {{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}},
+                   Sense::kLe, 0);
+  m.add_constraint("c2", {{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}},
+                   Sense::kLe, 0);
+  m.add_constraint("c3", {{x3, 1}}, Sense::kLe, 1);
+  return m;
+}
+
+// Thirty copies of the same binding constraint over six variables: every
+// ratio test is a 30-way tie. Optimum 1.05, all weight on the last one.
+Model thirty_copies_model() {
+  Model m;
+  std::vector<VarId> xs;
+  for (int j = 0; j < 6; ++j)
+    xs.push_back(m.add_continuous("x", 0, kInf, 1 + 0.01 * j));
+  for (int i = 0; i < 30; ++i) {
+    std::vector<Term> terms;
+    for (VarId x : xs) terms.push_back({x, 1.0});
+    m.add_constraint("cap", std::move(terms), Sense::kLe, 1);
+  }
+  return m;
+}
+
+// Random LPs mixing senses, finite/infinite upper bounds, lower-bound
+// shifts and objective signs.
+Model random_lp(util::Rng& rng) {
+  Model m;
+  m.set_maximize(rng.next_bool(0.5));
+  int n = static_cast<int>(rng.next_int(2, 10));
+  int k = static_cast<int>(rng.next_int(1, 8));
+  for (int j = 0; j < n; ++j) {
+    double ub = rng.next_bool(0.5) ? rng.next_double(1, 20) : kInf;
+    double lo = rng.next_bool(0.3) ? rng.next_double(0, 0.5) : 0;
+    m.add_continuous("x" + std::to_string(j), lo, ub, rng.next_double(-5, 5));
+  }
+  for (int i = 0; i < k; ++i) {
+    std::vector<Term> terms;
+    for (int j = 0; j < n; ++j)
+      if (rng.next_bool(0.5)) terms.push_back({j, rng.next_double(-2, 3)});
+    if (terms.empty()) terms.push_back({0, 1.0});
+    Sense sense = rng.next_bool(0.6)   ? Sense::kLe
+                  : rng.next_bool(0.5) ? Sense::kGe
+                                       : Sense::kEq;
+    m.add_constraint("c" + std::to_string(i), terms, sense,
+                     rng.next_double(-2, 8));
+  }
+  return m;
+}
 
 TEST(SimplexTest, SolvesTextbookMaximization) {
   // max 3x + 5y s.t. x <= 4, 2y <= 12, 3x + 2y <= 18  →  (2, 6), obj 36.
@@ -94,20 +156,9 @@ TEST(SimplexTest, RespectsUpperBounds) {
 }
 
 TEST(SimplexTest, SolvesDegenerateProblemWithoutCycling) {
-  // Classic Beale cycling example (with Dantzig rule simplex can cycle;
-  // the stall-triggered Bland fallback must terminate).
-  Model m;
-  m.set_maximize(false);
-  VarId x1 = m.add_continuous("x1", 0, kInf, -0.75);
-  VarId x2 = m.add_continuous("x2", 0, kInf, 150);
-  VarId x3 = m.add_continuous("x3", 0, kInf, -0.02);
-  VarId x4 = m.add_continuous("x4", 0, kInf, 6);
-  m.add_constraint("r1", {{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}},
-                   Sense::kLe, 0);
-  m.add_constraint("r2", {{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}},
-                   Sense::kLe, 0);
-  m.add_constraint("r3", {{x3, 1}}, Sense::kLe, 1);
-  auto s = solve_lp(m);
+  // With Dantzig's rule the simplex can cycle on Beale's example; the
+  // stall-triggered Bland fallback must terminate.
+  auto s = solve_lp(beale_model());
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, -0.05, 1e-6);
 }
@@ -273,49 +324,29 @@ TEST(MilpTest, MatchesBruteForceOnRandomBinaryPrograms) {
 }
 
 TEST(SimplexTest, TerminatesOnBealeCyclingExample) {
-  // Beale (1955): the classic LP on which Dantzig's rule cycles forever
-  // under naive tie-breaking. The stall counter must hand over to Bland's
-  // rule — and Bland's leaving-row ties must be exact, or the termination
-  // proof does not apply. Optimum -1/20 at x = (1/25, 0, 1, 0).
-  Model m;
-  m.set_maximize(false);
-  VarId x1 = m.add_continuous("x1", 0, kInf, -0.75);
-  VarId x2 = m.add_continuous("x2", 0, kInf, 150);
-  VarId x3 = m.add_continuous("x3", 0, kInf, -0.02);
-  VarId x4 = m.add_continuous("x4", 0, kInf, 6);
-  m.add_constraint("c1", {{x1, 0.25}, {x2, -60}, {x3, -0.04}, {x4, 9}},
-                   Sense::kLe, 0);
-  m.add_constraint("c2", {{x1, 0.5}, {x2, -90}, {x3, -0.02}, {x4, 3}},
-                   Sense::kLe, 0);
-  m.add_constraint("c3", {{x3, 1}}, Sense::kLe, 1);
+  // The stall counter must hand over to Bland's rule — and Bland's
+  // leaving-row ties must be exact, or the termination proof does not
+  // apply.
+  Model m = beale_model();
   LpOptions opt;
   opt.max_iterations = 10000;  // cycling would exhaust this
   auto s = solve_lp(m, opt);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, -0.05, kTol);
-  EXPECT_NEAR(s.value(x1), 0.04, kTol);
-  EXPECT_NEAR(s.value(x3), 1, kTol);
+  EXPECT_NEAR(s.value(0), 0.04, kTol);  // x1
+  EXPECT_NEAR(s.value(2), 1, kTol);     // x3
 }
 
 TEST(SimplexTest, MassivelyDegenerateTiesStayFeasible) {
-  // Thirty copies of the same binding constraint make every ratio-test a
-  // 30-way tie. The old eps-window tie-break let best_ratio drift upward
-  // across chained near-ties, leaving slightly negative basics; the
-  // two-pass exact-minimum test must return a feasible optimum.
-  Model m;
-  std::vector<VarId> xs;
-  for (int j = 0; j < 6; ++j)
-    xs.push_back(m.add_continuous("x", 0, kInf, 1 + 0.01 * j));
-  for (int i = 0; i < 30; ++i) {
-    std::vector<Term> terms;
-    for (VarId x : xs) terms.push_back({x, 1.0});
-    m.add_constraint("cap", std::move(terms), Sense::kLe, 1);
-  }
+  // The old eps-window tie-break let best_ratio drift upward across
+  // chained near-ties, leaving slightly negative basics; the two-pass
+  // exact-minimum test must return a feasible optimum.
+  Model m = thirty_copies_model();
   auto s = solve_lp(m);
   ASSERT_EQ(s.status, SolveStatus::kOptimal);
   EXPECT_NEAR(s.objective, 1.05, kTol);  // all weight on the best variable
   double total = 0;
-  for (VarId x : xs) {
+  for (VarId x = 0; x < 6; ++x) {
     EXPECT_GE(s.value(x), -1e-9);  // no negative basics from ratio drift
     total += s.value(x);
   }
@@ -324,35 +355,15 @@ TEST(SimplexTest, MassivelyDegenerateTiesStayFeasible) {
 
 // --- Revised sparse simplex vs the dense tableau oracle ----------------------
 
-// Random LPs mixing senses, finite/infinite upper bounds, and objective
-// signs: solve_lp and the dense oracle (dense_tableau.h) must agree on
-// status and (when optimal) on the objective, and the sparse solution must
-// satisfy the model exactly like the dense one.
+// On random_lp instances, solve_lp and the dense oracle (dense_tableau.h)
+// must agree on status and (when optimal) on the objective, and the
+// sparse solution must satisfy the model exactly like the dense one.
 TEST(SimplexTest, SparseAndDenseAgreeOnRandomInstances) {
   util::Rng rng(2024);
   int optimal = 0;
   for (int trial = 0; trial < 60; ++trial) {
-    Model m;
-    m.set_maximize(rng.next_bool(0.5));
-    int n = static_cast<int>(rng.next_int(2, 10));
-    int k = static_cast<int>(rng.next_int(1, 8));
-    for (int j = 0; j < n; ++j) {
-      double ub = rng.next_bool(0.5) ? rng.next_double(1, 20) : kInf;
-      double lo = rng.next_bool(0.3) ? rng.next_double(0, 0.5) : 0;
-      m.add_continuous("x" + std::to_string(j), lo, ub,
-                       rng.next_double(-5, 5));
-    }
-    for (int i = 0; i < k; ++i) {
-      std::vector<Term> terms;
-      for (int j = 0; j < n; ++j)
-        if (rng.next_bool(0.5)) terms.push_back({j, rng.next_double(-2, 3)});
-      if (terms.empty()) terms.push_back({0, 1.0});
-      Sense sense = rng.next_bool(0.6)   ? Sense::kLe
-                    : rng.next_bool(0.5) ? Sense::kGe
-                                         : Sense::kEq;
-      m.add_constraint("c" + std::to_string(i), terms, sense,
-                       rng.next_double(-2, 8));
-    }
+    Model m = random_lp(rng);
+    const int n = static_cast<int>(m.num_vars());
     auto a = solve_lp(m);
     auto b = solve_lp_dense(m);
     ASSERT_EQ(a.status, b.status) << "trial " << trial;
@@ -368,12 +379,104 @@ TEST(SimplexTest, SparseAndDenseAgreeOnRandomInstances) {
     for (const auto& c : m.constraints()) {
       double lhs = 0;
       for (const auto& t : c.terms) lhs += t.coeff * a.value(t.var);
-      if (c.sense == Sense::kLe) EXPECT_LE(lhs, c.rhs + 1e-6);
-      if (c.sense == Sense::kGe) EXPECT_GE(lhs, c.rhs - 1e-6);
-      if (c.sense == Sense::kEq) EXPECT_NEAR(lhs, c.rhs, 1e-6);
+      if (c.sense == Sense::kLe) {
+        EXPECT_LE(lhs, c.rhs + 1e-6);
+      }
+      if (c.sense == Sense::kGe) {
+        EXPECT_GE(lhs, c.rhs - 1e-6);
+      }
+      if (c.sense == Sense::kEq) {
+        EXPECT_NEAR(lhs, c.rhs, 1e-6);
+      }
     }
   }
   EXPECT_GE(optimal, 10) << "suite degenerated: too few optimal instances";
+}
+
+// k×k circulant LPs: every row and column is a cyclic shift of one
+// vector of decimal coefficients and every cost is equal, so pricing
+// meets exact mathematical ties that the last bit of y decides. A kernel
+// that sums y or a reduced cost in another order than the dense sweep
+// takes a different pivot on some of them.
+Model circulant_lp(util::Rng& rng) {
+  static constexpr double kValues[] = {0.1, 0.2, 0.3, 0.7, 1.1, 1.3, 0.6, 0};
+  const int k = static_cast<int>(rng.next_int(3, 13));
+  std::vector<double> v(static_cast<std::size_t>(k));
+  for (double& x : v) x = kValues[rng.next_below(8)];
+  const double cost = kValues[rng.next_below(7)];
+  const double rhs = 10 * kValues[rng.next_below(7)];
+  Model m;
+  for (int j = 0; j < k; ++j) m.add_continuous("x", 0, kInf, cost);
+  for (int i = 0; i < k; ++i) {
+    std::vector<Term> terms;
+    for (int j = 0; j < k; ++j)
+      if (double a = v[static_cast<std::size_t>((j - i + k) % k)]; a != 0)
+        terms.push_back({j, a});
+    if (terms.empty()) terms.push_back({i, 1.0});
+    m.add_constraint("c", std::move(terms), Sense::kLe, rhs);
+  }
+  return m;
+}
+
+// solve_lp skips only exact zeros of the basis inverse, y and w, so it
+// must reproduce the dense-inverse sweep (dense_inverse.h) bit for bit:
+// same status, same iteration count, same objective and value bytes.
+::testing::AssertionResult same_bits(const Model& m) {
+  const Solution a = solve_lp(m);
+  const Solution b = solve_lp_dense_inverse(m);
+  if (a.status != b.status)
+    return ::testing::AssertionFailure()
+           << "status " << static_cast<int>(a.status) << " vs "
+           << static_cast<int>(b.status);
+  if (a.simplex_iterations != b.simplex_iterations)
+    return ::testing::AssertionFailure()
+           << "iterations " << a.simplex_iterations << " vs "
+           << b.simplex_iterations;
+  if (std::memcmp(&a.objective, &b.objective, sizeof(double)) != 0)
+    return ::testing::AssertionFailure()
+           << "objective " << a.objective << " vs " << b.objective;
+  if (a.values.size() != b.values.size())
+    return ::testing::AssertionFailure() << "value count";
+  for (std::size_t j = 0; j < a.values.size(); ++j)
+    if (std::memcmp(&a.values[j], &b.values[j], sizeof(double)) != 0)
+      return ::testing::AssertionFailure()
+             << "value " << j << ": " << a.values[j] << " vs " << b.values[j];
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SimplexTest, IndexedKernelMatchesDenseInverseBitForBit) {
+  util::Rng rng(77);
+  for (int trial = 0; trial < 400; ++trial)
+    EXPECT_TRUE(same_bits(random_lp(rng))) << "random trial " << trial;
+  for (int trial = 0; trial < 300; ++trial)
+    EXPECT_TRUE(same_bits(circulant_lp(rng))) << "circulant trial " << trial;
+  EXPECT_TRUE(same_bits(beale_model())) << "Beale";
+  EXPECT_TRUE(same_bits(thirty_copies_model())) << "thirty copies";
+
+  // Redistribution LPs of 1..40 generated seeds pinned to one switch,
+  // sized so that most of them are feasible.
+  placement::GeneratorSpec spec;
+  spec.n_switches = 4;
+  spec.n_tasks = 10;
+  spec.seeds_per_task = 4;
+  spec.seed = 11;
+  const auto problem = placement::generate_problem(spec);
+  int optimal = 0;
+  for (std::size_t k = 1; k <= problem.seeds.size(); ++k) {
+    std::vector<placement::PinnedSeed> pinned;
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto& seed = problem.seeds[i];
+      pinned.push_back({&seed, static_cast<int>(i % seed.variants.size())});
+    }
+    placement::SwitchModel sw = problem.switches[k % problem.switches.size()];
+    sw.capacity.vCPU *= static_cast<double>(k + 3) / 4;
+    sw.capacity.RAM *= static_cast<double>(k + 3) / 4;
+    const Model m = placement::redistribution_model(sw, pinned, {});
+    EXPECT_TRUE(same_bits(m)) << k << " pinned seeds";
+    optimal += solve_lp(m).status == SolveStatus::kOptimal;
+  }
+  EXPECT_EQ(problem.seeds.size(), 40u);
+  EXPECT_GE(optimal, 30) << "too few feasible redistribution LPs";
 }
 
 TEST(SimplexTest, CellBudgetHelperBoundaryAndOverflow) {
