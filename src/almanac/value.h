@@ -74,6 +74,11 @@ struct ResourcesValue {
   static const std::vector<std::string>& field_names();
 };
 
+// The reference allocation: what a soil grants a seed deployed without
+// one, and where the seeder's and Sickle's poll analyses evaluate poll
+// intervals that are not linear in res().
+inline constexpr ResourcesValue kReferenceAlloc{1, 128, 32, 1};
+
 using ListValue = std::shared_ptr<std::vector<Value>>;
 
 // Sketch state (§VIII future-work extension): a count-min sketch, a

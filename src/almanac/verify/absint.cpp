@@ -22,6 +22,15 @@ constexpr double kOverflowMargin = 9.3e18;
 // Integral singletons beyond 2^53 lose precision in doubles; never fold.
 constexpr double kExactIntLimit = 9007199254740992.0;
 
+// Join count per state before widening kicks in.
+constexpr int kWidenAfter = 3;
+// Hard cap on handler transfer evaluations; the engine abandons the
+// fixpoint (hit_cap = true, no facts) rather than looping forever.
+constexpr int kIterationCap = 20000;
+// Abstract inlining depth for user-function calls; beyond it the callee
+// havocs machine registers and returns Top.
+constexpr int kMaxInlineDepth = 8;
+
 // Threshold ladder for widening: unstable bounds jump to the next rung
 // instead of straight to infinity, so loop guards like `i < 48` stay
 // provable after stabilization.
@@ -426,7 +435,7 @@ class Engine {
       const CompiledState* cs = m_.state(s);
       if (!cs) continue;
       for (const auto* ev : cs->events) {
-        if (++out_.iterations > opts_.iteration_cap) {
+        if (++out_.iterations > kIterationCap) {
           out_.hit_cap = true;
           return;
         }
@@ -452,7 +461,7 @@ class Engine {
             std::map<std::string, AbsVal> joined = it->second;
             join_maps(joined, result);
             int jc = ++join_count_[t];
-            if (jc > opts_.widen_after) {
+            if (jc > kWidenAfter) {
               for (auto& [k, v] : joined) {
                 auto old = it->second.find(k);
                 if (old != it->second.end()) {
@@ -488,7 +497,7 @@ class Engine {
       const CompiledState* cs = m_.state(s);
       if (!cs) continue;
       for (const auto* ev : cs->events) {
-        if (++out_.iterations > opts_.iteration_cap) {
+        if (++out_.iterations > kIterationCap) {
           out_.hit_cap = true;
           return;
         }
@@ -765,7 +774,7 @@ class Engine {
       AEnv next = join_envs(inv, body_env);
       if (env_same(next, inv)) break;
       ++it;
-      if (it >= opts_.widen_after) {
+      if (it >= kWidenAfter) {
         ++out_.widen_applications;
         inv = widen_envs(inv, next);
       } else {
@@ -1301,7 +1310,7 @@ class Engine {
       return AbsVal::top();  // unknown call: runtime error
     }
     eval_args();
-    if (inline_depth_ >= opts_.max_inline_depth || inlining_.count(f)) {
+    if (inline_depth_ >= kMaxInlineDepth || inlining_.count(f)) {
       env.havoc_machine();
       return AbsVal::top();
     }

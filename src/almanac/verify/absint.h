@@ -135,14 +135,6 @@ struct AbsintOptions {
   // Worst-case polled entry count (stats_size upper bound) — mirrors
   // VerifyOptions::max_ifaces.
   int max_ifaces = 48;
-  // Join count per state before widening kicks in.
-  int widen_after = 3;
-  // Hard cap on handler transfer evaluations; the engine abandons the
-  // fixpoint (hit_cap = true, no facts) rather than looping forever.
-  int iteration_cap = 20000;
-  // Abstract inlining depth for user-function calls; beyond it the callee
-  // havocs machine registers and returns Top.
-  int max_inline_depth = 8;
 };
 
 struct Analysis {

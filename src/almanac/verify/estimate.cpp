@@ -84,7 +84,7 @@ ResourceEstimate estimate_resources(const CompiledMachine& m,
   Env env = static_machine_env(m, opts.externals);
   std::vector<PollAnalysis> polls;
   try {
-    polls = analyze_polls(m, env, opts.reference_alloc);
+    polls = analyze_polls(m, env, kReferenceAlloc);
   } catch (const CompileError&) {
     est.pcie_analyzable = false;
     return est;
@@ -97,9 +97,9 @@ ResourceEstimate estimate_resources(const CompiledMachine& m,
     int entries = fp == net::Filter::kAllIfaces ? opts.max_ifaces
                   : fp > 0                      ? fp
                                                 : 1;
-    ResourcesValue generous = opts.reference_alloc;
+    ResourcesValue generous = kReferenceAlloc;
     generous.PCIe = opts.pcie_budget_mbps;
-    double inv = std::max(pa.inv_ival.eval(opts.reference_alloc),
+    double inv = std::max(pa.inv_ival.eval(kReferenceAlloc),
                           pa.inv_ival.eval(generous));
     if (inv <= 0) continue;
     est.pcie_mbps += inv * entries * kPollEntryBytes * 8.0 / 1e6;

@@ -15,7 +15,7 @@
 //   rate (evaluated at the reference allocation and at a full-PCIe-budget
 //   allocation, whichever is higher) must stay inside the 8 Mbps poll
 //   channel (RS002), and a single seed demanding more than
-//   pcie_warn_fraction of it is flagged early (RS003).
+//   kPcieWarnFraction of it is flagged early (RS003).
 //
 // Poll shape problems surface here too, because this pass is the one
 // running analyze_polls: PO001 when the analysis rejects the spec
@@ -37,6 +37,17 @@ namespace {
 // (kStatEntryBytes per polled entry). Kept as a literal so farm_almanac
 // does not grow a dependency on sim/cost_model.h.
 constexpr double kPollEntryBytes = 16;
+
+// RS003 fires when a seed's static poll demand exceeds this fraction of
+// the budget (a single seed hogging half the channel starves the rest).
+constexpr double kPcieWarnFraction = 0.5;
+
+// Per-switch sketch cell budget (counter cells a single seed's declared
+// sketches may pin; SketchSpec::cells). SK003 fires when the machine's
+// declared total exceeds it, with the DiSketch fragment count that would
+// fit as the remediation hint. Sized so the shipped sketch examples
+// (~20.5k cells) deploy monolithically.
+constexpr std::size_t kSketchCellBudget = 32768;
 
 }  // namespace
 
@@ -89,16 +100,16 @@ void pass_resources(const CompiledMachine& m, const VerifyOptions& opts,
     }
     sketch_cells += sa.spec.cells();
   }
-  if (sketch_cells > opts.sketch_cell_budget) {
+  if (sketch_cells > kSketchCellBudget) {
     SourceLoc loc;
     if (const MachineDecl* d = m.program->machine(m.name)) loc = d->loc;
     std::size_t frags =
-        (sketch_cells + opts.sketch_cell_budget - 1) / opts.sketch_cell_budget;
+        (sketch_cells + kSketchCellBudget - 1) / kSketchCellBudget;
     sink.error(codes::kSketchOverBudget, loc,
                "machine '" + m.name + "' declares " +
                    std::to_string(sketch_cells) +
                    " sketch cells, over the " +
-                   std::to_string(opts.sketch_cell_budget) +
+                   std::to_string(kSketchCellBudget) +
                    "-cell monitoring budget of a single switch",
                "shrink the sketches or fragment across >= " +
                    std::to_string(frags) +
@@ -108,7 +119,7 @@ void pass_resources(const CompiledMachine& m, const VerifyOptions& opts,
   // --- Polls / PCIe ----------------------------------------------------------
   std::vector<PollAnalysis> polls;
   try {
-    polls = analyze_polls(m, env, opts.reference_alloc);
+    polls = analyze_polls(m, env, kReferenceAlloc);
   } catch (const CompileError& e) {
     sink.error(codes::kPollNotAnalyzable, e.loc(),
                std::string("poll analysis failed: ") + e.what(),
@@ -141,9 +152,9 @@ void pass_resources(const CompiledMachine& m, const VerifyOptions& opts,
     // Worst-case poll rate: the allocation-dependent rate grows with the
     // grant, and a seed can be granted at most the whole poll budget on
     // the PCIe axis.
-    ResourcesValue generous = opts.reference_alloc;
+    ResourcesValue generous = kReferenceAlloc;
     generous.PCIe = opts.pcie_budget_mbps;
-    double inv = std::max(pa.inv_ival.eval(opts.reference_alloc),
+    double inv = std::max(pa.inv_ival.eval(kReferenceAlloc),
                           pa.inv_ival.eval(generous));
     if (inv <= 0) continue;  // analyze_polls already guarantees positivity
     total_mbps += inv * entries * kPollEntryBytes * 8.0 / 1e6;
@@ -160,12 +171,12 @@ void pass_resources(const CompiledMachine& m, const VerifyOptions& opts,
                    std::to_string(static_cast<int>(opts.pcie_budget_mbps)) +
                    " Mbps PCIe poll channel of a single switch",
                "raise the ival, narrow .what, or split the machine");
-  } else if (total_mbps > opts.pcie_warn_fraction * opts.pcie_budget_mbps) {
+  } else if (total_mbps > kPcieWarnFraction * opts.pcie_budget_mbps) {
     sink.warning(codes::kPcieNearBudget, loc,
                  "machine '" + m.name + "' statically needs " + buf +
                      " Mbps of poll bandwidth — more than " +
                      std::to_string(static_cast<int>(
-                         opts.pcie_warn_fraction * 100)) +
+                         kPcieWarnFraction * 100)) +
                      "% of a switch's PCIe poll channel, leaving little "
                      "room for co-located seeds",
                  "consider a longer ival or a narrower .what filter");

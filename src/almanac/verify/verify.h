@@ -84,25 +84,13 @@ struct VerifyOptions {
   // External-variable bindings (same role as TaskSpec::externals); unbound
   // externals fall back to their initializer, then the type default.
   std::unordered_map<std::string, Value> externals;
-  // Allocation used for non-linear poll-rate fallbacks (matches the
-  // seeder's reference).
-  ResourcesValue reference_alloc{1, 128, 32, 1};
   // Per-switch monitoring TCAM region a single seed must fit into
   // (SwitchConfig::tcam_monitoring_reserved default).
   int tcam_monitoring_capacity = 1024;
   // PCIe poll channel budget, §VI-A: 8 Mbps end to end.
   double pcie_budget_mbps = 8.0;
-  // RS003 fires when a seed's static poll demand exceeds this fraction of
-  // the budget (a single seed hogging half the channel starves the rest).
-  double pcie_warn_fraction = 0.5;
   // Worst-case polled entry count for `port ANY` subjects.
   int max_ifaces = 48;
-  // Per-switch sketch cell budget (counter cells a single seed's declared
-  // sketches may pin; SketchSpec::cells). SK003 fires when the machine's
-  // declared total exceeds it, with the DiSketch fragment count that would
-  // fit as the remediation hint. Sized so the shipped sketch examples
-  // (~20.5k cells) deploy monolithically.
-  std::size_t sketch_cell_budget = 32768;
 };
 
 // Runs all passes over one compiled machine. Diagnostics are ordered by

@@ -1,13 +1,16 @@
 #include "farm/scarecrow.h"
 
-#include <algorithm>
-
 #include "farm/system.h"
 #include "telemetry/prof.h"
 #include "telemetry/report.h"
 #include "util/log.h"
 
 namespace farm::core {
+
+namespace {
+// Leaves per pod group in the health tree; spines form their own group.
+constexpr std::size_t kPodLeaves = 4;
+}  // namespace
 
 std::vector<std::string> Scarecrow::default_rules() {
   return {
@@ -41,14 +44,13 @@ Scarecrow::Scarecrow(FarmSystem& system, ScarecrowConfig config)
     }
   }
 
-  // Static tree shape: spines in one group, leaves in pods of pod_leaves.
+  // Static tree shape: spines in one group, leaves in pods of kPodLeaves.
   const net::SpineLeaf& fabric = system_.fabric();
   health_.add_group("spines");
   for (net::NodeId n : fabric.spine_switches)
     health_.set_leaf(fabric.topo.node(n).name, "spines", 1);
-  const int per_pod = std::max(1, config_.pod_leaves);
   for (std::size_t i = 0; i < fabric.leaf_switches.size(); ++i) {
-    const std::string pod = "pod" + std::to_string(i / per_pod);
+    const std::string pod = "pod" + std::to_string(i / kPodLeaves);
     if (!health_.has_node(pod)) health_.add_group(pod);
     health_.set_leaf(fabric.topo.node(fabric.leaf_switches[i]).name, pod, 1);
   }

@@ -41,8 +41,6 @@ struct ScarecrowConfig {
   // Extra declarative rules (SloRule::parse grammar), applied after
   // default_rules(). Unparseable entries are skipped.
   std::vector<std::string> rules;
-  // Leaves per pod group in the health tree; spines form their own group.
-  int pod_leaves = 4;
 };
 
 class Scarecrow {

@@ -43,7 +43,6 @@ Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
   m_deployments_ = tel_->counter("seeder.deployments");
   m_migrations_ = tel_->counter("seeder.migrations");
   m_reoptimizes_ = tel_->counter("seeder.reoptimizes");
-  m_reopt_deferred_ = tel_->counter("seeder.reoptimizes_deferred");
   m_miss_ = tel_->counter("seeder.heartbeat_miss");
   m_transient_ = tel_->counter("seeder.transients");
   m_downtime_gauge_ = tel_->gauge("seeder.last_downtime_ms");
@@ -52,18 +51,6 @@ Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
   m_lint_rejected_ = tel_->counter("seed.lint.rejected");
   for (Soil* soil : soils_) {
     bus_.attach_soil(*soil);
-    soil->set_depletion_callback([this](Soil&) {
-      // Placement inputs changed (a soil's resources are depleting): the
-      // seeder re-optimizes. Depletions raised while a reoptimize is in
-      // flight used to be dropped on the floor on the assumption they were
-      // self-caused by the ongoing realization; a depletion caused by a
-      // concurrent event (failure mid-realize, a seed growing its own
-      // allocation) vanished with them. reoptimize() now defers re-entrant
-      // requests via a pending flag instead, and realize() skips no-op
-      // set_allocation calls so a self-caused depletion cannot re-arm the
-      // flag forever.
-      reoptimize();
-    });
     health_[soil->node()] = NodeHealth{engine_.now(), false};
   }
   if (options_.heartbeat_period.is_positive() && !soils_.empty()) {
@@ -228,8 +215,7 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
     // Step 3: polling analysis. The optimizer's polling resource is the
     // PCIe budget in Mbps, so the poll-rate polynomial 1/ival (polls/s) is
     // scaled by the per-poll transfer size: entries × 64 B × 8 bit.
-    almanac::ResourcesValue reference{1, 128, 32, 1};
-    auto polls = almanac::analyze_polls(cm, env, reference);
+    auto polls = almanac::analyze_polls(cm, env, almanac::kReferenceAlloc);
     int max_ifaces = 1;
     for (const Soil* soil : soils_)
       max_ifaces = std::max(
@@ -263,7 +249,7 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
 placement::PlacementProblem Seeder::build_problem() const {
   // Where each seed runs, from one pass over the soils' seed lists. The
   // first soil holding an id wins, as in deployed_at. Nothing below
-  // raises a callback, so no seed moves while the index is in use.
+  // deploys or undeploys, so no seed moves while the index is in use.
   std::unordered_map<std::reference_wrapper<const SeedId>,
                      std::pair<Soil*, Seed*>, SeedIdHash,
                      std::equal_to<SeedId>>
@@ -332,6 +318,9 @@ void Seeder::realize(const placement::PlacementResult& result) {
         if (current) soil_at(*current)->undeploy(ps.id);
         continue;
       }
+      // A seed in transfer runs at its source until the transfer lands and
+      // the landing re-solves; scheduling its move again would ship it twice.
+      if (in_transfer_.count(key)) continue;
       const placement::PlacementEntry& e = *it->second;
       Soil* target = soil_at(e.node);
       FARM_CHECK_MSG(target != nullptr, "placement chose unmanaged switch");
@@ -342,11 +331,9 @@ void Seeder::realize(const placement::PlacementResult& result) {
         continue;
       }
       if (*current == e.node) {
-        // Skip byte-identical re-allocations. Beyond saving the soil
-        // round-trip, this is what lets the deferred-reoptimize loop
-        // terminate: set_allocation on a >90%-utilized soil re-fires the
-        // depletion callback, so a realization that changes nothing must
-        // not touch the soil or it would re-arm the pending flag forever.
+        // Skip byte-identical re-allocations: set_allocation fires the
+        // seed's realloc handler, which the simulation observes, so a grant
+        // that changes nothing must not reach the soil.
         Seed* running = target->find(ps.id);
         if (!running || !(target->allocation(*running) == e.alloc))
           target->set_allocation(ps.id, e.alloc);
@@ -367,75 +354,47 @@ void Seeder::realize(const placement::PlacementResult& result) {
       ++migrations_;
       tel_->add(m_migrations_);
       tel_->observe(m_transfer_hist_, transfer.millis());
+      in_transfer_.insert(key);
       SeedId id = ps.id;
       auto image = ps.image;
       auto externals = ps.externals;
       auto alloc = e.alloc;
-      engine_.schedule_after(
-          transfer, [this, id, image, externals, alloc, source, target] {
-            // The source seed's latest state travels; re-snapshot at
-            // completion time for fidelity.
-            Seed* still = source->find(id);
-            if (!still) return;  // undeployed meanwhile
-            // The target died mid-transfer: keep the seed at the source and
-            // let the next reoptimize find it a new home.
-            if (!target->online()) return;
-            runtime::SeedSnapshot latest = still->snapshot();
-            source->undeploy(id);
-            target->deploy(id, image, externals, alloc, &latest);
-          });
+      engine_.schedule_after(transfer, [this, key, id, image, externals, alloc,
+                                        source, target] {
+        // remove_task cancelled the transfer along with its seeds.
+        if (!in_transfer_.erase(key)) return;
+        // The source seed's latest state travels; re-snapshot at
+        // completion time for fidelity.
+        Seed* still = source->find(id);
+        if (!still) return;  // undeployed meanwhile
+        // The target died mid-transfer: keep the seed at the source and
+        // let the next reoptimize find it a new home.
+        if (!target->online()) return;
+        runtime::SeedSnapshot latest = still->snapshot();
+        source->undeploy(id);
+        target->deploy(id, image, externals, alloc, &latest);
+        // The seed's residue at the source is released: the placement's
+        // input changed, so re-solve.
+        reoptimize();
+      });
     }
   }
 }
 
-void Seeder::reoptimize_once() {
+void Seeder::reoptimize() {
+  // Soils and seeds reach the seeder only through scheduled events, so a
+  // pass never starts inside another: re-entry would realize a placement
+  // solved against a fabric the outer pass is still changing.
+  FARM_CHECK_MSG(!reoptimizing_, "reoptimize re-entered");
+  reoptimizing_ = true;
   tel_->add(m_reoptimizes_);
   // The solve itself is host computation (zero virtual time); the span marks
   // *when* placement ran so traces correlate it with the triggering fault.
   telemetry::ScopedSpan span(*tel_, track_, "reoptimize");
   FARM_PROF_SCOPE("reoptimize");
-  auto problem = build_problem();
-  if (options_.use_milp) {
-    placement::MilpPlacementOptions mo;
-    mo.timeout_seconds = options_.milp_timeout_seconds;
-    last_ = placement::solve_milp_placement(problem, mo);
-  } else {
-    last_ = placement::solve_heuristic(problem, {.memo = &memo_});
-  }
+  last_ = placement::solve_heuristic(build_problem(), {.memo = &memo_});
   realize(last_);
-}
-
-void Seeder::reoptimize() {
-  if (reoptimizing_) {
-    // A re-placement request landed while one is already in flight (e.g. a
-    // switch failed during realize, or a deploy pushed a soil into
-    // depletion). Dropping it here — the old behavior — lost the request
-    // for good; recursing would corrupt the in-flight realization. Defer:
-    // every such request coalesces into one pass after the current one.
-    reoptimize_pending_ = true;
-    tel_->add(m_reopt_deferred_);
-    return;
-  }
-  reoptimizing_ = true;
-  // Bounded drain: the first iteration serves this call, later ones serve
-  // requests deferred during it. Each deferred pass re-solves against the
-  // post-realization fabric, so a quiescent system reaches the solver's
-  // fixed point and realize() (which skips no-op allocations) raises no
-  // further depletions. The cap is a safety net against a pathological
-  // non-converging solve; a request still pending at the cap stays
-  // recorded and is served by the next trigger.
-  constexpr int kMaxPasses = 4;
-  int passes = 0;
-  do {
-    reoptimize_pending_ = false;
-    if (passes > 0) ++deferred_reoptimizes_;
-    reoptimize_once();
-  } while (reoptimize_pending_ && ++passes < kMaxPasses);
   reoptimizing_ = false;
-  if (reoptimize_pending_) {
-    FARM_LOG(kWarn) << "seeder: reoptimize still pending after " << kMaxPasses
-                    << " passes; deferring to the next trigger";
-  }
 }
 
 bool Seeder::lint_intake(const TaskSpec& spec) {
@@ -504,8 +463,10 @@ void Seeder::remove_task(const std::string& name) {
   FARM_PROF_SCOPE("seeder/remove");
   auto it = tasks_.find(name);
   if (it == tasks_.end()) return;
-  for (const auto& ps : it->second.seeds)
+  for (const auto& ps : it->second.seeds) {
     if (auto node = deployed_at(ps.id)) soil_at(*node)->undeploy(ps.id);
+    in_transfer_.erase(ps.id.to_string());
+  }
   tasks_.erase(it);
   reoptimize();
 }

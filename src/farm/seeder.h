@@ -5,22 +5,22 @@
 //      and candidate sets N^s;
 //   2. analyze `util` → resource constraints C^s and utility u^s;
 //   3. analyze poll variables → subjects (φ_enc) and interval functions.
-// The results feed the global placement optimizer (Algorithm 1 by default,
-// or the MILP for comparison); the seeder then realizes the optimizer's
-// output: deploys new seeds, reallocates resources, and live-migrates
-// moved seeds (description first, then state; execution resumes at the
-// target once the state arrived — §V-B).
+// The results feed the global placement optimizer (Algorithm 1); the
+// seeder then realizes the optimizer's output: deploys new seeds,
+// reallocates resources, and live-migrates moved seeds (description first,
+// then state; execution resumes at the target once the state arrived —
+// §V-B).
 #pragma once
 
 #include <memory>
 #include <optional>
 #include <string>
 #include <unordered_map>
+#include <unordered_set>
 #include <vector>
 
 #include "almanac/verify/verify.h"
 #include "placement/memo.h"
-#include "placement/milp_placement.h"
 #include "runtime/bus.h"
 #include "runtime/soil.h"
 
@@ -42,9 +42,6 @@ struct TaskSpec {
 };
 
 struct SeederOptions {
-  // Use the Algorithm-1 heuristic (default) or the MILP.
-  bool use_milp = false;
-  double milp_timeout_seconds = 10;
   // Heartbeat-based switch failure detection (§II-C b: the seeder must
   // notice dead switches and re-place their seeds). A switch is declared
   // dead after three silent periods. Zero disables probing.
@@ -71,17 +68,16 @@ class Seeder {
   // Tasks rejected by the Sickle gate since construction.
   std::uint64_t lint_rejections() const { return lint_rejections_; }
   void remove_task(const std::string& name);
-  // Re-runs global placement over all installed tasks (also triggered by
-  // soil resource-depletion notifications). A request arriving while a
-  // reoptimize is already in flight is not dropped: it sets a pending
-  // flag, and one deferred pass (coalescing every such request) runs
-  // after the in-flight one completes.
+  // Re-runs global placement over all installed tasks: one build → solve →
+  // realize pass. The seeder runs it once per control event (task install
+  // or removal, switch failure or recovery, a live migration landing);
+  // calling it from inside a pass aborts.
   void reoptimize();
 
   const placement::PlacementResult& last_placement() const { return last_; }
-  // Reoptimize requests that arrived mid-reoptimize and were deferred
-  // instead of dropped (an earlier seeder silently lost them).
-  std::uint64_t deferred_reoptimizes() const { return deferred_reoptimizes_; }
+  // Retired: every control event runs one pass, so no request is ever
+  // deferred. Always 0; kept only because farmbench still reports it.
+  std::uint64_t deferred_reoptimizes() const { return 0; }
   // The optimization input built from the currently installed tasks;
   // exposed so benchmarks can solve it with other algorithms.
   placement::PlacementProblem build_problem() const;
@@ -138,9 +134,6 @@ class Seeder {
   bool lint_intake(const TaskSpec& spec);
   // Elaborates a task spec into planned seeds (steps 1-3).
   std::vector<PlannedSeed> elaborate(const TaskSpec& spec);
-  // One build-problem + solve + realize pass (no re-entrancy handling;
-  // reoptimize() owns the guard and the deferred-pass loop).
-  void reoptimize_once();
   void realize(const placement::PlacementResult& result);
   Soil* soil_at(net::NodeId node) const;
   // Where a planned seed currently runs, if anywhere.
@@ -162,12 +155,11 @@ class Seeder {
   placement::SolveMemo memo_;
   std::uint64_t migrations_ = 0;
   std::uint64_t deployments_ = 0;
-  // True for the whole reoptimize (solve + realize), not just realize:
-  // re-entrant requests defer via reoptimize_pending_ instead of either
-  // recursing (solver state races) or being dropped (the old bug).
+  // True for the whole reoptimize (solve + realize); guards re-entry.
   bool reoptimizing_ = false;
-  bool reoptimize_pending_ = false;
-  std::uint64_t deferred_reoptimizes_ = 0;
+  // Ids (SeedId::to_string) of seeds whose live migration is under way.
+  // realize() leaves them at their source until the transfer lands.
+  std::unordered_set<std::string> in_transfer_;
   std::vector<almanac::verify::Diagnostic> last_lint_;
   std::uint64_t lint_rejections_ = 0;
 
@@ -189,7 +181,6 @@ class Seeder {
   telemetry::MetricId m_deployments_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_migrations_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_reoptimizes_ = telemetry::kInvalidMetric;
-  telemetry::MetricId m_reopt_deferred_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_miss_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_transient_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_downtime_gauge_ = telemetry::kInvalidMetric;

@@ -68,8 +68,7 @@ std::vector<Soil*> FarmSystem::soils() {
 void FarmSystem::load_traffic(net::FlowSchedule schedule) {
   if (driver_) driver_->stop();
   driver_ = std::make_unique<asic::TrafficDriver>(
-      engine_, fabric_.topo, by_node_, std::move(schedule),
-      config_.traffic_tick);
+      engine_, fabric_.topo, by_node_, std::move(schedule));
   driver_->start();
 }
 

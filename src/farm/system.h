@@ -28,7 +28,6 @@ struct FarmSystemConfig {
   SeederOptions seeder;
   // Scarecrow SLO alerting + health scoring over this system's telemetry.
   ScarecrowConfig scarecrow;
-  sim::Duration traffic_tick = sim::Duration::ms(1);
   // Hub geometry (event-ring and span-track capacity). Telemetry itself is
   // switched off only at compile time (FARM_TELEMETRY=OFF).
   telemetry::HubConfig hub;

@@ -12,6 +12,9 @@ namespace farm::lp {
 namespace {
 
 constexpr double kIntTol = 1e-6;
+// Relative optimality gap at which search stops.
+constexpr double kMipGap = 1e-6;
+constexpr std::uint64_t kMaxNodes = 5'000'000;
 
 class BranchAndBound {
  public:
@@ -76,7 +79,7 @@ class BranchAndBound {
 };
 
 Solution BranchAndBound::solve_node() {
-  LpOptions lp = opt_.lp;
+  LpOptions lp;
   lp.deadline_seconds = std::max(0.0, remaining());
   return solve_lp(work_.snapshot(), lp);
 }
@@ -121,7 +124,7 @@ void BranchAndBound::try_rounding(const Solution& relax) {
 
 void BranchAndBound::dive(int depth) {
   if (stopped_) return;
-  if (remaining() <= 0 || nodes_ >= opt_.max_nodes) {
+  if (remaining() <= 0 || nodes_ >= kMaxNodes) {
     stopped_ = true;
     return;
   }
@@ -140,7 +143,7 @@ void BranchAndBound::dive(int depth) {
   // Bound pruning against the incumbent.
   if (incumbent_) {
     double cut = incumbent_->objective;
-    double tol = opt_.mip_gap * std::max(1.0, std::abs(cut));
+    double tol = kMipGap * std::max(1.0, std::abs(cut));
     if (work_.base.maximize() ? relax.objective <= cut + tol
                               : relax.objective >= cut - tol) {
       FARM_PROF_COUNT("lp.milp.pruned", 1);
@@ -200,7 +203,7 @@ Solution BranchAndBound::run() {
 }  // namespace
 
 Solution solve_milp(const Model& model, const MilpOptions& options) {
-  if (!model.has_integrality()) return solve_lp(model, options.lp);
+  if (!model.has_integrality()) return solve_lp(model);
   FARM_PROF_SCOPE("milp");
   BranchAndBound bb(model, options);
   return bb.run();

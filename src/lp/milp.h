@@ -13,10 +13,6 @@ namespace farm::lp {
 
 struct MilpOptions {
   double timeout_seconds = 60;
-  // Relative optimality gap at which search stops.
-  double mip_gap = 1e-6;
-  std::uint64_t max_nodes = 5'000'000;
-  LpOptions lp;
 };
 
 Solution solve_milp(const Model& model, const MilpOptions& options = {});

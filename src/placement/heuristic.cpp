@@ -25,36 +25,6 @@ constexpr double kBenefitEps = 1e-9;
 // solve; keeps it subquadratic on 10k-seed instances.
 constexpr std::size_t kMaxMigrationEvals = 5000;
 
-double res_dim(const ResourcesValue& r, std::size_t d) {
-  switch (d) {
-    case almanac::kVCpu:
-      return r.vCPU;
-    case almanac::kRam:
-      return r.RAM;
-    case almanac::kTcam:
-      return r.TCAM;
-    default:
-      return r.PCIe;
-  }
-}
-
-void add_dim(ResourcesValue& r, std::size_t d, double v) {
-  switch (d) {
-    case almanac::kVCpu:
-      r.vCPU += v;
-      break;
-    case almanac::kRam:
-      r.RAM += v;
-      break;
-    case almanac::kTcam:
-      r.TCAM += v;
-      break;
-    default:
-      r.PCIe += v;
-      break;
-  }
-}
-
 struct SwitchState {
   const SwitchModel* model = nullptr;
   ResourcesValue used{};                       // min-alloc + residue charges
@@ -96,7 +66,7 @@ struct SwitchState {
               const ResourcesValue& alloc) {
     for (std::size_t d = 0; d < almanac::kNumResources; ++d) {
       if (d == almanac::kPcie) continue;
-      add_dim(used, d, res_dim(alloc, d));
+      res_dim(used, d) += res_dim(alloc, d);
     }
     for (const auto& p : seed.polls) {
       double demand = model->alpha_poll * p.inv_ival.eval(alloc);
@@ -112,7 +82,7 @@ struct SwitchState {
   void charge_residue(const ResourcesValue& alloc) {
     for (std::size_t d = 0; d < almanac::kNumResources; ++d) {
       if (d == almanac::kPcie) continue;
-      add_dim(used, d, res_dim(alloc, d));
+      res_dim(used, d) += res_dim(alloc, d);
     }
   }
 
@@ -316,7 +286,7 @@ PlacementResult solve_once(const PlacementProblem& problem,
         st.remove(s->id);
         for (std::size_t dd = 0; dd < almanac::kNumResources; ++dd) {
           if (dd == almanac::kPcie) continue;
-          add_dim(st.used, dd, -res_dim(d.min_alloc, dd));
+          res_dim(st.used, dd) -= res_dim(d.min_alloc, dd);
         }
         // Poll demand / residue over-accounting after rollback is accepted:
         // it only makes the remaining greedy slightly conservative.

@@ -11,23 +11,6 @@
 
 namespace farm::placement {
 
-namespace {
-
-double res_dim(const ResourcesValue& r, std::size_t d) {
-  switch (d) {
-    case almanac::kVCpu:
-      return r.vCPU;
-    case almanac::kRam:
-      return r.RAM;
-    case almanac::kTcam:
-      return r.TCAM;
-    default:
-      return r.PCIe;
-  }
-}
-
-}  // namespace
-
 PlacementResult first_fit_placement(const PlacementProblem& problem) {
   PlacementResult out;
   std::unordered_map<net::NodeId, ResourcesValue> used;
@@ -296,9 +279,7 @@ PlacementResult solve_milp_placement(const PlacementProblem& problem,
   }
 
   // --- Solve -----------------------------------------------------------------
-  lp::MilpOptions mo = options.milp;
-  mo.timeout_seconds = options.timeout_seconds;
-  auto sol = lp::solve_milp(m, mo);
+  auto sol = lp::solve_milp(m, {.timeout_seconds = options.timeout_seconds});
 
   PlacementResult out;
   out.milp_nodes = sol.nodes_explored;

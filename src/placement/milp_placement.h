@@ -17,7 +17,6 @@ namespace farm::placement {
 
 struct MilpPlacementOptions {
   double timeout_seconds = 60;
-  lp::MilpOptions milp;  // inner solver knobs (gap, node limit, …)
 };
 
 PlacementResult solve_milp_placement(const PlacementProblem& problem,

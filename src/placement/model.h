@@ -23,6 +23,23 @@ using almanac::Poly;
 using almanac::ResourcesValue;
 using almanac::UtilityVariant;
 
+// Dimension d (almanac::kVCpu, kRam, kTcam, kPcie) of a resource vector.
+inline double& res_dim(ResourcesValue& r, std::size_t d) {
+  switch (d) {
+    case almanac::kVCpu:
+      return r.vCPU;
+    case almanac::kRam:
+      return r.RAM;
+    case almanac::kTcam:
+      return r.TCAM;
+    default:
+      return r.PCIe;
+  }
+}
+inline double res_dim(const ResourcesValue& r, std::size_t d) {
+  return res_dim(const_cast<ResourcesValue&>(r), d);
+}
+
 struct PollModel {
   // φ_enc subject key; polls with equal keys on the same switch aggregate.
   std::string subject;

@@ -8,19 +8,6 @@ namespace farm::placement {
 
 namespace {
 
-double res_dim(const ResourcesValue& r, std::size_t d) {
-  switch (d) {
-    case almanac::kVCpu:
-      return r.vCPU;
-    case almanac::kRam:
-      return r.RAM;
-    case almanac::kTcam:
-      return r.TCAM;
-    default:
-      return r.PCIe;
-  }
-}
-
 ResourcesValue from_values(const std::vector<double>& v, std::size_t base) {
   return ResourcesValue{v[base + almanac::kVCpu], v[base + almanac::kRam],
                         v[base + almanac::kTcam], v[base + almanac::kPcie]};

@@ -10,23 +10,6 @@
 
 namespace farm::placement {
 
-namespace {
-
-double res_dim(const ResourcesValue& r, std::size_t d) {
-  switch (d) {
-    case almanac::kVCpu:
-      return r.vCPU;
-    case almanac::kRam:
-      return r.RAM;
-    case almanac::kTcam:
-      return r.TCAM;
-    default:
-      return r.PCIe;
-  }
-}
-
-}  // namespace
-
 double recompute_utility(const PlacementProblem& problem,
                          const PlacementResult& result) {
   std::unordered_map<std::string, const SeedModel*> seed_by_id;

@@ -76,12 +76,11 @@ Seed* Soil::deploy(SeedId id, std::shared_ptr<MachineImage> image,
   Seed* raw = seed.get();
   seeds_.push_back(std::move(seed));
   allocations_[raw->id().to_string()] =
-      allocation.value_or(config_.default_alloc);
+      allocation.value_or(almanac::kReferenceAlloc);
   if (snapshot)
     raw->start_from(*snapshot);
   else
     raw->start();
-  check_depletion();
   return raw;
 }
 
@@ -114,7 +113,7 @@ std::vector<Seed*> Soil::seeds() {
 
 ResourcesValue Soil::allocation(const Seed& seed) const {
   auto it = allocations_.find(seed.id().to_string());
-  return it == allocations_.end() ? config_.default_alloc : it->second;
+  return it == allocations_.end() ? almanac::kReferenceAlloc : it->second;
 }
 
 void Soil::set_allocation(const SeedId& id, const ResourcesValue& alloc) {
@@ -126,7 +125,6 @@ void Soil::set_allocation(const SeedId& id, const ResourcesValue& alloc) {
   // whose trigger specs were initialized from res() re-arm via the realloc
   // handler; independent of that, group periods get refreshed.
   refresh_triggers(*seed);
-  check_depletion();
 }
 
 ResourcesValue Soil::total_capacity() const {
@@ -135,26 +133,6 @@ ResourcesValue Soil::total_capacity() const {
       static_cast<double>(c.cpu_cores), static_cast<double>(c.ram_mb),
       static_cast<double>(c.tcam_monitoring_reserved),
       c.pcie_bandwidth_bps / 1e6};
-}
-
-ResourcesValue Soil::used_resources() const {
-  ResourcesValue used{};
-  for (const auto& [_, a] : allocations_) {
-    used.vCPU += a.vCPU;
-    used.RAM += a.RAM;
-    used.TCAM += a.TCAM;
-    used.PCIe += a.PCIe;
-  }
-  return used;
-}
-
-void Soil::check_depletion() {
-  if (!depletion_cb_) return;
-  ResourcesValue used = used_resources(), cap = total_capacity();
-  auto low = [](double u, double c) { return c > 0 && u > 0.9 * c; };
-  if (low(used.vCPU, cap.vCPU) || low(used.RAM, cap.RAM) ||
-      low(used.TCAM, cap.TCAM) || low(used.PCIe, cap.PCIe))
-    depletion_cb_(*this);
 }
 
 // --- Seed-facing services -------------------------------------------------------

@@ -38,8 +38,6 @@ struct SoilConfig {
   // (RPC); §V-A b / §VI-E.
   bool seeds_as_threads = true;
   bool aggregate_polls = true;
-  // Allocation granted to a seed when the seeder does not specify one.
-  ResourcesValue default_alloc{1, 128, 32, 1};
 };
 
 // Messaging fabric the soil hands remote sends to; implemented by the FARM
@@ -76,6 +74,7 @@ class Soil {
   void crash();
 
   // --- Seed lifecycle ------------------------------------------------------
+  // A seed deployed without an allocation gets almanac::kReferenceAlloc.
   Seed* deploy(SeedId id, std::shared_ptr<MachineImage> image,
                std::unordered_map<std::string, Value> externals,
                std::optional<ResourcesValue> allocation = std::nullopt,
@@ -90,11 +89,6 @@ class Soil {
   // Reallocates and fires the seed's realloc event (placement optimizer).
   void set_allocation(const SeedId& id, const ResourcesValue& alloc);
   ResourcesValue total_capacity() const;
-  ResourcesValue used_resources() const;
-  using DepletionCallback = std::function<void(Soil&)>;
-  void set_depletion_callback(DepletionCallback cb) {
-    depletion_cb_ = std::move(cb);
-  }
 
   // --- Called by seeds -----------------------------------------------------
   void seed_send(Seed& seed, const Value& payload, const SendTarget& target);
@@ -167,7 +161,6 @@ class Soil {
                          telemetry::SpanId span = telemetry::kInvalidSpan);
   sim::Duration comm_latency() const;
   sim::TaskId cpu_task_of(const Seed& seed) const;
-  void check_depletion();
   // Re-publishes the monitoring-region TCAM fill fraction gauge; called
   // wherever monitoring rules are installed or removed.
   void publish_tcam_occupancy();
@@ -189,7 +182,6 @@ class Soil {
   };
   std::unordered_map<std::string, PollGroup> groups_;
 
-  DepletionCallback depletion_cb_;
   util::Rng rng_;
   // Granary: per-soil metrics under "soil.<switch>.*" and poll-round spans
   // (PCIe issue → stats resolved) on the "soil.<switch>" track.

@@ -468,9 +468,9 @@ TEST(ChaosTest, TransientCrashIsRecordedWithoutDeclaringFailure) {
   }
 }
 
-// A seed whose utility grows with vCPU: the per-switch LP allocates the
-// whole core budget, so every deploy leaves the soil >90% utilized and
-// fires the depletion callback *during* the seeder's own realization.
+// A seed whose utility grows with vCPU: the per-switch LP grants it every
+// core the switch has left, so each deploy and each reallocation leaves
+// its soil more than 90% allocated.
 constexpr const char* kHungryAll = R"ALM(
 machine Hungry {
   place all;
@@ -482,65 +482,66 @@ machine Hungry {
 }
 )ALM";
 
-// Regression for the re-entrancy drop at the seeder's depletion callback:
-// re-placement requests raised while reoptimize() was in flight used to be
-// silently discarded. Installing a vCPU-hungry task makes every deploy
-// trip the depletion threshold mid-realize; those requests must now
-// coalesce into (at least one, boundedly many) deferred reoptimize passes
-// instead of vanishing — and the deferred pass must terminate instead of
-// re-arming itself off its own no-op reallocations.
-TEST(ChaosTest, DepletionMidRealizeDefersOneReoptimizeInsteadOfDropping) {
+// Needs one core and gains nothing from more: beside kHungryAll it holds
+// exactly one core per switch, which its removal hands back.
+constexpr const char* kOneCoreAll = R"ALM(
+machine OneCore {
+  place all;
+  state run {
+    util (res) { if (res.vCPU >= 1) then { return 1; } }
+  }
+}
+)ALM";
+
+// Every control event runs exactly one placement pass: installing and
+// removing a task, the dead-switch verdict and the reboot recovery. The
+// seeder's own grants fill every soil, and a removal reallocates the
+// surviving seeds; none of that may start a second pass, and a quiet
+// window starts none.
+TEST(ChaosTest, EachControlEventRunsOnePlacementPass) {
+  if (!telemetry::Hub::compiled_in())
+    GTEST_SKIP() << "built with FARM_TELEMETRY=OFF";
   FarmSystem farm(FarmSystemConfig{
       .topology = {.spines = 2, .leaves = 2, .hosts_per_leaf = 1}});
-  auto ids = farm.install_task({.name = "hungry", .source = kHungryAll});
-  ASSERT_FALSE(ids.empty());
-  EXPECT_GE(farm.seeder().deferred_reoptimizes(), 1u)
-      << "mid-realize depletion was dropped, not deferred";
-  // Bounded: the deferred pass re-solves an unchanged problem, realizes
-  // nothing (no-op allocations are skipped), and so raises no further
-  // depletions — no runaway reoptimize loop.
-  EXPECT_LE(farm.seeder().deferred_reoptimizes(), 3u);
-  const std::uint64_t settled = farm.seeder().deferred_reoptimizes();
-  farm.run_for(Duration::sec(1));
-  EXPECT_EQ(farm.seeder().deferred_reoptimizes(), settled);
-}
-
-// The issue's chaos scenario: a switch fails in the middle of an ongoing
-// reoptimize. The re-placement request raised for it must survive the
-// in-flight solve (deferred, then served), and the fleet must converge —
-// heartbeat detection declares the victim dead and the seeds leave it.
-TEST(ChaosTest, SwitchFailureMidReoptimizeIsDeferredAndServed) {
-  FarmSystem farm(FarmSystemConfig{
-      .topology = {.spines = 2, .leaves = 3, .hosts_per_leaf = 1}});
   Seeder& seeder = farm.seeder();
-  net::NodeId trigger = farm.fabric().leaf_switches[0];
-  net::NodeId victim = farm.fabric().leaf_switches[1];
+  double seen = 0;
+  auto new_passes = [&] {
+    const double total =
+        farm.telemetry().query().label("seeder.reoptimizes").total();
+    const double n = total - seen;
+    seen = total;
+    return n;
+  };
 
-  // Replace the seeder's depletion callback on the trigger soil: the first
-  // depletion its deploy raises (guaranteed mid-realize by the hungry
-  // task) crashes the victim switch and requests a re-placement while the
-  // seeder is still realizing the previous one.
-  bool fired = false;
-  farm.soil(trigger).set_depletion_callback([&](Soil&) {
-    if (fired) return;
-    fired = true;
-    farm.soil(victim).crash();
-    farm.chassis(victim).power_off();
-    farm.topology_mut().set_node_state(victim, false);
-    seeder.reoptimize();  // mid-reoptimize: must defer, not drop or recurse
-  });
+  auto hungry = farm.install_task({.name = "hungry", .source = kHungryAll});
+  ASSERT_EQ(hungry.size(), farm.topology().switches().size());
+  EXPECT_EQ(new_passes(), 1) << "install";
+  ASSERT_EQ(farm.install_task({.name = "one", .source = kOneCoreAll}).size(),
+            hungry.size());
+  EXPECT_EQ(new_passes(), 1) << "install beside a running task";
 
-  farm.install_task({.name = "hungry", .source = kHungryAll});
-  ASSERT_TRUE(fired);
-  EXPECT_GE(seeder.deferred_reoptimizes(), 1u)
-      << "the mid-reoptimize request never ran";
+  Soil& soil = farm.soil(hosting_node(farm, hungry[0]));
+  const double shared = soil.allocation(*soil.find(hungry[0])).vCPU;
+  seeder.remove_task("one");
+  EXPECT_EQ(new_passes(), 1) << "removal";
+  // The removal reallocated: the hungry seed took the freed core.
+  EXPECT_GT(soil.allocation(*soil.find(hungry[0])).vCPU, shared);
 
-  // Heartbeats notice the crash; the post-detection reoptimize re-places
-  // the survivors and nothing runs on the dead switch.
-  farm.run_for(Duration::sec(2));
-  EXPECT_TRUE(seeder.node_failed(victim));
-  for (const auto& id : seeder.seeds_of_task("hungry"))
-    EXPECT_NE(hosting_node(farm, id), victim);
+  const net::NodeId victim = farm.fabric().leaf_switches[1];
+  sim::FaultPlan plan;
+  plan.crash_reboot(at(500), Duration::sec(2), victim);  // back up at 2.5 s
+  ChaosController chaos(farm, std::move(plan));
+  chaos.arm();
+  farm.run_for(Duration::ms(2000));
+  ASSERT_TRUE(seeder.node_failed(victim));
+  EXPECT_EQ(new_passes(), 1) << "crash verdict";
+  farm.run_for(Duration::ms(2000));
+  ASSERT_FALSE(seeder.node_failed(victim));
+  EXPECT_EQ(new_passes(), 1) << "reboot recovery";
+  EXPECT_EQ(seeder.seeds_of_task("hungry").size(), hungry.size());
+
+  farm.run_for(Duration::sec(1));
+  EXPECT_EQ(new_passes(), 0) << "quiet window";
 }
 
 }  // namespace

@@ -123,6 +123,95 @@ TEST(SeederTest, ReoptimizeIsStable) {
   EXPECT_EQ(farm.seeder().migrations_performed(), migrations_before);
 }
 
+// Needs one core while it warms up, then turns vCPU-hungry. Its allocation
+// stays at the one core it was granted, so an install that crowds its
+// switch can free that core by moving it to an idle one.
+constexpr const char* kMover = R"ALM(
+machine Mover {
+  place any a, b;
+  external long a = 0;
+  external long b = 0;
+  time tick = 0.01;
+  long n = 0;
+  state warm {
+    util (res) { if (res.vCPU >= 1) then { return 1; } }
+    when (tick as t) do {
+      n = n + 1;
+      if (n >= 3) then { transit hot; }
+    }
+  }
+  state hot {
+    util (res) { if (res.vCPU >= 0.5) then { return res.vCPU; } }
+    when (tick as t) do { n = n + 1; }
+  }
+}
+)ALM";
+
+// Three cores' worth of constant utility on switch `at`.
+constexpr const char* kSquatter = R"ALM(
+machine Squatter {
+  place any at;
+  external long at = 0;
+  state run {
+    util (res) { if (res.vCPU >= 3) then { return 10; } }
+  }
+}
+)ALM";
+
+TEST(SeederTest, InstallLiveMigratesSeedOnceAndResolvesOnLanding) {
+  FarmSystem farm(FarmSystemConfig{
+      .topology = {.spines = 1, .leaves = 2, .hosts_per_leaf = 1}});
+  Seeder& seeder = farm.seeder();
+  const net::NodeId l0 = farm.fabric().leaf_switches[0];
+  const net::NodeId l1 = farm.fabric().leaf_switches[1];
+  auto host_of = [&](const runtime::SeedId& id) {
+    for (net::NodeId n : {l0, l1})
+      if (farm.soil(n).find(id)) return n;
+    return net::kInvalidNode;
+  };
+  auto passes = [&] {
+    return farm.telemetry().query().label("seeder.reoptimizes").total();
+  };
+  auto ids = farm.install_task(
+      {"mover",
+       kMover,
+       {},
+       {{"a", Value(static_cast<std::int64_t>(l0))},
+        {"b", Value(static_cast<std::int64_t>(l1))}}});
+  ASSERT_EQ(ids.size(), 1u);
+  const net::NodeId source = host_of(ids[0]);
+  const net::NodeId target = source == l0 ? l1 : l0;
+  farm.run_for(Duration::ms(100));
+  const runtime::Seed* seed = farm.soil(source).find(ids[0]);
+  ASSERT_EQ(seed->current_state(), "hot");
+  const std::int64_t n_before = seed->env().find("n")->as_int();
+
+  // The squatter takes three of the source's four cores; the mover gains
+  // more on the idle leaf than it keeps at the source.
+  const std::uint64_t moves = seeder.migrations_performed();
+  farm.install_task({"squat",
+                     kSquatter,
+                     {},
+                     {{"at", Value(static_cast<std::int64_t>(source))}}});
+  EXPECT_EQ(seeder.migrations_performed(), moves + 1);
+  EXPECT_EQ(host_of(ids[0]), source) << "runs at the source until it lands";
+  // A pass while the state is in flight leaves the seed alone: the move
+  // is shipped and counted once.
+  seeder.reoptimize();
+  EXPECT_EQ(seeder.migrations_performed(), moves + 1);
+
+  const double before_landing = passes();
+  farm.run_for(Duration::ms(5));
+  ASSERT_EQ(host_of(ids[0]), target);
+  const runtime::Seed* moved = farm.soil(target).find(ids[0]);
+  EXPECT_EQ(moved->current_state(), "hot");
+  EXPECT_GE(moved->env().find("n")->as_int(), n_before);
+  EXPECT_EQ(seeder.migrations_performed(), moves + 1);
+  if (telemetry::Hub::compiled_in()) {
+    EXPECT_EQ(passes() - before_landing, 1) << "the landing re-solves once";
+  }
+}
+
 // --- End-to-end detection scenarios ------------------------------------------
 
 TEST(EndToEndTest, HeavyHitterDetectionAndMitigation) {

@@ -370,19 +370,6 @@ TEST(SoilTest, ProcessModeHasHigherDeliveryLatency) {
   EXPECT_GT(process_lat, thread_lat * 5);
 }
 
-TEST(SoilTest, DepletionCallbackFires) {
-  Rig rig;
-  auto& soil = rig.soil_of(rig.sl.leaf_switches[0]);
-  bool depleted = false;
-  soil.set_depletion_callback([&](Soil&) { depleted = true; });
-  // Default capacity: 4 vCPU. Allocate 2 seeds × 2 vCPU = 100% > 90%.
-  ResourcesValue big{2, 128, 8, 1};
-  soil.deploy({"t", "HH", 0}, rig.hh, {}, big);
-  EXPECT_FALSE(depleted);
-  soil.deploy({"t", "HH", 1}, rig.hh, {}, big);
-  EXPECT_TRUE(depleted);
-}
-
 TEST(SoilTest, SeedToSeedMessaging) {
   Rig rig;
   auto src = R"(

@@ -4,11 +4,14 @@
 // it — plus negative checks that benign traffic stays quiet.
 #include <gtest/gtest.h>
 
+#include <set>
+
 #include "farm/chaos.h"
 #include "farm/harvesters.h"
 #include "farm/system.h"
 #include "farm/usecases.h"
 #include "net/traffic.h"
+#include "placement/milp_placement.h"
 #include "sim/fault.h"
 
 namespace farm::core {
@@ -313,16 +316,21 @@ TEST(UseCaseE2E, SketchEntropyExtensionSignalsCollapse) {
   EXPECT_TRUE(collapse);
 }
 
-TEST(SeederMilp, MilpBackedSeederDeploysSmallFabric) {
-  FarmSystemConfig cfg;
-  cfg.topology = {.spines = 1, .leaves = 2, .hosts_per_leaf = 2};
-  cfg.seeder.use_milp = true;
-  cfg.seeder.milp_timeout_seconds = 10;
-  FarmSystem farm(cfg);
+// The MILP solves the problem the seeder builds from an installed task
+// (the comparison fig7 draws) and places one HH seed on every switch.
+TEST(SeederMilp, MilpPlacesSeederProblemOnSmallFabric) {
+  FarmSystem farm(FarmSystemConfig{
+      .topology = {.spines = 1, .leaves = 2, .hosts_per_leaf = 2}});
   const UseCase& hh = use_case("Heavy hitter (HH)");
-  auto ids = farm.install_task({"hh", hh.source, hh.machines, {}});
-  EXPECT_EQ(ids.size(), farm.topology().switches().size());
-  EXPECT_FALSE(farm.seeder().last_placement().placements.empty());
+  ASSERT_FALSE(farm.install_task({"hh", hh.source, hh.machines, {}}).empty());
+  const placement::PlacementProblem problem = farm.seeder().build_problem();
+  const placement::PlacementResult r =
+      placement::solve_milp_placement(problem, {.timeout_seconds = 10});
+  std::set<net::NodeId> nodes;
+  for (const auto& e : r.placements) nodes.insert(e.node);
+  EXPECT_EQ(r.placements.size(), farm.topology().switches().size());
+  EXPECT_EQ(nodes.size(), farm.topology().switches().size());
+  EXPECT_TRUE(placement::validate_placement(problem, r).empty());
 }
 
 }  // namespace
