@@ -61,7 +61,8 @@ int check(const std::string& path) {
       std::printf("\n");
       for (const auto& st : cm.states) {
         if (!st.util) continue;
-        auto ua = almanac::analyze_utility(*st.util);
+        if (const auto* err = st.utility_error()) throw *err;
+        const auto& ua = *st.utility_analysis();
         std::printf("  util[%s]: %zu variant(s)\n", st.name.c_str(),
                     ua.variants.size());
         for (const auto& v : ua.variants) {

@@ -681,7 +681,7 @@ std::vector<ResolvedSeed> resolve_places(const CompiledMachine& machine,
           std::vector<net::NodeId> matching;
           int len = static_cast<int>(path.size());
           for (int i = 0; i < len; ++i) {
-            int dist;
+            int dist = 0;
             switch (pl->anchor) {
               case PlaceDirective::Anchor::kSender:
                 dist = i;

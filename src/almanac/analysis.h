@@ -1,12 +1,14 @@
 // Static analyses over compiled machines (§III-B).
 //
-// The seeder runs three analyses before deployment:
+// Three analyses feed placement:
 //  1. analyze_utility — κ/ε interpretation of the util callback into
 //     resource constraints C^s(r) (linear polynomials, each required ≥ 0)
 //     and a utility u^s(r). `or` conditions, multiple ifs, and max() split
 //     into *variants* (the paper's "several copies, at most one placed");
 //     min() yields concave piecewise-linear utilities, which the LP handles
-//     exactly via epigraph variables.
+//     exactly via epigraph variables. It depends on the util body alone, so
+//     compilation runs it once per state and stores the result on the
+//     CompiledState (compile.h); every other reader takes it from there.
 //  2. resolve_places — π interpretation of place directives into seed
 //     candidate-switch sets N^s, using the SDN controller's path oracle.
 //  3. analyze_polls — per poll/probe trigger variable: the polling subject
@@ -22,8 +24,6 @@
 // sets; `all` yields one seed per matching node. Coverage is equivalent.
 #pragma once
 
-#include <array>
-#include <limits>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -34,83 +34,16 @@
 
 namespace farm::almanac {
 
-// The resource dimensions of the optimization model (matches
-// ResourcesValue::field_names(): vCPU, RAM, TCAM, PCIe).
-inline constexpr std::size_t kNumResources = 4;
-enum ResourceDim : std::size_t { kVCpu = 0, kRam = 1, kTcam = 2, kPcie = 3 };
-
-// Linear polynomial c0 + Σ coeff[i]·r_i over the resource dimensions.
-struct Poly {
-  double c0 = 0;
-  std::array<double, kNumResources> coeff{};
-
-  static Poly constant(double c) {
-    Poly p;
-    p.c0 = c;
-    return p;
-  }
-  static Poly var(std::size_t dim, double k = 1) {
-    Poly p;
-    p.coeff[dim] = k;
-    return p;
-  }
-  bool is_constant() const {
-    for (double c : coeff)
-      if (c != 0) return false;
-    return true;
-  }
-  double eval(const ResourcesValue& r) const {
-    return c0 + coeff[kVCpu] * r.vCPU + coeff[kRam] * r.RAM +
-           coeff[kTcam] * r.TCAM + coeff[kPcie] * r.PCIe;
-  }
-  Poly operator+(const Poly& o) const;
-  Poly operator-(const Poly& o) const;
-  Poly scaled(double k) const;
-  std::string to_string() const;
-};
-
-// One feasibility region + utility of a seed. Utility is the minimum of
-// `util_min_terms` (a single term ⇒ plain linear).
-struct UtilityVariant {
-  std::vector<Poly> constraints;  // each must be >= 0
-  std::vector<Poly> util_min_terms;
-
-  bool feasible(const ResourcesValue& r) const {
-    for (const auto& c : constraints)
-      if (c.eval(r) < -1e-9) return false;
-    return true;
-  }
-  double utility(const ResourcesValue& r) const {
-    double u = std::numeric_limits<double>::infinity();
-    for (const auto& t : util_min_terms) u = std::min(u, t.eval(r));
-    return util_min_terms.empty() ? 0 : u;
-  }
-};
-
-struct UtilityAnalysis {
-  std::vector<UtilityVariant> variants;
-
-  // Utility at an allocation: best feasible variant (the optimizer places
-  // at most one copy; evaluating takes the max over feasible regions).
-  double utility(const ResourcesValue& r) const {
-    double best = 0;
-    bool any = false;
-    for (const auto& v : variants)
-      if (v.feasible(r)) {
-        best = any ? std::max(best, v.utility(r)) : v.utility(r);
-        any = true;
-      }
-    return any ? best : 0;
-  }
-};
-
 // Analyzes a state's util callback. `param` inside the body exposes the
 // allocation; both `res.vCPU` (field on the parameter) and `res().vCPU`
 // forms are accepted. Throws CompileError on nonlinear constructs.
+// Compilation runs it on every state and stores the outcome
+// (CompiledState::utility).
 UtilityAnalysis analyze_utility(const UtilityDecl& util);
 
 // Default analysis for states without util: always placeable, utility 1
-// (a seed the operator deployed has baseline worth).
+// (a seed the operator deployed has baseline worth). Compilation stores it
+// for every such state.
 UtilityAnalysis default_utility();
 
 // --- Machine environment -----------------------------------------------------

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <unordered_set>
 
+#include "almanac/analysis.h"
+
 namespace farm::almanac {
 
 namespace {
@@ -233,7 +235,16 @@ std::optional<CompiledMachine> compile_machine_collect(
     }
     for (const auto* ev : machine_events)
       if (!sigs.count(event_signature(*ev))) cs.events.push_back(ev);
-    if (cs.util) check_util_restrictions_collect(*cs.util, sink);
+    if (cs.util) {
+      check_util_restrictions_collect(*cs.util, sink);
+      try {
+        cs.utility = analyze_utility(*cs.util);
+      } catch (const CompileError& e) {
+        cs.utility = e;
+      }
+    } else {
+      cs.utility = default_utility();
+    }
     out.states.push_back(std::move(cs));
   }
 

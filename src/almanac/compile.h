@@ -7,7 +7,10 @@
 //   - machine-level events merged into each state, with state-level
 //     handlers overriding same-signature machine handlers (§III-A b);
 //   - util bodies validated against the syntactic restrictions of
-//     §III-A f (if/return only; limited operators; only min/max calls).
+//     §III-A f (if/return only; limited operators; only min/max calls);
+//   - every state's util analyzed once (analyze_utility, §III-B b): the
+//     result, or the error that stops it, is part of the compiled state, so
+//     Sickle, the seeder and the seed runtime all read the same derivation.
 //
 // CompiledMachine borrows AST nodes from the Program, which must outlive it.
 #pragma once
@@ -15,9 +18,11 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <variant>
 #include <vector>
 
 #include "almanac/ast.h"
+#include "almanac/utility.h"
 #include "almanac/verify/diagnostics.h"
 
 namespace farm::almanac {
@@ -40,6 +45,18 @@ struct CompiledState {
   // State-level events first, then applicable (non-overridden)
   // machine-level events.
   std::vector<const EventDecl*> events;
+  // The util's analysis: default_utility() for a state without util, the
+  // CompileError when the util does not analyze. Compilation never fails
+  // on it; Sickle reports the error (UT001) and rejects the task.
+  std::variant<UtilityAnalysis, CompileError> utility;
+
+  // Null when the util does not analyze.
+  const UtilityAnalysis* utility_analysis() const {
+    return std::get_if<UtilityAnalysis>(&utility);
+  }
+  const CompileError* utility_error() const {
+    return std::get_if<CompileError>(&utility);
+  }
 };
 
 struct CompiledMachine {

@@ -408,7 +408,7 @@ Value Interpreter::eval_call(const Expr& e, Env& env) {
   for (const auto& a : e.args) args.push_back(eval(*a, env));
 
   bool handled = false;
-  Value v = builtin(e.name, args, env, e.loc, handled);
+  Value v = builtin(e.name, args, e.loc, handled);
   if (handled) return v;
   return call_function(e.name, std::move(args), env, e.loc);
 }
@@ -440,7 +440,7 @@ Value Interpreter::call_function(const std::string& name,
 }
 
 Value Interpreter::builtin(const std::string& name, std::vector<Value>& args,
-                           Env& env, SourceLoc loc, bool& handled) {
+                           SourceLoc loc, bool& handled) {
   handled = true;
   auto arity = [&](std::size_t n) {
     if (args.size() != n)

@@ -116,7 +116,7 @@ class Interpreter {
   Value eval_struct_init(const Expr& e, Env& env);
   Value eval_field(const Expr& e, Env& env);
   Value eval_call(const Expr& e, Env& env);
-  Value builtin(const std::string& name, std::vector<Value>& args, Env& env,
+  Value builtin(const std::string& name, std::vector<Value>& args,
                 SourceLoc loc, bool& handled);
 
   const CompiledMachine& machine_;

@@ -146,12 +146,9 @@ void SeedCore::on_realloc() { fire_simple(EventDecl::TriggerKind::kRealloc); }
 
 double SeedCore::utility(const ResourcesValue& r) const {
   const CompiledState* st = state();
-  if (!st || !st->util) return default_utility().utility(r);
-  try {
-    return analyze_utility(*st->util).utility(r);
-  } catch (const CompileError&) {
-    return 0;
-  }
+  if (!st) return default_utility().utility(r);
+  const UtilityAnalysis* ua = st->utility_analysis();
+  return ua ? ua->utility(r) : 0;
 }
 
 void SeedCore::request_transit(const std::string& state) {

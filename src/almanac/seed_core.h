@@ -74,7 +74,8 @@ class SeedCore : public SeedHost {
   // The host has already changed the allocation resources() returns.
   void on_realloc();
 
-  // Utility callback of the current state, evaluated at an allocation.
+  // The current state's compiled util analysis, evaluated at an
+  // allocation; 0 when the util does not analyze.
   double utility(const ResourcesValue& r) const;
 
   // Defers the transition to the end of the running handler.

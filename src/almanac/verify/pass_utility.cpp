@@ -1,8 +1,9 @@
 // Sickle pass UT: utility-callback sanity.
 //
-// analyze_utility (§III-B b) throws on the first construct its κ/ε
-// interpretation cannot express as linear polynomials. Sickle runs it per
-// state, converts failures into diagnostics, and adds checks for shapes
+// analyze_utility (§III-B b) stops at the first construct its κ/ε
+// interpretation cannot express as linear polynomials. Compilation runs it
+// per state and stores the analysis or that error on the CompiledState;
+// Sickle turns stored errors into diagnostics and adds checks for shapes
 // that *do* analyze but are probably not what the operator meant:
 //
 //   UT002  division whose divisor is not a positive constant — a divisor
@@ -16,7 +17,6 @@
 //          set: the unconstrained variant makes the seed placeable at
 //          *any* allocation, so the feasibility conditions spelled out on
 //          the other branches never actually gate placement.
-#include "almanac/analysis.h"
 #include "almanac/verify/passes.h"
 
 namespace farm::almanac::verify {
@@ -58,24 +58,21 @@ void pass_utility(const CompiledMachine& m, const VerifyOptions&,
   for (const auto& s : m.states) {
     if (!s.util) continue;
     bool div_reported = scan_divisions(*s.util, sink);
-    UtilityAnalysis ua;
-    try {
-      ua = analyze_utility(*s.util);
-    } catch (const CompileError& e) {
+    if (const CompileError* e = s.utility_error()) {
       // The division scan already produced a precise diagnostic for
       // divisor problems; everything else surfaces as UT001.
       if (!div_reported ||
-          std::string(e.what()).find("divis") == std::string::npos)
-        sink.error(codes::kUtilNotAnalyzable, e.loc(),
+          std::string(e->what()).find("divis") == std::string::npos)
+        sink.error(codes::kUtilNotAnalyzable, e->loc(),
                    "util of state '" + s.name +
-                       "' is not statically analyzable: " + e.what(),
+                       "' is not statically analyzable: " + e->what(),
                    "restrict the body to linear arithmetic over res fields "
                    "with min/max");
       continue;
     }
 
     bool any_empty = false, any_constrained = false;
-    for (const auto& v : ua.variants) {
+    for (const auto& v : s.utility_analysis()->variants) {
       if (v.constraints.empty())
         any_empty = true;
       else

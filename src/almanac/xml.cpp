@@ -181,12 +181,6 @@ class XmlParser {
 
 // --- Serialization ---------------------------------------------------------------
 
-const char* type_attr(TypeName t) {
-  static thread_local std::string buf;
-  buf = to_string(t);
-  return buf.c_str();
-}
-
 TypeName type_from_attr(const std::string& s) {
   for (int i = 0; i <= static_cast<int>(TypeName::kVoid); ++i)
     if (to_string(static_cast<TypeName>(i)) == s)

@@ -26,6 +26,26 @@ struct SeedIdHash {
 };
 }  // namespace
 
+// The keys are the planned seeds' own ids, which live in tasks_ and no
+// pass changes: realize destroys the Seeds it undeploys, so a key inside a
+// Seed would dangle. A planned seed that runs nowhere maps to nulls.
+struct Seeder::SeedIndex {
+  struct Where {
+    Soil* soil = nullptr;
+    Seed* seed = nullptr;
+  };
+  std::unordered_map<std::reference_wrapper<const SeedId>, Where, SeedIdHash,
+                     std::equal_to<SeedId>>
+      at;
+
+  // `id` must be a planned seed's.
+  const Where& operator[](const SeedId& id) const {
+    auto it = at.find(std::cref(id));
+    FARM_DCHECK(it != at.end());
+    return it->second;
+  }
+};
+
 Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
                MessageBus& bus, std::vector<Soil*> soils,
                SeederOptions options)
@@ -34,6 +54,13 @@ Seeder::Seeder(sim::Engine& engine, const net::SdnController& controller,
       bus_(bus),
       soils_(std::move(soils)),
       options_(options) {
+  for (Soil* soil : soils_) {
+    const asic::SwitchConfig& sc = soil->chassis().config();
+    max_ifaces_ = std::max(max_ifaces_, sc.n_ifaces);
+    min_monitoring_tcam_ =
+        std::min(min_monitoring_tcam_.value_or(sc.tcam_monitoring_reserved),
+                 sc.tcam_monitoring_reserved);
+  }
   tel_ = &engine_.telemetry();
   track_ = tel_->track("seeder");
   m_heartbeats_ = tel_->counter("seeder.heartbeats");
@@ -179,15 +206,21 @@ Soil* Seeder::soil_at(net::NodeId node) const {
   return nullptr;
 }
 
-std::optional<net::NodeId> Seeder::deployed_at(const SeedId& id) const {
-  for (Soil* s : soils_)
-    if (const_cast<Soil*>(s)->find(id)) return s->node();
-  return std::nullopt;
+Seeder::SeedIndex Seeder::locate_seeds() const {
+  SeedIndex index;
+  for (const auto& [name, task] : tasks_)
+    for (const auto& ps : task.seeds) index.at.try_emplace(std::cref(ps.id));
+  // The first soil holding an id wins.
+  for (Soil* soil : soils_)
+    for (Seed* seed : soil->seeds())
+      if (auto it = index.at.find(std::cref(seed->id()));
+          it != index.at.end() && !it->second.soil)
+        it->second = {soil, seed};
+  return index;
 }
 
-std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
-  auto program =
-      std::make_shared<const almanac::Program>(almanac::parse_program(spec.source));
+std::vector<Seeder::PlannedSeed> Seeder::elaborate(
+    const TaskSpec& spec, std::shared_ptr<const almanac::Program> program) {
   std::vector<std::string> machines = spec.machines;
   if (machines.empty())
     for (const auto& m : program->machines) machines.push_back(m.name);
@@ -207,19 +240,11 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
 
     // Step 1: placement resolution.
     auto resolved = almanac::resolve_places(cm, env, controller_);
-    // Step 2: utility analysis of the initial state.
-    const almanac::CompiledState* init = cm.state(cm.initial_state);
-    almanac::UtilityAnalysis ua = init && init->util
-                                      ? almanac::analyze_utility(*init->util)
-                                      : almanac::default_utility();
+    // Step 2, the utility analysis, ran when the image compiled.
     // Step 3: polling analysis. The optimizer's polling resource is the
     // PCIe budget in Mbps, so the poll-rate polynomial 1/ival (polls/s) is
     // scaled by the per-poll transfer size: entries × 64 B × 8 bit.
     auto polls = almanac::analyze_polls(cm, env, almanac::kReferenceAlloc);
-    int max_ifaces = 1;
-    for (const Soil* soil : soils_)
-      max_ifaces = std::max(
-          max_ifaces, const_cast<Soil*>(soil)->chassis().n_ifaces());
 
     int index = 0;
     for (const auto& rs : resolved) {
@@ -228,10 +253,9 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
       ps.image = image;
       ps.externals = externals;
       ps.candidates = rs.candidates;
-      ps.variants = ua.variants;
       for (const auto& pa : polls) {
         int fp = pa.what.iface_footprint();
-        int entries = fp == net::Filter::kAllIfaces ? max_ifaces
+        int entries = fp == net::Filter::kAllIfaces ? max_ifaces_
                       : fp > 0                      ? fp
                                                     : 1;
         double mbps_per_poll =
@@ -247,17 +271,10 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec) {
 }
 
 placement::PlacementProblem Seeder::build_problem() const {
-  // Where each seed runs, from one pass over the soils' seed lists. The
-  // first soil holding an id wins, as in deployed_at. Nothing below
-  // deploys or undeploys, so no seed moves while the index is in use.
-  std::unordered_map<std::reference_wrapper<const SeedId>,
-                     std::pair<Soil*, Seed*>, SeedIdHash,
-                     std::equal_to<SeedId>>
-      deployed;
-  for (Soil* soil : soils_)
-    for (Seed* seed : soil->seeds())
-      deployed.try_emplace(std::cref(seed->id()), soil, seed);
+  return build_problem(locate_seeds());
+}
 
+placement::PlacementProblem Seeder::build_problem(const SeedIndex& where) const {
   placement::PlacementProblem p;
   for (Soil* soil : soils_) {
     // Dead switches are not placement candidates until they come back.
@@ -284,18 +301,17 @@ placement::PlacementProblem Seeder::build_problem() const {
       sm.polls = ps.polls;
       // Live seeds contribute their *current* state's utility; fresh ones
       // the initial state's.
-      sm.variants = ps.variants;
-      if (auto it = deployed.find(std::cref(ps.id)); it != deployed.end()) {
-        const auto [soil, seed] = it->second;
-        p.current_placement[sm.id] = soil->node();
-        p.current_alloc[sm.id] = soil->allocation(*seed);
-        const auto* st = ps.image->machine.state(seed->current_state());
-        if (st && st->util) {
-          try {
-            sm.variants = almanac::analyze_utility(*st->util).variants;
-          } catch (const almanac::CompileError&) {
-          }
-        }
+      const SeedIndex::Where& at = where[ps.id];
+      const almanac::CompiledMachine& cm = ps.image->machine;
+      const almanac::UtilityAnalysis* ua =
+          cm.state(at.seed ? at.seed->current_state() : cm.initial_state)
+              ->utility_analysis();
+      // The Sickle gate rejects a task whose util does not analyze.
+      FARM_CHECK_MSG(ua != nullptr, "installed seed's util did not analyze");
+      sm.variants = ua->variants;
+      if (at.soil) {
+        p.current_placement[sm.id] = at.soil->node();
+        p.current_alloc[sm.id] = at.soil->allocation(*at.seed);
       }
       p.seeds.push_back(std::move(sm));
     }
@@ -303,19 +319,22 @@ placement::PlacementProblem Seeder::build_problem() const {
   return p;
 }
 
-void Seeder::realize(const placement::PlacementResult& result) {
+void Seeder::realize(const placement::PlacementResult& result,
+                     const SeedIndex& where) {
   // Index entries by seed id string.
   std::unordered_map<std::string, const placement::PlacementEntry*> by_id;
   for (const auto& e : result.placements) by_id[e.seed] = &e;
 
+  // Each planned seed is visited once, and only its own visit moves it, so
+  // `where` stays right for the seeds still to come.
   for (auto& [name, task] : tasks_) {
     for (auto& ps : task.seeds) {
       const std::string key = ps.id.to_string();
-      auto current = deployed_at(ps.id);
+      const auto [current, running] = where[ps.id];
       auto it = by_id.find(key);
       if (it == by_id.end()) {
         // Unplaced: remove if running.
-        if (current) soil_at(*current)->undeploy(ps.id);
+        if (current) current->undeploy(ps.id);
         continue;
       }
       // A seed in transfer runs at its source until the transfer lands and
@@ -330,12 +349,11 @@ void Seeder::realize(const placement::PlacementResult& result) {
         tel_->add(m_deployments_);
         continue;
       }
-      if (*current == e.node) {
+      if (current == target) {
         // Skip byte-identical re-allocations: set_allocation fires the
         // seed's realloc handler, which the simulation observes, so a grant
         // that changes nothing must not reach the soil.
-        Seed* running = target->find(ps.id);
-        if (!running || !(target->allocation(*running) == e.alloc))
+        if (!(target->allocation(*running) == e.alloc))
           target->set_allocation(ps.id, e.alloc);
         continue;
       }
@@ -343,8 +361,7 @@ void Seeder::realize(const placement::PlacementResult& result) {
       // source keeps running until the transfer completes, then execution
       // resumes at the target (§V-B). Resources are doubled meanwhile —
       // the placement already budgeted for that.
-      Soil* source = soil_at(*current);
-      Seed* running = source->find(ps.id);
+      Soil* source = current;
       runtime::SeedSnapshot snap = running->snapshot();
       sim::Duration transfer =
           sim::cost::kControlPathLatency +
@@ -392,56 +409,49 @@ void Seeder::reoptimize() {
   // *when* placement ran so traces correlate it with the triggering fault.
   telemetry::ScopedSpan span(*tel_, track_, "reoptimize");
   FARM_PROF_SCOPE("reoptimize");
-  last_ = placement::solve_heuristic(build_problem(), {.memo = &memo_});
-  realize(last_);
+  const SeedIndex where = locate_seeds();
+  last_ = placement::solve_heuristic(build_problem(where), {.memo = &memo_});
+  realize(last_, where);
   reoptimizing_ = false;
 }
 
-bool Seeder::lint_intake(const TaskSpec& spec) {
+std::shared_ptr<const almanac::Program> Seeder::lint_intake(
+    const TaskSpec& spec) {
   FARM_PROF_SCOPE("lint");
   last_lint_.clear();
 
-  // Score resource estimates against the *tightest* deployed switch: the
-  // smallest monitoring TCAM bank and the widest interface fan-out any
-  // soil exposes (kAllIfaces polls pay for the widest chassis).
+  // Score resource estimates against the *tightest* deployed switch.
   almanac::verify::VerifyOptions vopts;
   vopts.controller = &controller_;
   vopts.externals = spec.externals;
   vopts.pcie_budget_mbps = sim::cost::kPciePollBandwidthBps / 1e6;
-  for (const Soil* soil : soils_) {
-    const asic::SwitchConfig& sc =
-        const_cast<Soil*>(soil)->chassis().config();
-    vopts.tcam_monitoring_capacity =
-        soil == soils_.front()
-            ? sc.tcam_monitoring_reserved
-            : std::min(vopts.tcam_monitoring_capacity,
-                       sc.tcam_monitoring_reserved);
-    vopts.max_ifaces = std::max(vopts.max_ifaces, sc.n_ifaces);
-  }
+  if (min_monitoring_tcam_)
+    vopts.tcam_monitoring_capacity = *min_monitoring_tcam_;
+  vopts.max_ifaces = std::max(vopts.max_ifaces, max_ifaces_);
 
-  almanac::Program program;
+  std::shared_ptr<const almanac::Program> program;
   try {
-    program = almanac::parse_program(spec.source);
+    program = std::make_shared<const almanac::Program>(
+        almanac::parse_program(spec.source));
   } catch (const std::exception& e) {
-    // A parse error will throw again in elaborate(); report it here as a
-    // single diagnostic so the rejection path is uniform.
+    // Reported as a single diagnostic so the rejection path is uniform.
     last_lint_.push_back(almanac::verify::Diagnostic{
         "PARSE", almanac::verify::Severity::kError, {}, e.what(), {}});
     tel_->add(m_lint_rejected_);
     ++lint_rejections_;
     FARM_LOG(kWarn) << "seeder: task '" << spec.name
                    << "' rejected by Sickle: parse error: " << e.what();
-    return false;
+    return nullptr;
   }
-  last_lint_ = almanac::verify::verify_program(program, spec.machines, vopts);
-  if (almanac::verify::count_errors(last_lint_) == 0) return true;
+  last_lint_ = almanac::verify::verify_program(*program, spec.machines, vopts);
+  if (almanac::verify::count_errors(last_lint_) == 0) return program;
   tel_->add(m_lint_rejected_);
   ++lint_rejections_;
   FARM_LOG(kWarn) << "seeder: task '" << spec.name << "' rejected by Sickle: "
                  << almanac::verify::count_errors(last_lint_)
                  << " error(s), first: " << last_lint_.front().code << " "
                  << last_lint_.front().message;
-  return false;
+  return nullptr;
 }
 
 std::vector<SeedId> Seeder::install_task(const TaskSpec& spec) {
@@ -450,10 +460,11 @@ std::vector<SeedId> Seeder::install_task(const TaskSpec& spec) {
   FARM_CHECK_MSG(!tasks_.count(spec.name), "task already installed");
   // Step 0 (Sickle): reject ill-formed seeds before any elaboration or
   // placement work happens — a rejected task installs nothing.
-  if (!lint_intake(spec)) return {};
+  auto program = lint_intake(spec);
+  if (!program) return {};
   InstalledTask task;
   task.spec = spec;
-  task.seeds = elaborate(spec);
+  task.seeds = elaborate(spec, std::move(program));
   tasks_.emplace(spec.name, std::move(task));
   reoptimize();
   return seeds_of_task(spec.name);
@@ -463,8 +474,9 @@ void Seeder::remove_task(const std::string& name) {
   FARM_PROF_SCOPE("seeder/remove");
   auto it = tasks_.find(name);
   if (it == tasks_.end()) return;
+  const SeedIndex where = locate_seeds();
   for (const auto& ps : it->second.seeds) {
-    if (auto node = deployed_at(ps.id)) soil_at(*node)->undeploy(ps.id);
+    if (Soil* soil = where[ps.id].soil) soil->undeploy(ps.id);
     in_transfer_.erase(ps.id.to_string());
   }
   tasks_.erase(it);
@@ -475,8 +487,9 @@ std::vector<SeedId> Seeder::seeds_of_task(const std::string& name) const {
   std::vector<SeedId> out;
   auto it = tasks_.find(name);
   if (it == tasks_.end()) return out;
+  const SeedIndex where = locate_seeds();
   for (const auto& ps : it->second.seeds)
-    if (deployed_at(ps.id)) out.push_back(ps.id);
+    if (where[ps.id].soil) out.push_back(ps.id);
   return out;
 }
 

@@ -1,15 +1,20 @@
 // Seeder: FARM's centralized M&M control instance (§II-C b, §III-B).
 //
-// Task installation runs the paper's three-step elaboration:
+// Task installation parses the task once, runs the Sickle gate on it, and
+// then the paper's three-step elaboration:
 //   1. resolve `place` directives against the SDN controller → seeds S^m
 //      and candidate sets N^s;
-//   2. analyze `util` → resource constraints C^s and utility u^s;
+//   2. analyze `util` → resource constraints C^s and utility u^s. This
+//      depends on the state alone: compiling the machine image analyzes
+//      every state once (CompiledState::utility);
 //   3. analyze poll variables → subjects (φ_enc) and interval functions.
-// The results feed the global placement optimizer (Algorithm 1); the
-// seeder then realizes the optimizer's output: deploys new seeds,
-// reallocates resources, and live-migrates moved seeds (description first,
-// then state; execution resumes at the target once the state arrived —
-// §V-B).
+// The results feed the global placement optimizer (Algorithm 1). Each
+// placement pass locates every planned seed once, builds the problem — a
+// live seed contributes its current state's analysis, a fresh one its
+// initial state's — and realizes the optimizer's output: deploys new
+// seeds, reallocates resources, and live-migrates moved seeds (description
+// first, then state; execution resumes at the target once the state
+// arrived — §V-B).
 #pragma once
 
 #include <memory>
@@ -114,7 +119,6 @@ class Seeder {
     std::shared_ptr<runtime::MachineImage> image;
     std::unordered_map<std::string, Value> externals;
     std::vector<net::NodeId> candidates;
-    std::vector<almanac::UtilityVariant> variants;
     std::vector<placement::PollModel> polls;
   };
   struct InstalledTask {
@@ -129,15 +133,22 @@ class Seeder {
     int miss_streak = 0;
   };
 
-  // Sickle pre-deployment verification (step 0). Returns true when the
-  // task may proceed to elaboration; fills last_lint_.
-  bool lint_intake(const TaskSpec& spec);
-  // Elaborates a task spec into planned seeds (steps 1-3).
-  std::vector<PlannedSeed> elaborate(const TaskSpec& spec);
-  void realize(const placement::PlacementResult& result);
+  // Where each planned seed runs (seeder.cpp).
+  struct SeedIndex;
+
+  // Sickle pre-deployment verification (step 0): parses the task source
+  // and verifies its seeds. Returns the program when the task may proceed
+  // to elaboration, null when it is rejected; fills last_lint_.
+  std::shared_ptr<const almanac::Program> lint_intake(const TaskSpec& spec);
+  // Elaborates the task's program into planned seeds (steps 1-3).
+  std::vector<PlannedSeed> elaborate(
+      const TaskSpec& spec, std::shared_ptr<const almanac::Program> program);
+  // One pass over the soils' seed lists.
+  SeedIndex locate_seeds() const;
+  placement::PlacementProblem build_problem(const SeedIndex& where) const;
+  void realize(const placement::PlacementResult& result,
+               const SeedIndex& where);
   Soil* soil_at(net::NodeId node) const;
-  // Where a planned seed currently runs, if anywhere.
-  std::optional<net::NodeId> deployed_at(const SeedId& id) const;
   void heartbeat_tick();
   void on_node_failed(Soil& soil);
   void on_node_recovered(net::NodeId node);
@@ -147,6 +158,11 @@ class Seeder {
   MessageBus& bus_;
   std::vector<Soil*> soils_;
   SeederOptions options_;
+  // Bounds of the soils, which never change configuration: the widest
+  // interface fan-out (kAllIfaces polls pay for the widest chassis) and the
+  // smallest monitoring TCAM bank (unset without soils).
+  int max_ifaces_ = 1;
+  std::optional<int> min_monitoring_tcam_;
   std::unordered_map<std::string, InstalledTask> tasks_;
   placement::PlacementResult last_;
   // Every Algorithm-1 re-solve runs through this memo (placement/memo.h):

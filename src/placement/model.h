@@ -14,7 +14,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "almanac/analysis.h"
+#include "almanac/utility.h"
 #include "net/topology.h"
 
 namespace farm::placement {

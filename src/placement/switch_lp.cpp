@@ -37,13 +37,6 @@ std::optional<ResourcesValue> minimal_allocation(const UtilityVariant& variant,
   return from_values(sol.values, 0);
 }
 
-double min_utility(const UtilityVariant& variant) {
-  ResourcesValue unbounded{1e9, 1e9, 1e9, 1e9};
-  auto alloc = minimal_allocation(variant, unbounded);
-  if (!alloc) return 0;
-  return variant.utility(*alloc);
-}
-
 lp::Model redistribution_model(const SwitchModel& sw,
                                const std::vector<PinnedSeed>& seeds,
                                const ResourcesValue& reserved) {

@@ -44,8 +44,4 @@ std::optional<SwitchLpResult> redistribute_on_switch(
 std::optional<ResourcesValue> minimal_allocation(const UtilityVariant& variant,
                                                  const ResourcesValue& cap);
 
-// Utility of a variant at its minimal feasible allocation inside an
-// unbounded box (the "minimum utility" that orders tasks in Algorithm 1).
-double min_utility(const UtilityVariant& variant);
-
 }  // namespace farm::placement

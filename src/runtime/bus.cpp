@@ -40,11 +40,6 @@ void MessageBus::detach_harvester(const std::string& task) {
   harvesters_.erase(task);
 }
 
-Soil* MessageBus::soil_at(net::NodeId node) const {
-  auto it = soils_.find(node);
-  return it == soils_.end() ? nullptr : it->second;
-}
-
 sim::Duration MessageBus::control_delay(std::size_t bytes) const {
   return sim::cost::kControlPathLatency +
          sim::Duration::from_seconds(static_cast<double>(bytes) * 8.0 /

@@ -55,7 +55,6 @@ class MessageBus : public SoilNetwork {
   // Seed lookup across all attached soils.
   std::vector<std::pair<Soil*, Seed*>> seeds_of(
       const std::string& task, const std::string& machine) const;
-  Soil* soil_at(net::NodeId node) const;
 
   // --- Metering ------------------------------------------------------------
   // Bytes that crossed the management network toward central components

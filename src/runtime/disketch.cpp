@@ -321,13 +321,6 @@ std::size_t Fragment::owned_cells() const {
   return 0;
 }
 
-std::vector<int> Fragment::owned_slices() const {
-  std::vector<int> out;
-  for (std::size_t i = 0; i < owned_.size(); ++i)
-    if (owned_[i]) out.push_back(static_cast<int>(i));
-  return out;
-}
-
 std::optional<Fragment> EpochFold::offer(std::int64_t epoch,
                                          const Fragment& frag) {
   auto it = partial_.find(epoch);

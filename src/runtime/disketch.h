@@ -80,7 +80,6 @@ class Fragment {
   std::uint64_t items() const { return items_; }
   // Cells this fragment pins on its switch — the per-switch resource cost.
   std::size_t owned_cells() const;
-  std::vector<int> owned_slices() const;
 
  private:
   Fragment() = default;

@@ -17,6 +17,7 @@ Seed::Seed(SeedId id, std::shared_ptr<MachineImage> image, Soil& soil,
            const std::unordered_map<std::string, Value>& externals)
     : SeedCore(image->machine),
       id_(std::move(id)),
+      cpu_task_(std::hash<std::string>{}(id_.to_string()) | 0x8000),
       image_(std::move(image)),
       soil_(soil) {
   tel_ = &soil_.engine().telemetry();
@@ -73,7 +74,7 @@ std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
 
 // --- SeedHost ---------------------------------------------------------------
 
-ResourcesValue Seed::resources() { return soil_.allocation(*this); }
+ResourcesValue Seed::resources() { return allocation_; }
 
 void Seed::add_tcam_rule(const asic::TcamRule& rule) {
   soil_.add_monitor_rule(*this, rule);

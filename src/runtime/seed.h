@@ -17,6 +17,7 @@
 
 #include "almanac/seed_core.h"
 #include "runtime/machine_image.h"
+#include "sim/cpu.h"
 #include "telemetry/hub.h"
 #include "util/time.h"
 
@@ -59,6 +60,12 @@ class Seed : public almanac::SeedCore {
   ~Seed() override;
 
   const SeedId& id() const { return id_; }
+  // The resources its soil granted (kReferenceAlloc until the soil sets
+  // them at deploy, before start()); res() reads them.
+  const ResourcesValue& allocation() const { return allocation_; }
+  // The seed's logical task on the switch CPU model: a hash of its id, with
+  // bit 15 set so it never meets the soil's own task id.
+  sim::TaskId cpu_task() const { return cpu_task_; }
 
   // Enters the initial state (or the snapshot's state) and registers
   // triggers with the soil.
@@ -95,7 +102,12 @@ class Seed : public almanac::SeedCore {
   void state_entered() override;
   void chain_cut() override;
 
+  // The soil grants allocations (Soil::deploy, Soil::set_allocation).
+  friend class Soil;
+
   SeedId id_;
+  sim::TaskId cpu_task_;
+  ResourcesValue allocation_ = almanac::kReferenceAlloc;
   std::shared_ptr<MachineImage> image_;  // keeps the machine alive
   Soil& soil_;
   // Granary: fleet-wide seed activity (shared counters — seeds are too

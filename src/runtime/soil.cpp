@@ -63,7 +63,6 @@ void Soil::crash() {
   regs_.clear();
   groups_.clear();  // periodic group tasks stop in their destructors
   seeds_.clear();
-  allocations_.clear();
 }
 
 Seed* Soil::deploy(SeedId id, std::shared_ptr<MachineImage> image,
@@ -75,8 +74,7 @@ Seed* Soil::deploy(SeedId id, std::shared_ptr<MachineImage> image,
                                      std::move(externals));
   Seed* raw = seed.get();
   seeds_.push_back(std::move(seed));
-  allocations_[raw->id().to_string()] =
-      allocation.value_or(almanac::kReferenceAlloc);
+  raw->allocation_ = allocation.value_or(almanac::kReferenceAlloc);
   if (snapshot)
     raw->start_from(*snapshot);
   else
@@ -91,7 +89,6 @@ bool Soil::undeploy(const SeedId& id) {
   if (it == seeds_.end()) return false;
   (*it)->stop();
   clear_registrations(**it, /*drop_orphaned_poll_rules=*/true);
-  allocations_.erase(id.to_string());
   seeds_.erase(it);
   return true;
 }
@@ -112,14 +109,13 @@ std::vector<Seed*> Soil::seeds() {
 // --- Resources ---------------------------------------------------------------
 
 ResourcesValue Soil::allocation(const Seed& seed) const {
-  auto it = allocations_.find(seed.id().to_string());
-  return it == allocations_.end() ? almanac::kReferenceAlloc : it->second;
+  return seed.allocation();
 }
 
 void Soil::set_allocation(const SeedId& id, const ResourcesValue& alloc) {
   Seed* seed = find(id);
   if (!seed) return;
-  allocations_[id.to_string()] = alloc;
+  seed->allocation_ = alloc;
   seed->on_realloc();
   // Poll intervals may depend on the allocation (ival = f(res)); seeds
   // whose trigger specs were initialized from res() re-arm via the realloc
@@ -144,13 +140,9 @@ sim::Duration Soil::comm_latency() const {
          kRpcPerSeedDispatch * static_cast<std::int64_t>(seeds_.size());
 }
 
-sim::TaskId Soil::cpu_task_of(const Seed& seed) const {
-  return std::hash<std::string>{}(seed.id().to_string()) | 0x8000;
-}
-
 void Soil::seed_send(Seed& seed, const Value& payload,
                      const SendTarget& target) {
-  chassis_.cpu().submit(cpu_task_of(seed), sim::cost::kPollWakeupCpu);
+  chassis_.cpu().submit(seed.cpu_task(), sim::cost::kPollWakeupCpu);
   if (!network_) return;
   if (target.to_harvester) {
     network_->to_harvester(seed.id(), node(), payload);
@@ -161,7 +153,7 @@ void Soil::seed_send(Seed& seed, const Value& payload,
 }
 
 void Soil::seed_exec(Seed& seed, const std::string& command) {
-  chassis_.cpu().submit(cpu_task_of(seed), exec_cost_(command));
+  chassis_.cpu().submit(seed.cpu_task(), exec_cost_(command));
 }
 
 void Soil::add_monitor_rule(Seed& seed, asic::TcamRule rule) {
@@ -194,7 +186,7 @@ void Soil::deliver_to_seed(const SeedId& id, const Value& payload,
         Seed* seed = find(id);
         if (!seed) return;  // undeployed while in flight
         chassis_.cpu().submit(
-            cpu_task_of(*seed), sim::cost::kPollWakeupCpu,
+            seed->cpu_task(), sim::cost::kPollWakeupCpu,
             [this, id, payload, from_harvester, from_machine] {
               if (Seed* s = find(id))
                 s->on_message(payload, from_harvester, from_machine);
@@ -321,7 +313,7 @@ void Soil::register_trigger(Seed& seed, const Seed::ActiveTrigger& trig) {
                   comm_latency(), [this, id, var, sample] {
                     if (Seed* s = find(id))
                       chassis_.cpu().submit(
-                          cpu_task_of(*s), sim::cost::kPollWakeupCpu,
+                          s->cpu_task(), sim::cost::kPollWakeupCpu,
                           [this, id, var, sample] {
                             if (Seed* s2 = find(id)) s2->on_probe(var, sample);
                           });
@@ -349,7 +341,7 @@ void Soil::schedule_poll(Registration& reg) {
       std::string var = raw->var;
       engine_.schedule_after(comm_latency(), [this, id, var, due] {
         if (Seed* s = find(id))
-          chassis_.cpu().submit(cpu_task_of(*s), sim::cost::kPollWakeupCpu,
+          chassis_.cpu().submit(s->cpu_task(), sim::cost::kPollWakeupCpu,
                                 [this, id, var, due] {
                                   if (Seed* s2 = find(id)) {
                                     poll_lateness_.record(
@@ -486,7 +478,7 @@ void Soil::deliver_poll_to(const SeedId& id, const std::string& var,
             sim::cost::kPollWakeupCpu +
             sim::cost::kPollEntryCpu * static_cast<std::int64_t>(n_entries);
         chassis_.cpu().submit(
-            cpu_task_of(*seed), handler_cpu,
+            seed->cpu_task(), handler_cpu,
             [this, id, var, stats, due] {
               Seed* s = find(id);
               if (!s) return;

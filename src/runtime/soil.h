@@ -85,6 +85,7 @@ class Soil {
   std::size_t seed_count() const { return seeds_.size(); }
 
   // --- Resources -----------------------------------------------------------
+  // The seed's grant (Seed::allocation()).
   ResourcesValue allocation(const Seed& seed) const;
   // Reallocates and fires the seed's realloc event (placement optimizer).
   void set_allocation(const SeedId& id, const ResourcesValue& alloc);
@@ -110,11 +111,10 @@ class Soil {
   // --- Metrics -------------------------------------------------------------
   // Latency from event availability to handler start (comm + queueing).
   const sim::Stats& delivery_latency() const { return delivery_latency_; }
-  // Lateness of poll deliveries vs their nominal due time; the polling
-  // accuracy of Fig. 6 is the fraction delivered within one interval.
-  const sim::Stats& poll_lateness() const { return poll_lateness_; }
   std::uint64_t poll_requests_issued() const { return poll_requests_; }
   std::uint64_t poll_deliveries() const { return poll_deliveries_; }
+  // The polling accuracy of Fig. 6: the fraction of poll deliveries within
+  // one interval of their nominal due time.
   double polling_accuracy() const;
   // Poll transfers that timed out on a lossy/saturated PCIe channel, the
   // retries issued for them, and the polls abandoned after the retry budget.
@@ -160,7 +160,6 @@ class Soil {
                          int retries_left,
                          telemetry::SpanId span = telemetry::kInvalidSpan);
   sim::Duration comm_latency() const;
-  sim::TaskId cpu_task_of(const Seed& seed) const;
   // Re-publishes the monitoring-region TCAM fill fraction gauge; called
   // wherever monitoring rules are installed or removed.
   void publish_tcam_occupancy();
@@ -172,7 +171,6 @@ class Soil {
   std::function<sim::Duration(const std::string&)> exec_cost_;
 
   std::vector<std::unique_ptr<Seed>> seeds_;
-  std::unordered_map<std::string, ResourcesValue> allocations_;  // by SeedId string
   // Registrations keyed by owning seed (raw pointer identity).
   std::vector<std::unique_ptr<Registration>> regs_;
   // Aggregated poll groups: subject key → periodic task.
@@ -198,6 +196,7 @@ class Soil {
   // region fills and rules start dropping.
   telemetry::MetricId m_tcam_mon_frac_ = telemetry::kInvalidMetric;
   sim::Stats delivery_latency_;
+  // Lateness of poll deliveries vs their nominal due time.
   sim::Stats poll_lateness_;
   std::uint64_t poll_requests_ = 0;
   std::uint64_t poll_deliveries_ = 0;

@@ -56,10 +56,4 @@ double CpuModel::load_percent(TimePoint window_start,
   return 100.0 * used.seconds() / window.seconds();
 }
 
-TimePoint CpuModel::drain_time() const {
-  TimePoint t = engine_.now();
-  for (TimePoint f : core_free_) t = std::max(t, f);
-  return t;
-}
-
 }  // namespace farm::sim

@@ -45,9 +45,6 @@ class CpuModel {
   std::uint64_t completed_jobs() const { return completed_; }
   std::uint64_t context_switches() const { return switches_; }
 
-  // Earliest virtual time by which all currently queued work completes.
-  TimePoint drain_time() const;
-
  private:
   Engine& engine_;
   int cores_;

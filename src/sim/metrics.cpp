@@ -48,12 +48,5 @@ std::size_t Stats::count_below(double x) const {
       samples_.begin());
 }
 
-void Stats::reset() {
-  samples_.clear();
-  sorted_ = true;
-  sum_ = 0;
-  min_ = std::numeric_limits<double>::infinity();
-  max_ = -std::numeric_limits<double>::infinity();
-}
 
 }  // namespace farm::sim

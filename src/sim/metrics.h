@@ -36,7 +36,6 @@ class Stats {
   double percentile(double p) const;
   // Number of samples strictly below x.
   std::size_t count_below(double x) const;
-  void reset();
 
  private:
   mutable std::vector<double> samples_;

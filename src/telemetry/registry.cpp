@@ -110,12 +110,6 @@ double Histogram::percentile(double p) const {
   return bounds_.back();
 }
 
-void Histogram::reset() {
-  std::fill(counts_.begin(), counts_.end(), 0);
-  total_ = 0;
-  sum_ = 0;
-}
-
 MetricId Registry::counter(std::string_view name) {
   auto id = try_register(name, MetricKind::kCounter);
   FARM_CHECK_MSG(id.has_value(), "metric name registered with another kind");
@@ -165,11 +159,5 @@ void Registry::observe(MetricId id, double v) {
 }
 
 double Registry::value(MetricId id) const { return at(id).value; }
-
-const Histogram& Registry::histogram_of(MetricId id) const {
-  const Metric& m = at(id);
-  FARM_CHECK_MSG(m.hist != nullptr, "not a histogram metric");
-  return *m.hist;
-}
 
 }  // namespace farm::telemetry

@@ -63,7 +63,6 @@ class Histogram {
   // (nearest-rank over buckets); p is clamped to [0, 100]. The overflow
   // bucket reports the largest finite bound.
   double percentile(double p) const;
-  void reset();
 
  private:
   std::vector<double> bounds_;
@@ -95,7 +94,6 @@ class Registry {
   void observe(MetricId id, double v);
   // Counter/gauge current value (histograms: total observation sum).
   double value(MetricId id) const;
-  const Histogram& histogram_of(MetricId id) const;
 
  private:
   struct Metric {

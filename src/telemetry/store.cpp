@@ -48,14 +48,6 @@ EventRow EventStore::row(std::size_t i) const {
   return {TimePoint::from_ns(at_ns_[s]), metric_[s], kind_[s], value_[s]};
 }
 
-void EventStore::clear() {
-  at_ns_.clear();
-  metric_.clear();
-  kind_.clear();
-  value_.clear();
-  head_ = size_ = 0;
-}
-
 // --- Query -------------------------------------------------------------------
 
 // The per-query resolved filter: metric admission memoized per MetricId
@@ -88,18 +80,11 @@ struct Query::Resolved {
     return all || (m < ok.size() && ok[m] != 0);
   }
 
-  // fn(row) on every matching row, oldest → newest (scan) or newest →
-  // oldest (scan_reverse); fn returns false to stop.
+  // fn(row) on every matching row, oldest → newest; fn returns false to
+  // stop.
   template <typename Fn>
   void scan(Fn&& fn) const {
     store->scan([&](std::int64_t at, MetricId m, EventKind k, double v) {
-      return !admit(m, k, at) || fn(EventRow{TimePoint::from_ns(at), m, k, v});
-    });
-  }
-  template <typename Fn>
-  void scan_reverse(Fn&& fn) const {
-    store->scan_reverse([&](std::int64_t at, MetricId m, EventKind k,
-                            double v) {
       return !admit(m, k, at) || fn(EventRow{TimePoint::from_ns(at), m, k, v});
     });
   }
@@ -209,29 +194,6 @@ std::optional<EventRow> Query::first() const {
   return out;
 }
 
-std::optional<EventRow> Query::last() const {
-  std::optional<EventRow> out;
-  Resolved(*this).scan_reverse([&](const EventRow& r) {
-    out = r;
-    return false;
-  });
-  return out;
-}
-
-double Query::last_value(double fallback) const {
-  auto r = last();
-  return r ? r->value : fallback;
-}
-
-std::vector<EventRow> Query::rows() const {
-  std::vector<EventRow> out;
-  Resolved(*this).scan([&](const EventRow& r) {
-    out.push_back(r);
-    return true;
-  });
-  return out;
-}
-
 void Query::for_each(const std::function<void(const EventRow&)>& fn) const {
   Resolved(*this).scan([&](const EventRow& r) {
     fn(r);
@@ -245,17 +207,6 @@ std::map<std::string, double> Query::sum_by_component(int i) const {
   std::map<std::string, double> out;
   res.scan([&](const EventRow& r) {
     out[r.metric < comp.size() ? comp[r.metric] : std::string()] += r.value;
-    return true;
-  });
-  return out;
-}
-
-std::map<std::string, std::size_t> Query::count_by_component(int i) const {
-  const Resolved res(*this);
-  const std::vector<std::string> comp = res.components(i);
-  std::map<std::string, std::size_t> out;
-  res.scan([&](const EventRow& r) {
-    ++out[r.metric < comp.size() ? comp[r.metric] : std::string()];
     return true;
   });
   return out;

@@ -62,15 +62,14 @@ class EventStore {
 
   // Logical index: 0 = oldest retained row, size()-1 = newest.
   EventRow row(std::size_t i) const;
-  void clear();
 
-  // Branch-free scans: the retained rows as at most two contiguous column
-  // segments ([head, capacity) then [0, head) once the ring has wrapped),
-  // so hot aggregate loops never pay the per-row `%` of row(). fn is
-  // fn(at_ns, metric, kind, value) -> bool; returning false stops the scan
-  // (and makes scan() return false).
+  // Branch-free scan, oldest → newest: the retained rows as at most two
+  // contiguous column segments ([head, capacity) then [0, head) once the
+  // ring has wrapped), so hot aggregate loops never pay the per-row `%` of
+  // row(). fn is fn(at_ns, metric, kind, value) -> bool; returning false
+  // stops the scan (and makes scan() return false).
   template <typename Fn>
-  bool scan(Fn&& fn) const {  // oldest → newest
+  bool scan(Fn&& fn) const {
     auto run = [&](std::size_t b, std::size_t e) {
       for (std::size_t s = b; s < e; ++s)
         if (!fn(at_ns_[s], metric_[s], kind_[s], value_[s])) return false;
@@ -78,17 +77,6 @@ class EventStore {
     };
     if (size_ < capacity_) return run(0, size_);  // unwrapped: head_ == 0
     return run(head_, capacity_) && run(0, head_);
-  }
-  template <typename Fn>
-  bool scan_reverse(Fn&& fn) const {  // newest → oldest
-    auto run = [&](std::size_t b, std::size_t e) {
-      for (std::size_t s = e; s > b; --s)
-        if (!fn(at_ns_[s - 1], metric_[s - 1], kind_[s - 1], value_[s - 1]))
-          return false;
-      return true;
-    };
-    if (size_ < capacity_) return run(0, size_);
-    return run(0, head_) && run(head_, capacity_);
   }
 
  private:
@@ -152,16 +140,10 @@ class Query {
   // Nearest-rank percentile over matching row values; p clamped to [0,100].
   double percentile(double p) const;
   std::optional<EventRow> first() const;
-  std::optional<EventRow> last() const;
-  // Value of the newest matching row, or `fallback` when nothing matches
-  // (the natural way to read a gauge "as of" the window end).
-  double last_value(double fallback = 0) const;
-  std::vector<EventRow> rows() const;
 
   // Group rows by the i-th dot-component of their metric name (e.g. the
   // switch in "soil.<switch>.poll_bytes" is component 1) and aggregate.
   std::map<std::string, double> sum_by_component(int i) const;
-  std::map<std::string, std::size_t> count_by_component(int i) const;
 
   // Matching rows oldest → newest.
   void for_each(const std::function<void(const EventRow&)>& fn) const;

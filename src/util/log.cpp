@@ -1,6 +1,5 @@
 #include "util/log.h"
 
-#include <atomic>
 #include <cstdio>
 
 #include "util/time.h"
@@ -8,7 +7,6 @@
 namespace farm::util {
 
 namespace {
-std::atomic<LogLevel> g_threshold{LogLevel::kWarn};
 const char* level_name(LogLevel l) {
   switch (l) {
     case LogLevel::kDebug:
@@ -25,10 +23,7 @@ const char* level_name(LogLevel l) {
 }
 }  // namespace
 
-LogLevel log_threshold() { return g_threshold.load(std::memory_order_relaxed); }
-void set_log_threshold(LogLevel level) {
-  g_threshold.store(level, std::memory_order_relaxed);
-}
+LogLevel log_threshold() { return LogLevel::kWarn; }
 
 namespace internal {
 void emit(LogLevel level, const std::string& msg) {

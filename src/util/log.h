@@ -10,10 +10,9 @@ namespace farm::util {
 
 enum class LogLevel { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3, kOff = 4 };
 
-// Global threshold; messages below it are dropped. Defaults to kWarn so
-// tests and benchmarks stay quiet unless asked.
+// Messages below the threshold are dropped. It is kWarn, so tests and
+// benchmarks stay quiet.
 LogLevel log_threshold();
-void set_log_threshold(LogLevel level);
 
 namespace internal {
 void emit(LogLevel level, const std::string& msg);

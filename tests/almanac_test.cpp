@@ -2,7 +2,11 @@
 // interpretation, and the §III-B static analyses.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <filesystem>
+#include <fstream>
 #include <optional>
+#include <sstream>
 
 #include "almanac/analysis.h"
 #include "almanac/compile.h"
@@ -10,6 +14,7 @@
 #include "almanac/lexer.h"
 #include "almanac/parser.h"
 #include "almanac/seed_core.h"
+#include "almanac/verify/verify.h"
 #include "net/topology.h"
 
 namespace farm::almanac {
@@ -881,6 +886,86 @@ TEST(UtilityAnalysisTest, InheritedStateOverridesUtilCallback) {
   ASSERT_EQ(ua.variants.size(), 1u);
   EXPECT_TRUE(ua.variants[0].constraints.empty());
   EXPECT_DOUBLE_EQ(ua.variants[0].utility({0, 0, 0, 0}), 42);
+}
+
+bool same_bits(const std::vector<Poly>& a, const std::vector<Poly>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::memcmp(&a[i].c0, &b[i].c0, sizeof a[i].c0) != 0 ||
+        std::memcmp(a[i].coeff.data(), b[i].coeff.data(),
+                    sizeof a[i].coeff) != 0)
+      return false;
+  return true;
+}
+
+bool same_bits(const UtilityAnalysis& a, const UtilityAnalysis& b) {
+  if (a.variants.size() != b.variants.size()) return false;
+  for (std::size_t i = 0; i < a.variants.size(); ++i)
+    if (!same_bits(a.variants[i].constraints, b.variants[i].constraints) ||
+        !same_bits(a.variants[i].util_min_terms,
+                   b.variants[i].util_min_terms))
+      return false;
+  return true;
+}
+
+TEST(UtilityAnalysisTest, CompiledStatesStoreWhatTheAnalysisDerives) {
+  int states = 0;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(FARM_EXAMPLES_DIR)) {
+    if (entry.path().extension() != ".alm") continue;
+    SCOPED_TRACE(entry.path().filename().string());
+    std::ifstream in(entry.path());
+    std::stringstream text;
+    text << in.rdbuf();
+    const Program program = parse_program(text.str());
+    for (const auto& mdecl : program.machines) {
+      const CompiledMachine cm = compile_machine(program, mdecl.name);
+      for (const auto& st : cm.states) {
+        SCOPED_TRACE(mdecl.name + "." + st.name);
+        ++states;
+        const UtilityAnalysis* stored = st.utility_analysis();
+        ASSERT_NE(stored, nullptr);
+        EXPECT_TRUE(same_bits(*stored, st.util ? analyze_utility(*st.util)
+                                               : default_utility()));
+      }
+    }
+  }
+  EXPECT_GT(states, 0);
+}
+
+TEST(UtilityAnalysisTest, UnanalyzableUtilStoresTheErrorUt001Reports) {
+  const char* src = R"(
+    machine M {
+      place all;
+      state s {
+        util (r) { return r.vCPU * r.RAM; }
+      }
+    }
+  )";
+  auto c = compile(src, "M");  // compiles: the error is stored
+  const CompiledState* s = c.machine.state("s");
+  EXPECT_EQ(s->utility_analysis(), nullptr);
+  const CompileError* stored = s->utility_error();
+  ASSERT_NE(stored, nullptr);
+  try {
+    analyze_utility(*s->util);
+    ADD_FAILURE() << "the util analyzed";
+  } catch (const CompileError& fresh) {
+    EXPECT_STREQ(stored->what(), fresh.what());
+    EXPECT_EQ(stored->loc().line, fresh.loc().line);
+    EXPECT_EQ(stored->loc().column, fresh.loc().column);
+  }
+
+  int ut001 = 0;
+  for (const auto& d : verify::verify_program(c.program)) {
+    if (d.code != "UT001") continue;
+    ++ut001;
+    EXPECT_EQ(d.message, "util of state 's' is not statically analyzable: " +
+                             std::string(stored->what()));
+    EXPECT_EQ(d.loc.line, stored->loc().line);
+    EXPECT_EQ(d.loc.column, stored->loc().column);
+  }
+  EXPECT_EQ(ut001, 1);
 }
 
 // --- Poll analysis -------------------------------------------------------------

@@ -3,6 +3,8 @@
 // anomalies on simulated traffic.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "almanac/analysis.h"
 #include "farm/harvesters.h"
 #include "farm/system.h"
@@ -31,8 +33,11 @@ TEST(UseCaseTest, AllProgramsParseAndCompile) {
       EXPECT_FALSE(cm.states.empty());
       // Every state's util must pass the §III-A f restrictions and the
       // polynomial analysis.
-      for (const auto& st : cm.states)
-        if (st.util) EXPECT_NO_THROW(almanac::analyze_utility(*st.util));
+      for (const auto& st : cm.states) {
+        if (st.util) {
+          EXPECT_NO_THROW(almanac::analyze_utility(*st.util));
+        }
+      }
     }
   }
 }
@@ -210,6 +215,88 @@ TEST(SeederTest, InstallLiveMigratesSeedOnceAndResolvesOnLanding) {
   if (telemetry::Hub::compiled_in()) {
     EXPECT_EQ(passes() - before_landing, 1) << "the landing re-solves once";
   }
+}
+
+// A timer walks the seed from `warm` through `hot` to `quiet`, which has
+// no util.
+constexpr const char* kPhases = R"ALM(
+machine Phases {
+  place any at;
+  external long at = 0;
+  time tick = 0.01;
+  long n = 0;
+  state warm {
+    util (res) { if (res.vCPU >= 1) then { return 1; } }
+    when (tick as t) do {
+      n = n + 1;
+      if (n >= 3) then { transit hot; }
+    }
+  }
+  state hot {
+    util (res) { if (res.vCPU >= 0.5) then { return res.vCPU; } }
+    when (tick as t) do {
+      n = n + 1;
+      if (n >= 8) then { transit quiet; }
+    }
+  }
+  state quiet {
+    when (tick as t) do { n = n + 1; }
+  }
+}
+)ALM";
+
+bool same_bits(const std::vector<almanac::Poly>& a,
+               const std::vector<almanac::Poly>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (std::memcmp(&a[i].c0, &b[i].c0, sizeof a[i].c0) != 0 ||
+        std::memcmp(a[i].coeff.data(), b[i].coeff.data(),
+                    sizeof a[i].coeff) != 0)
+      return false;
+  return true;
+}
+
+bool same_bits(const std::vector<almanac::UtilityVariant>& a,
+               const std::vector<almanac::UtilityVariant>& b) {
+  if (a.size() != b.size()) return false;
+  for (std::size_t i = 0; i < a.size(); ++i)
+    if (!same_bits(a[i].constraints, b[i].constraints) ||
+        !same_bits(a[i].util_min_terms, b[i].util_min_terms))
+      return false;
+  return true;
+}
+
+TEST(SeederTest, LiveSeedContributesItsCurrentStateUtility) {
+  FarmSystem farm(FarmSystemConfig{
+      .topology = {.spines = 1, .leaves = 2, .hosts_per_leaf = 1}});
+  const net::NodeId leaf = farm.fabric().leaf_switches[0];
+  auto ids = farm.install_task(
+      {"phases", kPhases, {}, {{"at", Value(static_cast<std::int64_t>(leaf))}}});
+  ASSERT_EQ(ids.size(), 1u);
+  const runtime::Seed* seed = farm.soil(leaf).find(ids[0]);
+  ASSERT_TRUE(seed);
+  auto problem_variants = [&] {
+    for (const auto& sm : farm.seeder().build_problem().seeds)
+      if (sm.id == ids[0].to_string()) return sm.variants;
+    ADD_FAILURE() << "the seed is missing from the problem";
+    return std::vector<almanac::UtilityVariant>{};
+  };
+  auto compiled_variants = [&](const std::string& state) {
+    return seed->machine().state(state)->utility_analysis()->variants;
+  };
+
+  ASSERT_EQ(seed->current_state(), "warm");
+  EXPECT_TRUE(same_bits(problem_variants(), compiled_variants("warm")));
+  farm.run_for(Duration::ms(35));
+  ASSERT_EQ(seed->current_state(), "hot");
+  EXPECT_TRUE(same_bits(problem_variants(), compiled_variants("hot")));
+  // No util: the seed is worth default_utility(), not its initial state.
+  farm.run_for(Duration::ms(50));
+  ASSERT_EQ(seed->current_state(), "quiet");
+  EXPECT_TRUE(
+      same_bits(problem_variants(), almanac::default_utility().variants));
+  EXPECT_TRUE(same_bits(compiled_variants("quiet"),
+                        almanac::default_utility().variants));
 }
 
 // --- End-to-end detection scenarios ------------------------------------------

@@ -203,9 +203,10 @@ TEST(MilpPlacementTest, HeuristicMatchesMilpOnSmallInstances) {
     auto heur = solve_heuristic(p);
     EXPECT_TRUE(validate_placement(p, milp).empty()) << "trial " << trial;
     EXPECT_TRUE(validate_placement(p, heur).empty()) << "trial " << trial;
-    if (milp.total_utility > 0)
+    if (milp.total_utility > 0) {
       EXPECT_GE(heur.total_utility, 0.85 * milp.total_utility)
           << "trial " << trial;
+    }
     // And the exact solver is never beaten (sanity of the encoding).
     EXPECT_LE(heur.total_utility, milp.total_utility + 1e-4)
         << "trial " << trial;
