@@ -87,7 +87,7 @@ int main() {
     json.record("utility_with_migration", with.total_utility, "MU",
                 {farm::bench::param("seeds", 6 * seeds_per_task)});
     // Furrow solver counters: the LP work each configuration bought and
-    // what the migration pass did with it (zero when telemetry is off).
+    // what the migration pass did with it.
     json.record("simplex_pivots", static_cast<double>(base_ctr.pivots),
                 "count", {farm::bench::param("seeds", 6 * seeds_per_task),
                           farm::bench::param("migration", 0)});

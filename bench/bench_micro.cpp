@@ -162,8 +162,7 @@ void BM_AlertEvaluate128Metrics(benchmark::State& state) {
   // One Scarecrow evaluator tick over a 128-metric registry with the six
   // default SLO rules installed. This is the entire per-period cost the
   // alerting layer adds to a run — it reads live aggregates only, never the
-  // event store. With -DFARM_TELEMETRY=OFF the registry stays empty and the
-  // tick is a no-op.
+  // event store.
   sim::Engine engine;
   telemetry::Hub& tel = engine.telemetry();
   std::vector<telemetry::MetricId> gauges;

@@ -5,8 +5,7 @@
 //   BM_ProfMicro     — ns per scope (enabled vs runtime-disabled), ns per
 //                      counter increment. The runtime-disabled cost is the
 //                      price every FARM binary pays for shipping the
-//                      instrumentation; under -DFARM_TELEMETRY=OFF both
-//                      columns measure the compiled-out no-op.
+//                      instrumentation.
 //   BM_ProfMerge     — snapshot (merge) cost with 1/4/16 live recording
 //                      threads, µs per snapshot.
 //   BM_ProfOverhead  — the hard gate: the instrumented 10k-seed
@@ -126,9 +125,7 @@ bool reconciles(const ProfNode& node) {
 int main() {
   bench::BenchJson json("profiler");
   Profiler& prof = Profiler::instance();
-  std::printf("Furrow — profiler cost & overhead gate (telemetry %s)\n\n",
-              Profiler::compiled_in() ? "compiled in" : "compiled OUT");
-  json.record("compiled_in", Profiler::compiled_in() ? 1 : 0, "bool");
+  std::printf("Furrow — profiler cost & overhead gate\n\n");
 
   // --- BM_ProfMicro -------------------------------------------------------
   const std::size_t n = 500000;
@@ -222,7 +219,7 @@ int main() {
   // Collapsed-stack artifact + reconciliation: children fit inside parents
   // everywhere, so self-time sums can never exceed totals.
   bool reconciled = reconciles(profile.root);
-  bool counters_seen = !Profiler::compiled_in() || pivots > 0;
+  bool counters_seen = pivots > 0;
   {
     std::ofstream os(bench::bench_output_dir() /
                      "BENCH_profiler_collapsed.txt");

@@ -77,7 +77,7 @@ int check(const std::string& path) {
       }
       almanac::Env env = almanac::static_machine_env(cm);
       for (const auto& pa :
-           almanac::analyze_polls(cm, env, {1, 128, 32, 1})) {
+           almanac::analyze_polls(cm, env, almanac::kReferenceAlloc)) {
         std::printf("  %s %s: subjects=%zu, ival%s = %s\n",
                     to_string(pa.ttype).c_str(), pa.var.c_str(),
                     pa.subjects.size(), pa.inv_linear ? "(r)" : "",

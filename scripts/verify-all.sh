@@ -1,13 +1,14 @@
 #!/usr/bin/env bash
-# verify-all: configure + build + test the five supported configurations
-# in sequence — default (RelWithDebInfo, every test: the lint, accuracy,
-# profile, telemetry and winnow labels included), ASan+UBSan, a
-# UBSan-only build over the lint+winnow labels (the interpreter and
-# abstract-interpreter arithmetic edge cases are exactly where UB hides),
-# telemetry compiled out, and TSan over the Combine-labelled concurrency
-# tests (the worker pool, the parallel placement paths and the LP memo
-# shared by the parallel LP batches, run at FARM_THREADS=8). A single
-# label re-runs on the default tree with `ctest --test-dir build -L <label>`.
+# verify-all: chains the four verify-* workflows — configure + build +
+# test of each supported configuration in sequence: default
+# (RelWithDebInfo, every test: the lint, accuracy, profile, telemetry and
+# winnow labels included), ASan+UBSan, a UBSan-only build over the
+# lint+winnow labels (the interpreter and abstract-interpreter arithmetic
+# edge cases are exactly where UB hides), and TSan over the
+# Combine-labelled concurrency tests (the worker pool, the parallel
+# placement paths and the LP memo shared by the parallel LP batches, run
+# at FARM_THREADS=8). A single label re-runs on the default tree with
+# `ctest --test-dir build -L <label>`.
 # Then three fatal bench gates: bench_incremental must re-solve a single
 # seed event on the 100k-seed fabric through the LP memo in under a
 # second, bit-identical to a memo-less solve and, at FARM_THREADS=1,
@@ -25,7 +26,7 @@ set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-workflows=(verify-default verify-asan verify-ubsan verify-telemetry-off verify-tsan)
+workflows=(verify-default verify-asan verify-ubsan verify-tsan)
 failed=()
 
 for wf in "${workflows[@]}"; do

@@ -458,7 +458,6 @@ std::vector<PollAnalysis> analyze_polls(
       pa.inv_linear = true;
     } else {
       // Fallback: evaluate numerically at the reference allocation.
-      struct RefHost;  // res() via a minimal host
       class MiniHost : public SeedHost {
        public:
         explicit MiniHost(ResourcesValue r) : r_(r) {}

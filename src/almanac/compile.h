@@ -84,12 +84,6 @@ struct CompiledMachine {
       if (v->trigger) out.push_back(v);
     return out;
   }
-  std::vector<const VarDecl*> external_vars() const {
-    std::vector<const VarDecl*> out;
-    for (const auto* v : vars)
-      if (v->external) out.push_back(v);
-    return out;
-  }
 };
 
 // Compiles one machine of the program, collecting *all* semantic

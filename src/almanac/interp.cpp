@@ -6,6 +6,14 @@
 
 namespace farm::almanac {
 
+static_assert(std::is_sorted(std::begin(kBuiltinNames),
+                             std::end(kBuiltinNames)));
+
+bool is_builtin(std::string_view name) {
+  return std::binary_search(std::begin(kBuiltinNames), std::end(kBuiltinNames),
+                            name);
+}
+
 namespace {
 
 double need_num(const Value& v, SourceLoc loc, const char* what) {
@@ -402,6 +410,8 @@ Value Interpreter::eval_field(const Expr& e, Env& env) {
                   e.loc);
 }
 
+// Builtins come first: a program function named like one is never called
+// (kBuiltinNames lists every name builtin() dispatches).
 Value Interpreter::eval_call(const Expr& e, Env& env) {
   std::vector<Value> args;
   args.reserve(e.args.size());

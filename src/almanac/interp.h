@@ -13,6 +13,7 @@
 #include <optional>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -20,6 +21,22 @@
 #include "almanac/value.h"
 
 namespace farm::almanac {
+
+// Every name Interpreter::builtin dispatches, sorted. A call runs the
+// builtin before it looks for a program function, so a program function
+// with one of these names is never called; static analyses that follow
+// calls into program functions skip the names is_builtin accepts.
+inline constexpr std::string_view kBuiltinNames[] = {
+    "abs", "action_count", "action_drop", "action_mirror", "action_rate_limit",
+    "addTCAMRule", "cms_add", "cms_clear", "cms_estimate", "cms_new", "exec",
+    "getTCAMRule", "hll_add", "hll_clear", "hll_estimate", "hll_new",
+    "iface_filter", "is_list_empty", "is_nil", "list_append", "list_clear",
+    "list_contains", "list_get", "list_index_of", "list_new", "list_set",
+    "list_size", "log", "max", "mg_add", "mg_clear", "mg_estimate",
+    "mg_hitters", "mg_new", "min", "now_ms", "removeTCAMRule", "res",
+    "stats_bytes", "stats_iface", "stats_packets", "stats_size",
+    "stats_subject", "switch_id", "to_float", "to_long", "to_str"};
+bool is_builtin(std::string_view name);
 
 class EvalError : public std::runtime_error {
  public:

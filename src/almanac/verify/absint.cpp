@@ -1290,16 +1290,7 @@ class Engine {
     // Remaining builtins (host calls, containers, sketches, stringifiers)
     // and unknown names: Top. Builtins shadow user functions, so check the
     // user-function table only for names the interpreter does not claim.
-    static const std::set<std::string> kOtherBuiltins = {
-        "res",          "addTCAMRule", "removeTCAMRule", "getTCAMRule",
-        "exec",         "action_drop", "action_rate_limit", "action_count",
-        "action_mirror", "list_new",   "is_list_empty",  "list_get",
-        "list_append",  "list_clear",  "list_contains",  "list_set",
-        "stats_subject", "cms_new",    "cms_add",        "cms_clear",
-        "mg_new",       "mg_add",      "mg_hitters",     "mg_clear",
-        "hll_new",      "hll_add",     "hll_clear",      "is_nil",
-        "to_str",       "iface_filter", "log"};
-    if (kOtherBuiltins.count(n)) {
+    if (is_builtin(n)) {
       eval_args();
       return AbsVal::top();
     }

@@ -2,16 +2,14 @@
 
 #include <algorithm>
 
-#include "almanac/analysis.h"
+#include "almanac/interp.h"
 #include "almanac/verify/passes.h"
 #include "net/filter.h"
+#include "sim/cost_model.h"
 
 namespace farm::almanac::verify {
 
 namespace {
-
-// Mirrors asic/pcie.cpp's per-entry accounting (see pass_resources.cpp).
-constexpr double kPollEntryBytes = 16;
 
 struct TcamWeigher {
   const Program& program;
@@ -26,7 +24,9 @@ struct TcamWeigher {
       if (x.kind != Expr::Kind::kCall) return;
       if (x.name == "addTCAMRule") {
         w += depth_mult;
-      } else if (const FuncDecl* f = program.function(x.name)) {
+      } else if (const FuncDecl* f = is_builtin(x.name)
+                                         ? nullptr
+                                         : program.function(x.name)) {
         // Recursion guard: a cycle contributes no additional installs.
         if (in_progress.insert(x.name).second) {
           w += weigh(f->body, depth_mult);
@@ -65,13 +65,12 @@ struct TcamWeigher {
 
 }  // namespace
 
-ResourceEstimate estimate_resources(const CompiledMachine& m,
-                                    const VerifyOptions& opts,
-                                    const absint::Analysis* facts) {
+ResourceEstimate estimate_tcam(const CompiledMachine& m,
+                               const VerifyOptions& opts,
+                               const absint::Analysis* facts) {
   ResourceEstimate est;
-
-  // TCAM: sum over all dedup'd handlers, each weighed with its own
-  // recursion guard — identical to the RS pass at facts == nullptr.
+  // Sum over all dedup'd handlers, each weighed with its own recursion
+  // guard.
   std::unordered_set<const EventDecl*> seen;
   for (const auto& s : m.states)
     for (const auto* ev : s.events)
@@ -79,30 +78,38 @@ ResourceEstimate estimate_resources(const CompiledMachine& m,
         TcamWeigher w{*m.program, opts.max_ifaces, facts, &est, {}};
         est.tcam_rules += w.weigh(ev->actions, 1.0);
       }
+  return est;
+}
 
-  // PCIe: worst-case static poll bandwidth (same model as the RS pass).
-  Env env = static_machine_env(m, opts.externals);
-  std::vector<PollAnalysis> polls;
-  try {
-    polls = analyze_polls(m, env, kReferenceAlloc);
-  } catch (const CompileError&) {
-    est.pcie_analyzable = false;
-    return est;
-  } catch (const EvalError&) {
-    est.pcie_analyzable = false;
-    return est;
-  }
+double static_poll_mbps(const std::vector<PollAnalysis>& polls,
+                        const VerifyOptions& opts) {
+  // The allocation-dependent rate grows with the grant, and a seed can be
+  // granted at most the whole poll budget on the PCIe axis.
+  ResourcesValue generous = kReferenceAlloc;
+  generous.PCIe = opts.pcie_budget_mbps;
+  double mbps = 0;
   for (const auto& pa : polls) {
-    int fp = pa.what.iface_footprint();
-    int entries = fp == net::Filter::kAllIfaces ? opts.max_ifaces
-                  : fp > 0                      ? fp
-                                                : 1;
-    ResourcesValue generous = kReferenceAlloc;
-    generous.PCIe = opts.pcie_budget_mbps;
     double inv = std::max(pa.inv_ival.eval(kReferenceAlloc),
                           pa.inv_ival.eval(generous));
-    if (inv <= 0) continue;
-    est.pcie_mbps += inv * entries * kPollEntryBytes * 8.0 / 1e6;
+    if (inv <= 0) continue;  // analyze_polls already guarantees positivity
+    mbps += inv * pa.what.poll_entries(opts.max_ifaces) *
+            sim::cost::kStatEntryBytes * 8.0 / 1e6;
+  }
+  return mbps;
+}
+
+ResourceEstimate estimate_resources(const CompiledMachine& m,
+                                    const VerifyOptions& opts,
+                                    const absint::Analysis* facts) {
+  ResourceEstimate est = estimate_tcam(m, opts, facts);
+  Env env = static_machine_env(m, opts.externals);
+  try {
+    est.pcie_mbps =
+        static_poll_mbps(analyze_polls(m, env, kReferenceAlloc), opts);
+  } catch (const CompileError&) {
+    est.pcie_analyzable = false;
+  } catch (const EvalError&) {
+    est.pcie_analyzable = false;
   }
   return est;
 }

@@ -9,6 +9,9 @@
 // syntactic score.
 #pragma once
 
+#include <vector>
+
+#include "almanac/analysis.h"
 #include "almanac/verify/absint.h"
 #include "almanac/verify/verify.h"
 
@@ -29,5 +32,17 @@ struct ResourceEstimate {
 ResourceEstimate estimate_resources(const CompiledMachine& m,
                                     const VerifyOptions& opts,
                                     const absint::Analysis* facts = nullptr);
+
+// The two halves of estimate_resources, for the RS pass, which reports on
+// the poll analysis itself and so runs it once:
+//   estimate_tcam — the TCAM fields alone (the PCIe ones keep defaults);
+//   static_poll_mbps — the worst-case bandwidth of analyzed polls: each at
+//   the higher rate of the reference allocation and a grant of the whole
+//   PCIe budget, reading what.poll_entries(max_ifaces) entries a poll.
+ResourceEstimate estimate_tcam(const CompiledMachine& m,
+                               const VerifyOptions& opts,
+                               const absint::Analysis* facts = nullptr);
+double static_poll_mbps(const std::vector<PollAnalysis>& polls,
+                        const VerifyOptions& opts);
 
 }  // namespace farm::almanac::verify

@@ -12,31 +12,24 @@
 //
 //   PCIe — analyze_polls gives 1/ival as a polynomial in the allocation;
 //   the per-poll transfer is entries × kStatEntryBytes. The worst-case
-//   rate (evaluated at the reference allocation and at a full-PCIe-budget
-//   allocation, whichever is higher) must stay inside the 8 Mbps poll
-//   channel (RS002), and a single seed demanding more than
+//   rate (static_poll_mbps: evaluated at the reference allocation and at a
+//   full-PCIe-budget allocation, whichever is higher) must stay inside the
+//   8 Mbps poll channel (RS002), and a single seed demanding more than
 //   kPcieWarnFraction of it is flagged early (RS003).
 //
 // Poll shape problems surface here too, because this pass is the one
 // running analyze_polls: PO001 when the analysis rejects the spec
 // outright, PO002 when a non-inverse-linear ival silently degrades to a
 // constant evaluated at the reference allocation (§III-B c).
-#include <cmath>
 #include <cstdio>
 
 #include "almanac/analysis.h"
 #include "almanac/verify/estimate.h"
 #include "almanac/verify/passes.h"
-#include "net/filter.h"
 
 namespace farm::almanac::verify {
 
 namespace {
-
-// Per-poll transfer size on the wire; mirrors asic/pcie.cpp's accounting
-// (kStatEntryBytes per polled entry). Kept as a literal so farm_almanac
-// does not grow a dependency on sim/cost_model.h.
-constexpr double kPollEntryBytes = 16;
 
 // RS003 fires when a seed's static poll demand exceeds this fraction of
 // the budget (a single seed hogging half the channel starves the rest).
@@ -56,7 +49,7 @@ void pass_resources(const CompiledMachine& m, const VerifyOptions& opts,
   // --- TCAM ------------------------------------------------------------------
   // Syntactic weight (no Winnow facts): the RS gate stays conservative —
   // an operator can run `almanac_tool optimize` for the refined score.
-  double rules = estimate_resources(m, opts, nullptr).tcam_rules;
+  double rules = estimate_tcam(m, opts).tcam_rules;
   if (rules > opts.tcam_monitoring_capacity) {
     SourceLoc loc;
     if (const MachineDecl* d = m.program->machine(m.name)) loc = d->loc;
@@ -132,33 +125,18 @@ void pass_resources(const CompiledMachine& m, const VerifyOptions& opts,
     return;
   }
 
-  double total_mbps = 0;
   for (const auto& pa : polls) {
+    if (pa.inv_linear) continue;
     const VarDecl* v = m.var(pa.var);
-    const SourceLoc loc = v ? v->loc : SourceLoc{};
-    if (!pa.inv_linear)
-      sink.warning(codes::kPollNonlinearIval, loc,
-                   "ival of " + to_string(pa.ttype) + " variable '" + pa.var +
-                       "' is not inverse-linear in the allocation; the "
-                       "optimizer falls back to a constant rate sampled at "
-                       "the reference allocation",
-                   "use a constant or the  c / res().X  form so the rate "
-                   "scales with the granted resources");
-
-    int fp = pa.what.iface_footprint();
-    int entries = fp == net::Filter::kAllIfaces ? opts.max_ifaces
-                  : fp > 0                      ? fp
-                                                : 1;
-    // Worst-case poll rate: the allocation-dependent rate grows with the
-    // grant, and a seed can be granted at most the whole poll budget on
-    // the PCIe axis.
-    ResourcesValue generous = kReferenceAlloc;
-    generous.PCIe = opts.pcie_budget_mbps;
-    double inv = std::max(pa.inv_ival.eval(kReferenceAlloc),
-                          pa.inv_ival.eval(generous));
-    if (inv <= 0) continue;  // analyze_polls already guarantees positivity
-    total_mbps += inv * entries * kPollEntryBytes * 8.0 / 1e6;
+    sink.warning(codes::kPollNonlinearIval, v ? v->loc : SourceLoc{},
+                 "ival of " + to_string(pa.ttype) + " variable '" + pa.var +
+                     "' is not inverse-linear in the allocation; the "
+                     "optimizer falls back to a constant rate sampled at "
+                     "the reference allocation",
+                 "use a constant or the  c / res().X  form so the rate "
+                 "scales with the granted resources");
   }
+  const double total_mbps = static_poll_mbps(polls, opts);
   if (polls.empty() || total_mbps <= 0) return;
   SourceLoc loc = m.var(polls.front().var) ? m.var(polls.front().var)->loc
                                            : SourceLoc{};

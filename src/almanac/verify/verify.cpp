@@ -1,5 +1,6 @@
 #include "almanac/verify/verify.h"
 
+#include "almanac/interp.h"
 #include "almanac/verify/passes.h"
 
 namespace farm::almanac::verify {
@@ -11,7 +12,7 @@ void collect_functions(const Program& program,
                        std::unordered_set<std::string>& out) {
   walk_actions(actions, [&](const Action& a) {
     walk_action_exprs(a, [&](const Expr& e) {
-      if (e.kind != Expr::Kind::kCall) return;
+      if (e.kind != Expr::Kind::kCall || is_builtin(e.name)) return;
       const FuncDecl* f = program.function(e.name);
       if (!f || out.count(e.name)) return;
       out.insert(e.name);
@@ -42,9 +43,9 @@ std::vector<Diagnostic> verify_machine(const CompiledMachine& machine,
   return sink.take_sorted();
 }
 
-std::vector<Diagnostic> verify_program(const Program& program,
-                                       const std::vector<std::string>& machines,
-                                       const VerifyOptions& options) {
+std::vector<Diagnostic> verify_program(
+    const Program& program, const std::vector<std::string>& machines,
+    const VerifyOptions& options, std::vector<CompiledMachine>* compiled) {
   std::vector<std::string> names = machines;
   if (names.empty())
     for (const auto& mdecl : program.machines) names.push_back(mdecl.name);
@@ -60,6 +61,7 @@ std::vector<Diagnostic> verify_program(const Program& program,
     if (!compiled_clean) continue;
     for (auto& d : verify_machine(*cm, options))
       all.report(d.code, d.severity, d.loc, d.message, d.hint);
+    if (compiled) compiled->push_back(std::move(*cm));
   }
   return all.take_sorted();
 }

@@ -104,10 +104,13 @@ std::vector<Diagnostic> verify_machine(const CompiledMachine& machine,
 std::vector<Diagnostic> verify_program(const Program& program,
                                        const VerifyOptions& options = {});
 // Same, restricted to the named machines (empty = all). Used by the
-// seeder, which only instantiates the machines a TaskSpec asks for.
-std::vector<Diagnostic> verify_program(const Program& program,
-                                       const std::vector<std::string>& machines,
-                                       const VerifyOptions& options = {});
+// seeder, which only instantiates the machines a TaskSpec asks for, and
+// builds their images from `compiled`: when set, it receives each machine
+// that compiled without errors, in the order asked for.
+std::vector<Diagnostic> verify_program(
+    const Program& program, const std::vector<std::string>& machines,
+    const VerifyOptions& options = {},
+    std::vector<CompiledMachine>* compiled = nullptr);
 
 inline std::size_t count_errors(const std::vector<Diagnostic>& diags) {
   std::size_t n = 0;

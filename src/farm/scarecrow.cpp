@@ -57,9 +57,7 @@ Scarecrow::Scarecrow(FarmSystem& system, ScarecrowConfig config)
 
   m_fabric_ = system_.telemetry().gauge("health.fabric");
 
-  // The evaluator only runs when telemetry actually records: a
-  // compiled-out hub would feed it frozen aggregates and pay for nothing.
-  if (telemetry::Hub::compiled_in() && config_.eval_period.is_positive()) {
+  if (config_.eval_period.is_positive()) {
     task_ = std::make_unique<sim::PeriodicTask>(
         system_.engine(), config_.eval_period, [this] { evaluate_now(); });
     task_->start();

@@ -16,8 +16,7 @@
 // that caused them. The end-of-run "farm report" (text or JSON) renders
 // hub + alerts + health in one snapshot.
 //
-// With FARM_TELEMETRY=OFF, or a zero eval_period, the periodic task never
-// starts: Scarecrow costs exactly nothing when telemetry is off.
+// With a zero eval_period the periodic task never starts.
 #pragma once
 
 #include <memory>
@@ -54,8 +53,8 @@ class Scarecrow {
   const telemetry::AlertManager& alerts() const { return alerts_; }
   const telemetry::HealthTree& health() const { return health_; }
   double fabric_score() const { return health_.fabric_score(); }
-  // Whether the periodic evaluator is active (false when telemetry is
-  // compiled out or eval_period is zero).
+  // Whether the periodic evaluator is active (false when eval_period is
+  // zero).
   bool running() const { return task_ != nullptr; }
 
   // One evaluation right now — what the periodic task does each tick.

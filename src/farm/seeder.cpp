@@ -219,15 +219,10 @@ Seeder::SeedIndex Seeder::locate_seeds() const {
   return index;
 }
 
-std::vector<Seeder::PlannedSeed> Seeder::elaborate(
-    const TaskSpec& spec, std::shared_ptr<const almanac::Program> program) {
-  std::vector<std::string> machines = spec.machines;
-  if (machines.empty())
-    for (const auto& m : program->machines) machines.push_back(m.name);
-
+std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec,
+                                                   const Images& images) {
   std::vector<PlannedSeed> out;
-  for (const auto& mname : machines) {
-    auto image = runtime::MachineImage::from_program(program, mname);
+  for (const auto& image : images) {
     const auto& cm = image->machine;
 
     almanac::Env env = almanac::static_machine_env(cm, spec.externals);
@@ -249,17 +244,13 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(
     int index = 0;
     for (const auto& rs : resolved) {
       PlannedSeed ps;
-      ps.id = SeedId{spec.name, mname, index++};
+      ps.id = SeedId{spec.name, cm.name, index++};
       ps.image = image;
       ps.externals = externals;
       ps.candidates = rs.candidates;
       for (const auto& pa : polls) {
-        int fp = pa.what.iface_footprint();
-        int entries = fp == net::Filter::kAllIfaces ? max_ifaces_
-                      : fp > 0                      ? fp
-                                                    : 1;
-        double mbps_per_poll =
-            entries * sim::cost::kStatEntryBytes * 8.0 / 1e6;
+        double mbps_per_poll = pa.what.poll_entries(max_ifaces_) *
+                               sim::cost::kStatEntryBytes * 8.0 / 1e6;
         ps.polls.push_back(placement::PollModel{
             pa.subjects.empty() ? "none" : pa.subjects.front(),
             pa.inv_ival.scaled(mbps_per_poll)});
@@ -415,8 +406,7 @@ void Seeder::reoptimize() {
   reoptimizing_ = false;
 }
 
-std::shared_ptr<const almanac::Program> Seeder::lint_intake(
-    const TaskSpec& spec) {
+std::optional<Seeder::Images> Seeder::lint_intake(const TaskSpec& spec) {
   FARM_PROF_SCOPE("lint");
   last_lint_.clear();
 
@@ -441,17 +431,27 @@ std::shared_ptr<const almanac::Program> Seeder::lint_intake(
     ++lint_rejections_;
     FARM_LOG(kWarn) << "seeder: task '" << spec.name
                    << "' rejected by Sickle: parse error: " << e.what();
-    return nullptr;
+    return std::nullopt;
   }
-  last_lint_ = almanac::verify::verify_program(*program, spec.machines, vopts);
-  if (almanac::verify::count_errors(last_lint_) == 0) return program;
+  std::vector<almanac::CompiledMachine> machines;
+  last_lint_ = almanac::verify::verify_program(*program, spec.machines, vopts,
+                                               &machines);
+  if (almanac::verify::count_errors(last_lint_) == 0) {
+    // No error means every requested machine compiled; each seed image
+    // holds the verified machine rather than compiling it again.
+    Images images;
+    for (auto& cm : machines)
+      images.push_back(std::make_shared<runtime::MachineImage>(
+          runtime::MachineImage{program, std::move(cm)}));
+    return images;
+  }
   tel_->add(m_lint_rejected_);
   ++lint_rejections_;
   FARM_LOG(kWarn) << "seeder: task '" << spec.name << "' rejected by Sickle: "
                  << almanac::verify::count_errors(last_lint_)
                  << " error(s), first: " << last_lint_.front().code << " "
                  << last_lint_.front().message;
-  return nullptr;
+  return std::nullopt;
 }
 
 std::vector<SeedId> Seeder::install_task(const TaskSpec& spec) {
@@ -460,11 +460,11 @@ std::vector<SeedId> Seeder::install_task(const TaskSpec& spec) {
   FARM_CHECK_MSG(!tasks_.count(spec.name), "task already installed");
   // Step 0 (Sickle): reject ill-formed seeds before any elaboration or
   // placement work happens — a rejected task installs nothing.
-  auto program = lint_intake(spec);
-  if (!program) return {};
+  auto images = lint_intake(spec);
+  if (!images) return {};
   InstalledTask task;
   task.spec = spec;
-  task.seeds = elaborate(spec, std::move(program));
+  task.seeds = elaborate(spec, *images);
   tasks_.emplace(spec.name, std::move(task));
   reoptimize();
   return seeds_of_task(spec.name);

@@ -136,13 +136,15 @@ class Seeder {
   // Where each planned seed runs (seeder.cpp).
   struct SeedIndex;
 
+  using Images = std::vector<std::shared_ptr<runtime::MachineImage>>;
   // Sickle pre-deployment verification (step 0): parses the task source
-  // and verifies its seeds. Returns the program when the task may proceed
-  // to elaboration, null when it is rejected; fills last_lint_.
-  std::shared_ptr<const almanac::Program> lint_intake(const TaskSpec& spec);
-  // Elaborates the task's program into planned seeds (steps 1-3).
-  std::vector<PlannedSeed> elaborate(
-      const TaskSpec& spec, std::shared_ptr<const almanac::Program> program);
+  // and verifies its seeds; fills last_lint_. When the task may proceed,
+  // returns one image per requested machine, holding the machine the
+  // verifier compiled; nullopt when the task is rejected.
+  std::optional<Images> lint_intake(const TaskSpec& spec);
+  // Elaborates the task's machine images into planned seeds (steps 1-3).
+  std::vector<PlannedSeed> elaborate(const TaskSpec& spec,
+                                     const Images& images);
   // One pass over the soils' seed lists.
   SeedIndex locate_seeds() const;
   placement::PlacementProblem build_problem(const SeedIndex& where) const;

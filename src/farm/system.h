@@ -28,8 +28,7 @@ struct FarmSystemConfig {
   SeederOptions seeder;
   // Scarecrow SLO alerting + health scoring over this system's telemetry.
   ScarecrowConfig scarecrow;
-  // Hub geometry (event-ring and span-track capacity). Telemetry itself is
-  // switched off only at compile time (FARM_TELEMETRY=OFF).
+  // Hub geometry (event-ring and span-track capacity).
   telemetry::HubConfig hub;
 };
 

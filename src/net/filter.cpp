@@ -231,6 +231,12 @@ int Filter::iface_footprint() const {
   return count;
 }
 
+int Filter::poll_entries(int n_ifaces) const {
+  int fp = iface_footprint();
+  if (fp == kAllIfaces) return n_ifaces;
+  return fp > 0 ? fp : 1;
+}
+
 std::vector<std::int32_t> Filter::iface_atoms() const {
   std::vector<std::int32_t> out;
   for (const auto& c : to_dnf())

@@ -85,6 +85,10 @@ class Filter {
   static constexpr int kAllIfaces = -1;
   // Returns kAllIfaces, or the count of concrete interface atoms.
   int iface_footprint() const;
+  // Stat entries one poll of this subject reads on a switch with
+  // `n_ifaces` interfaces: every interface for kAllIfaces, each named
+  // interface, or else the one counter of the subject's TCAM rule.
+  int poll_entries(int n_ifaces) const;
   // The concrete (non-negative, deduplicated) interface indices referenced;
   // empty when the filter has no interface atoms or only wildcards.
   std::vector<std::int32_t> iface_atoms() const;

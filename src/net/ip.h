@@ -57,7 +57,6 @@ class Prefix {
 
   constexpr Ipv4 address() const { return addr_; }
   constexpr int length() const { return len_; }
-  constexpr bool is_any() const { return len_ == 0; }
   std::string to_string() const;
   friend constexpr auto operator<=>(const Prefix&, const Prefix&) = default;
 

@@ -58,7 +58,6 @@ class CountMinSketch {
   int width() const { return width_; }
   int depth() const { return depth_; }
   std::uint64_t hash_seed() const { return hash_seed_; }
-  Update update_mode() const { return update_; }
   std::size_t memory_bytes() const {
     return counters_.size() * sizeof(std::uint64_t);
   }

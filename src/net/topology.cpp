@@ -42,11 +42,6 @@ void Topology::set_node_state(NodeId n, bool up) {
   }
 }
 
-bool Topology::node_up(NodeId n) const {
-  FARM_CHECK(n < nodes_.size());
-  return !node_down_[n];
-}
-
 bool Topology::edge_usable(NodeId a, NodeId b) const {
   return !node_down_[a] && !node_down_[b] && link_up(a, b);
 }

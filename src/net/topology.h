@@ -57,7 +57,6 @@ class Topology {
   void set_link_state(NodeId a, NodeId b, bool up);
   bool link_up(NodeId a, NodeId b) const;
   void set_node_state(NodeId n, bool up);
-  bool node_up(NodeId n) const;
   // Both endpoints and the link itself are up (what BFS traverses).
   bool edge_usable(NodeId a, NodeId b) const;
   // Monotonic counter bumped on every liveness change; path caches compare

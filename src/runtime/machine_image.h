@@ -24,14 +24,6 @@ struct MachineImage {
     image->machine = almanac::compile_machine(*image->program, machine_name);
     return image;
   }
-  static std::shared_ptr<MachineImage> from_program(
-      std::shared_ptr<const almanac::Program> program,
-      const std::string& machine_name) {
-    auto image = std::make_shared<MachineImage>();
-    image->machine = almanac::compile_machine(*program, machine_name);
-    image->program = std::move(program);
-    return image;
-  }
 };
 
 }  // namespace farm::runtime

@@ -354,7 +354,7 @@ void Soil::schedule_poll(Registration& reg) {
       // Unaggregated poll: a dedicated PCIe request for this seed alone.
       ++poll_requests_;
       tel_->add(m_poll_requests_);
-      int entries = subject_entry_count(raw->what);
+      int entries = raw->what.poll_entries(chassis_.n_ifaces());
       net::Filter what = raw->what;
       SeedId id = raw->seed->id();
       std::string var = raw->var;
@@ -439,7 +439,7 @@ void Soil::fire_poll_group(const std::string& subject_key) {
   // One PCIe transfer serves the whole group — the aggregation benefit.
   ++poll_requests_;
   tel_->add(m_poll_requests_);
-  int entries = subject_entry_count(what);
+  int entries = what.poll_entries(chassis_.n_ifaces());
   bool as_threads = config_.seeds_as_threads;
   pcie_poll_request(
       entries,
@@ -528,13 +528,6 @@ std::vector<almanac::StatEntry> Soil::resolve_subject(
   out.push_back({what.canonical_key(), -1, rule->id, rule->hit_packets,
                  rule->hit_bytes});
   return out;
-}
-
-int Soil::subject_entry_count(const net::Filter& what) {
-  int fp = what.iface_footprint();
-  if (fp == net::Filter::kAllIfaces) return chassis_.n_ifaces();
-  if (fp > 0) return fp;
-  return 1;
 }
 
 double Soil::polling_accuracy() const {

@@ -147,7 +147,6 @@ class Soil {
   void register_trigger(Seed& seed, const Seed::ActiveTrigger& trig);
   // Resolves the counters a filter polls; may install count rules.
   std::vector<almanac::StatEntry> resolve_subject(const net::Filter& what);
-  int subject_entry_count(const net::Filter& what);
   void schedule_poll(Registration& reg);
   void fire_poll_group(const std::string& subject_key);
   void deliver_poll_to(const SeedId& id, const std::string& var,

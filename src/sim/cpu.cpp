@@ -30,11 +30,9 @@ void CpuModel::submit(TaskId task, Duration demand,
   core_last_task_[best] = task;
   core_free_[best] = start + cost;
   busy_ += cost;
-  ++inflight_;
 
   engine_.schedule_at(core_free_[best],
                       [this, cb = std::move(on_done)]() mutable {
-                        --inflight_;
                         ++completed_;
                         if (cb) cb();
                       });

@@ -40,8 +40,6 @@ class CpuModel {
   double load_percent(TimePoint window_start, Duration busy_at_start) const;
 
   int cores() const { return cores_; }
-  // Jobs admitted but not yet finished at `now`.
-  std::size_t inflight() const { return inflight_; }
   std::uint64_t completed_jobs() const { return completed_; }
   std::uint64_t context_switches() const { return switches_; }
 
@@ -52,7 +50,6 @@ class CpuModel {
   Duration busy_;
   std::vector<TimePoint> core_free_;
   std::vector<TaskId> core_last_task_;
-  std::size_t inflight_ = 0;
   std::uint64_t completed_ = 0;
   std::uint64_t switches_ = 0;
 };

@@ -64,7 +64,6 @@ class Engine {
   // its clock bound to this engine's virtual time; engines that never call
   // this pay only a null-pointer check per executed event.
   telemetry::Hub& telemetry();
-  bool has_telemetry() const { return telemetry_ != nullptr; }
   // Creates the Hub with an explicit config (event-ring and span-track
   // capacity). Must run before the first telemetry() call — the Hub's
   // store geometry is fixed at construction.

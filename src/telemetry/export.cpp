@@ -208,7 +208,7 @@ void write_prof_chrome_trace(std::ostream& os, const prof::Snapshot& snap,
 void write_prof_report(std::ostream& os, const prof::Snapshot& snap,
                        std::size_t top_n) {
   if (snap.empty()) {
-    os << "profile: (no data — profiler disabled or compiled out)\n";
+    os << "profile: (no data — profiler disabled)\n";
     return;
   }
   // Flatten to (path, node) rows, ranked by self time; ties break on path

@@ -5,10 +5,6 @@
 // clock the owner installs (sim::Engine binds its own clock, so each
 // Engine is an isolated telemetry domain — concurrent experiments never
 // interfere, matching the old sim/metrics.h philosophy).
-//
-// Cost discipline: configure with -DFARM_TELEMETRY=OFF and every mutation
-// below compiles to nothing (the FARM_TELEMETRY_DISABLED branch);
-// registration and queries still work.
 #pragma once
 
 #include <functional>
@@ -39,13 +35,6 @@ class Hub {
   Hub(const Hub&) = delete;
   Hub& operator=(const Hub&) = delete;
 
-  static constexpr bool compiled_in() {
-#ifdef FARM_TELEMETRY_DISABLED
-    return false;
-#else
-    return true;
-#endif
-  }
   // Virtual-time source; unset, records stamp at origin (plain unit tests).
   void set_clock(std::function<TimePoint()> clock) {
     clock_ = std::move(clock);
@@ -70,73 +59,34 @@ class Hub {
 
   // --- Hot-path mutations ----------------------------------------------------
   void add(MetricId id, double delta = 1) {
-#ifndef FARM_TELEMETRY_DISABLED
     registry_.add(id, delta);
     store_.append(now(), id, EventKind::kAdd, delta);
-#else
-    (void)id, (void)delta;
-#endif
   }
   void set(MetricId id, double value) {
-#ifndef FARM_TELEMETRY_DISABLED
     registry_.set(id, value);
     store_.append(now(), id, EventKind::kSet, value);
-#else
-    (void)id, (void)value;
-#endif
   }
   void observe(MetricId id, double value) {
-#ifndef FARM_TELEMETRY_DISABLED
     registry_.observe(id, value);
     store_.append(now(), id, EventKind::kObserve, value);
-#else
-    (void)id, (void)value;
-#endif
   }
   // Registry-only increment: bumps the live aggregate without appending an
   // event row. For ultra-hot paths (per engine event, per packet) whose
   // totals matter but whose individual updates would flood the ring and
   // evict sparser, more interesting events.
-  void count(MetricId id, double delta = 1) {
-#ifndef FARM_TELEMETRY_DISABLED
-    registry_.add(id, delta);
-#else
-    (void)id, (void)delta;
-#endif
-  }
+  void count(MetricId id, double delta = 1) { registry_.add(id, delta); }
   // Registry-only gauge update — the row-less analogue of count() for
   // levels that change on every request (e.g. the PCIe busy horizon).
-  void level(MetricId id, double value) {
-#ifndef FARM_TELEMETRY_DISABLED
-    registry_.set(id, value);
-#else
-    (void)id, (void)value;
-#endif
-  }
+  void level(MetricId id, double value) { registry_.set(id, value); }
   // Point event only — no live aggregate behind it.
   void mark(MetricId id, double value = 0) {
-#ifndef FARM_TELEMETRY_DISABLED
     store_.append(now(), id, EventKind::kMark, value);
-#else
-    (void)id, (void)value;
-#endif
   }
 
   SpanId begin_span(TrackId t, std::string_view name) {
-#ifndef FARM_TELEMETRY_DISABLED
     return tracer_.begin(t, name, now());
-#else
-    (void)t, (void)name;
-    return kInvalidSpan;
-#endif
   }
-  void end_span(TrackId t, SpanId id) {
-#ifndef FARM_TELEMETRY_DISABLED
-    tracer_.end(t, id, now());
-#else
-    (void)t, (void)id;
-#endif
-  }
+  void end_span(TrackId t, SpanId id) { tracer_.end(t, id, now()); }
 
   Query query() const { return Query(store_, registry_); }
 

@@ -12,7 +12,7 @@
 namespace farm::telemetry::prof {
 namespace detail {
 
-std::atomic<bool> g_enabled{Profiler::compiled_in()};
+std::atomic<bool> g_enabled{true};
 
 namespace {
 

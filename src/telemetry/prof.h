@@ -31,8 +31,7 @@
 // registration-index order into one canonical tree (children name-sorted,
 // commutative sums), so the result is independent of scheduling.
 //
-// Cost discipline mirrors the Hub: -DFARM_TELEMETRY=OFF compiles every
-// macro to nothing; at runtime, set_enabled(false) short-circuits behind
+// Cost discipline: set_enabled(false) short-circuits every macro behind
 // one relaxed atomic load. Scope/counter costs and the end-to-end solve
 // overhead gate (≤2%) live in bench/bench_profiler.cpp.
 //
@@ -157,18 +156,11 @@ class Profiler {
   // destruction, so it must outlive every thread.
   static Profiler& instance();
 
-  static constexpr bool compiled_in() {
-#ifdef FARM_TELEMETRY_DISABLED
-    return false;
-#else
-    return true;
-#endif
-  }
   bool enabled() const {
     return detail::g_enabled.load(std::memory_order_relaxed);
   }
   void set_enabled(bool on) {
-    detail::g_enabled.store(compiled_in() && on, std::memory_order_relaxed);
+    detail::g_enabled.store(on, std::memory_order_relaxed);
   }
 
   // Wall-clock source; nullptr restores steady_clock. Tests inject a
@@ -190,9 +182,7 @@ class Profiler {
 
 }  // namespace farm::telemetry::prof
 
-// Statement macros. Compiled out entirely under -DFARM_TELEMETRY=OFF.
-#ifndef FARM_TELEMETRY_DISABLED
-
+// Statement macros.
 #define FARM_PROF_CONCAT_INNER(a, b) a##b
 #define FARM_PROF_CONCAT(a, b) FARM_PROF_CONCAT_INNER(a, b)
 
@@ -213,11 +203,3 @@ class Profiler {
       *farm_prof_cell += static_cast<std::uint64_t>(delta);                 \
     }                                                                       \
   } while (0)
-
-#else  // FARM_TELEMETRY_DISABLED
-
-#define FARM_PROF_SCOPE(label) ((void)0)
-#define FARM_PROF_TASK(label) ((void)0)
-#define FARM_PROF_COUNT(name, delta) ((void)0)
-
-#endif

@@ -52,8 +52,7 @@ void write_farm_report(std::ostream& os, const ReportInputs& in) {
   const Hub& hub = *in.hub;
   os << "=== " << in.title << " @ " << fixed(in.now.seconds()) << "s"
      << " (virtual) ===\n";
-  os << "telemetry: " << (Hub::compiled_in() ? "on" : "compiled out")
-     << "; metrics " << hub.registry().size() << "; events "
+  os << "metrics " << hub.registry().size() << "; events "
      << hub.events().total_appended() << " recorded, " << hub.events().dropped()
      << " evicted\n";
 
@@ -100,9 +99,8 @@ void write_farm_report_json(std::ostream& os, const ReportInputs& in) {
   const Hub& hub = *in.hub;
   const Registry& reg = hub.registry();
   os << "{\"title\":\"" << json_escape(in.title) << "\",\"time_s\":"
-     << num(in.now.seconds()) << ",\"telemetry\":\""
-     << (Hub::compiled_in() ? "on" : "compiled-out")
-     << "\",\"events\":{\"appended\":" << hub.events().total_appended()
+     << num(in.now.seconds())
+     << ",\"events\":{\"appended\":" << hub.events().total_appended()
      << ",\"retained\":" << hub.events().size()
      << ",\"dropped\":" << hub.events().dropped() << "}";
 

@@ -35,7 +35,6 @@ class Duration {
   constexpr std::int64_t count_ns() const { return ns_; }
   constexpr double seconds() const { return static_cast<double>(ns_) / 1e9; }
   constexpr double millis() const { return static_cast<double>(ns_) / 1e6; }
-  constexpr double micros() const { return static_cast<double>(ns_) / 1e3; }
 
   constexpr bool is_zero() const { return ns_ == 0; }
   constexpr bool is_positive() const { return ns_ > 0; }

@@ -621,6 +621,34 @@ TEST(InterpTest, TcamRuleRoundTrip) {
   ASSERT_EQ(f.host.removed.size(), 1u);
 }
 
+// kBuiltinNames is the interpreter's dispatch: a call to a listed name runs
+// the builtin even where the program defines a function of that name, and
+// a call to any other name runs the program's function.
+TEST(InterpTest, BuiltinNamesAreTheNamesCallsDispatch) {
+  auto runs_program_function = [](std::string_view name) {
+    const std::string fn(name);
+    InterpFixture f("func long " + fn + "() { return 987654321; }\n" +
+                        "machine M { long got = 0; state s {\n" +
+                        "  when (enter) do { got = " + fn + "(); } } }",
+                    "M");
+    try {
+      f.run_event("s", 0);
+    } catch (const EvalError&) {
+      return false;  // the builtin rejected the empty argument list
+    }
+    const Value* got = f.env.find("got");
+    return got->is_int() && got->as_int() == 987654321;
+  };
+  for (std::string_view name : kBuiltinNames) {
+    EXPECT_TRUE(is_builtin(name)) << name;
+    EXPECT_FALSE(runs_program_function(name)) << name;
+  }
+  for (std::string_view name : {"helper", "Log", "logs", "resv", "to_int"}) {
+    EXPECT_FALSE(is_builtin(name)) << name;
+    EXPECT_TRUE(runs_program_function(name)) << name;
+  }
+}
+
 // --- Seed core -------------------------------------------------------------
 
 // Drives the seed core through a host that serves no switch and records

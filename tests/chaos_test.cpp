@@ -288,8 +288,6 @@ TEST(ChaosTest, RandomPlanChaosRunsToCompletionDeterministically) {
 }
 
 TEST(ChaosTest, FaultMarksPrecedeSymptomsAndFlightRecorderDumps) {
-  if (!telemetry::Hub::compiled_in())
-    GTEST_SKIP() << "built with FARM_TELEMETRY=OFF";
   FarmSystem farm(FarmSystemConfig{
       .topology = {.spines = 1, .leaves = 2, .hosts_per_leaf = 2}});
   CollectingHarvester harv(farm.engine(), "chaos");
@@ -336,8 +334,6 @@ TEST(ChaosTest, FaultMarksPrecedeSymptomsAndFlightRecorderDumps) {
 // --- Scarecrow acceptance: fault → alert latency -----------------------------
 
 TEST(ChaosTest, SwitchCrashFiresStalenessAlertAndResolvesAfterReboot) {
-  if (!telemetry::Hub::compiled_in())
-    GTEST_SKIP() << "built with FARM_TELEMETRY=OFF";
   FarmSystem farm(FarmSystemConfig{
       .topology = {.spines = 1, .leaves = 2, .hosts_per_leaf = 2}});
   CollectingHarvester harv(farm.engine(), "chaos");
@@ -387,8 +383,6 @@ TEST(ChaosTest, SwitchCrashFiresStalenessAlertAndResolvesAfterReboot) {
 }
 
 TEST(ChaosTest, PollLossBurstFiresTimeoutRateAlertAndResolves) {
-  if (!telemetry::Hub::compiled_in())
-    GTEST_SKIP() << "built with FARM_TELEMETRY=OFF";
   FarmSystem farm(FarmSystemConfig{
       .topology = {.spines = 1, .leaves = 2, .hosts_per_leaf = 2}});
   CollectingHarvester harv(farm.engine(), "chaos");
@@ -450,22 +444,20 @@ TEST(ChaosTest, TransientCrashIsRecordedWithoutDeclaringFailure) {
   EXPECT_EQ(farm.seeder().detection_latency().count(), 0u);
   EXPECT_GE(farm.seeder().transients(), 1u);
   EXPECT_EQ(farm.seeder().miss_streak(victim), 0);  // streak cleared again
-  if (telemetry::Hub::compiled_in()) {
-    telemetry::Hub& tel = farm.telemetry();
-    // The aggregate counts transients; the mark row carries the streak
-    // depth at recovery.
-    EXPECT_DOUBLE_EQ(tel.query().label("seeder.transients").total(),
-                     static_cast<double>(farm.seeder().transients()));
-    auto mark = tel.query()
-                    .label("seeder.transients")
-                    .kind(telemetry::EventKind::kMark)
-                    .first();
-    ASSERT_TRUE(mark.has_value());
-    EXPECT_GT(mark->at, at(1300));
-    EXPECT_GE(mark->value, 1.0);
-    // The misses themselves were marked while the switch was dark.
-    EXPECT_GE(tel.query().label("seeder.heartbeat_miss").count(), 1u);
-  }
+  telemetry::Hub& tel = farm.telemetry();
+  // The aggregate counts transients; the mark row carries the streak
+  // depth at recovery.
+  EXPECT_DOUBLE_EQ(tel.query().label("seeder.transients").total(),
+                   static_cast<double>(farm.seeder().transients()));
+  auto mark = tel.query()
+                  .label("seeder.transients")
+                  .kind(telemetry::EventKind::kMark)
+                  .first();
+  ASSERT_TRUE(mark.has_value());
+  EXPECT_GT(mark->at, at(1300));
+  EXPECT_GE(mark->value, 1.0);
+  // The misses themselves were marked while the switch was dark.
+  EXPECT_GE(tel.query().label("seeder.heartbeat_miss").count(), 1u);
 }
 
 // A seed whose utility grows with vCPU: the per-switch LP grants it every
@@ -499,8 +491,6 @@ machine OneCore {
 // surviving seeds; none of that may start a second pass, and a quiet
 // window starts none.
 TEST(ChaosTest, EachControlEventRunsOnePlacementPass) {
-  if (!telemetry::Hub::compiled_in())
-    GTEST_SKIP() << "built with FARM_TELEMETRY=OFF";
   FarmSystem farm(FarmSystemConfig{
       .topology = {.spines = 2, .leaves = 2, .hosts_per_leaf = 1}});
   Seeder& seeder = farm.seeder();

@@ -212,9 +212,7 @@ TEST(SeederTest, InstallLiveMigratesSeedOnceAndResolvesOnLanding) {
   EXPECT_EQ(moved->current_state(), "hot");
   EXPECT_GE(moved->env().find("n")->as_int(), n_before);
   EXPECT_EQ(seeder.migrations_performed(), moves + 1);
-  if (telemetry::Hub::compiled_in()) {
-    EXPECT_EQ(passes() - before_landing, 1) << "the landing re-solves once";
-  }
+  EXPECT_EQ(passes() - before_landing, 1) << "the landing re-solves once";
 }
 
 // A timer walks the seed from `warm` through `hot` to `quiet`, which has

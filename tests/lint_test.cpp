@@ -13,6 +13,8 @@
 #include <set>
 #include <sstream>
 
+#include "almanac/verify/estimate.h"
+#include "almanac/verify/passes.h"
 #include "almanac/verify/verify.h"
 #include "farm/system.h"
 #include "farm/usecases.h"
@@ -98,6 +100,47 @@ TEST(LintCorpus, GoldenLinesCarryCodeAndPosition) {
   }
 }
 
+// --- Builtins shadow program functions --------------------------------------
+
+// The seed calls the builtin `log`, never this program function of the same
+// name, so its nested loops install nothing. Scored as if it ran, they
+// would count 48 × 48 = 2304 TCAM installs and fail RS001.
+constexpr const char* kShadowedLog = R"ALM(
+func long log(string msg) {
+  long i = 0;
+  while (i < 100) {
+    long j = 0;
+    while (j < 100) {
+      addTCAMRule(iface_filter(j), action_drop());
+      j = j + 1;
+    }
+    i = i + 1;
+  }
+  return 0;
+}
+machine Shadow {
+  place all;
+  time tick = 0.01;
+  state s {
+    util (res) { return res.vCPU; }
+    when (tick as t) do { log("tick"); }
+  }
+}
+)ALM";
+
+TEST(LintBuiltins, ProgramFunctionABuiltinShadowsIsNotWeighed) {
+  auto diags = lint_source(kShadowedLog);
+  for (const auto& d : diags) ADD_FAILURE() << d.format("");
+  auto program = almanac::parse_program(kShadowedLog);
+  auto machine = almanac::compile_machine(program, "Shadow");
+  almanac::verify::VerifyOptions opts;
+  EXPECT_EQ(almanac::verify::estimate_resources(machine, opts).tcam_rules, 0);
+  for (const auto& s : machine.states)
+    for (const auto* ev : s.events)
+      EXPECT_TRUE(
+          almanac::verify::reachable_functions(program, ev->actions).empty());
+}
+
 // --- Seeder gate -------------------------------------------------------------
 
 core::FarmSystemConfig small_config() {
@@ -125,9 +168,7 @@ TEST(SeederLintGate, RejectsErrorSeedBeforeDeployment) {
   for (const auto& d : farm.seeder().last_lint())
     if (d.code == almanac::verify::codes::kWriteExternal) saw_df002 = true;
   EXPECT_TRUE(saw_df002);
-#ifndef FARM_TELEMETRY_DISABLED
   EXPECT_GE(farm.telemetry().query().label("seed.lint.rejected").total(), 1.0);
-#endif
 }
 
 TEST(SeederLintGate, WarningsOnlySeedStillDeploys) {
@@ -140,9 +181,7 @@ TEST(SeederLintGate, WarningsOnlySeedStillDeploys) {
   EXPECT_FALSE(farm.seeder().last_lint().empty());
   for (const auto& d : farm.seeder().last_lint())
     EXPECT_NE(d.severity, almanac::verify::Severity::kError);
-#ifndef FARM_TELEMETRY_DISABLED
   EXPECT_EQ(farm.telemetry().query().label("seed.lint.rejected").total(), 0.0);
-#endif
 }
 
 TEST(SeederLintGate, CleanSeedLeavesNoDiagnostics) {
@@ -152,6 +191,19 @@ TEST(SeederLintGate, CleanSeedLeavesNoDiagnostics) {
   EXPECT_FALSE(ids.empty());
   EXPECT_TRUE(farm.seeder().last_lint().empty());
   EXPECT_EQ(farm.seeder().lint_rejections(), 0u);
+}
+
+TEST(SeederLintGate, DeploysSeedWhoseFunctionABuiltinShadows) {
+  core::FarmSystem farm(small_config());
+  auto ids = farm.install_task({"shadow", kShadowedLog, {}, {}});
+  ASSERT_FALSE(ids.empty());
+  EXPECT_EQ(farm.seeder().lint_rejections(), 0u);
+  farm.run_for(sim::Duration::ms(50));
+  EXPECT_GT(farm.telemetry().query().label("seed.handlers").total(), 0.0);
+  // Every handler ran the builtin: no seed installed a rule.
+  for (auto n : farm.topology().switches())
+    EXPECT_EQ(farm.soil(n).chassis().tcam().used(asic::TcamRegion::kMonitoring),
+              0);
 }
 
 TEST(SeederLintGate, ParseErrorIsRejectedNotThrown) {

@@ -5,9 +5,7 @@
 // injected deterministic clock, counter algebra and reset semantics,
 // cross-thread merge (retired workers and FARM_THREADS 1/4/16
 // bit-identity on a real placement solve), collapsed-stack and
-// chrome-trace round trips, and the disabled paths. The runtime-disable
-// tests run in every build; under -DFARM_TELEMETRY=OFF the enabled-path
-// tests compile out and the no-op guarantees are asserted instead.
+// chrome-trace round trips, and the runtime-disabled paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -54,7 +52,7 @@ class ProfilerTest : public ::testing::Test {
   void TearDown() override {
     Profiler::instance().reset();
     Profiler::instance().set_clock(nullptr);  // real steady_clock
-    Profiler::instance().set_enabled(true);   // build-mode default
+    Profiler::instance().set_enabled(true);   // the default
   }
 };
 
@@ -66,7 +64,7 @@ const ProfNode* child(const ProfNode& parent, std::string_view name) {
 
 }  // namespace
 
-// --- Runs in every build mode ------------------------------------------------
+// --- Macros and the empty report ---------------------------------------------
 
 TEST_F(ProfilerTest, MacrosCompileAndAreHarmless) {
   FARM_PROF_SCOPE("anymode/scope");
@@ -80,29 +78,6 @@ TEST_F(ProfilerTest, ReportOnEmptySnapshotSaysDisabled) {
   write_prof_report(os, prof::Snapshot{});
   EXPECT_NE(os.str().find("no data"), std::string::npos);
 }
-
-#ifdef FARM_TELEMETRY_DISABLED
-
-// --- Compiled-out build: everything is a no-op -------------------------------
-
-TEST_F(ProfilerTest, CompiledOutRecordsNothing) {
-  EXPECT_FALSE(Profiler::compiled_in());
-  Profiler::instance().set_enabled(true);  // must not stick
-  EXPECT_FALSE(Profiler::instance().enabled());
-  {
-    FARM_PROF_SCOPE("off/scope");
-    FARM_PROF_TASK("off/task");
-    FARM_PROF_COUNT("off.count", 7);
-  }
-  util::ThreadPool pool(2);
-  pool.parallel_for(4, [](std::size_t) {});
-  prof::Snapshot snap = Profiler::instance().snapshot();
-  EXPECT_TRUE(snap.empty());
-  EXPECT_EQ(snap.counter("off.count"), 0u);
-  EXPECT_EQ(snap.counter("pool.tasks"), 0u);
-}
-
-#else  // FARM_TELEMETRY_DISABLED
 
 // --- Tree shape --------------------------------------------------------------
 
@@ -628,5 +603,3 @@ TEST_F(ProfilerTest, ReportRanksBySelfTimeAndListsCounters) {
   EXPECT_EQ(top1.str().find("cold"), std::string::npos);
   EXPECT_NE(top1.str().find("t.report"), std::string::npos);
 }
-
-#endif  // FARM_TELEMETRY_DISABLED

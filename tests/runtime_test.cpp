@@ -391,10 +391,8 @@ TEST(SoilTest, SeedToSeedMessaging) {
       }
     }
   )";
-  auto program =
-      std::make_shared<almanac::Program>(almanac::parse_program(src));
-  auto ping = MachineImage::from_program(program, "Ping");
-  auto pong = MachineImage::from_program(program, "Pong");
+  auto ping = MachineImage::from_source(src, "Ping");
+  auto pong = MachineImage::from_source(src, "Pong");
   auto& soil0 = rig.soil_of(rig.sl.leaf_switches[0]);
   auto& soil1 = rig.soil_of(rig.sl.leaf_switches[1]);
   soil0.deploy({"t", "Ping", 0}, ping, {});
