@@ -42,7 +42,7 @@ double mean_delivery_us(int seeds, bool threads) {
   for (int i = 0; i < seeds; ++i)
     soil.deploy({"t" + std::to_string(i), "P", 0}, image, {});
   engine.run_for(Duration::sec(1));
-  return soil.delivery_latency().mean() * 1e6;
+  return soil.mean_delivery_latency() * 1e6;
 }
 
 }  // namespace

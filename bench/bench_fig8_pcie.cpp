@@ -52,11 +52,11 @@ Row run(int seeds, bool aggregate) {
     soil.deploy({"t" + std::to_string(i), "P", 0}, image, {});
   engine.run_for(Duration::sec(1));
 
-  // Granary port of PcieBus::utilization()/backlog(): the bus mirrors its
-  // cumulative busy time as the "pcie.sw.busy_ns" counter and its horizon
-  // as the "pcie.sw.free_at_ns" gauge; integer nanosecond counts round-trip
-  // through doubles exactly, so the arithmetic below reproduces the old
-  // accessor bit for bit.
+  // Bus utilization and backlog from Granary: the bus records its
+  // cumulative busy time only as the "pcie.sw.busy_ns" counter and its
+  // horizon as the "pcie.sw.free_at_ns" gauge. Busy time that lies past
+  // now is queued work, not elapsed; integer nanosecond counts round-trip
+  // through doubles exactly.
   telemetry::Hub& tel = engine.telemetry();
   auto busy_ns = static_cast<std::int64_t>(
       tel.query().label("pcie.sw.busy_ns").total());

@@ -31,34 +31,14 @@
 #include <utility>
 #include <vector>
 
+#include "telemetry/export.h"
+
 namespace farm::bench {
 
 struct BenchParam {
   std::string key;
   std::string value;  // pre-rendered JSON value (quoted or numeric)
 };
-
-inline std::string bench_json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 inline std::string bench_json_num(double v) {
   char buf[32];
@@ -77,7 +57,7 @@ inline BenchParam param(std::string_view key, int value) {
   return {std::string(key), std::to_string(value)};
 }
 inline BenchParam param(std::string_view key, std::string_view value) {
-  return {std::string(key), "\"" + bench_json_escape(value) + "\""};
+  return {std::string(key), "\"" + telemetry::json_escape(value) + "\""};
 }
 
 // Resolves where BENCH_*.json artifacts go (see file comment).
@@ -105,13 +85,13 @@ class BenchJson {
 
   void record(std::string_view metric, double value, std::string_view unit,
               std::vector<BenchParam> params = {}) {
-    std::string row = "{\"metric\":\"" + bench_json_escape(metric) +
+    std::string row = "{\"metric\":\"" + telemetry::json_escape(metric) +
                       "\",\"value\":" + bench_json_num(value) +
-                      ",\"unit\":\"" + bench_json_escape(unit) + "\"";
+                      ",\"unit\":\"" + telemetry::json_escape(unit) + "\"";
     row += ",\"params\":{";
     for (std::size_t i = 0; i < params.size(); ++i) {
       if (i) row += ",";
-      row += "\"" + bench_json_escape(params[i].key) +
+      row += "\"" + telemetry::json_escape(params[i].key) +
              "\":" + params[i].value;
     }
     row += "}}";
@@ -125,7 +105,8 @@ class BenchJson {
   bool write() {
     std::ofstream os(bench_output_dir() / ("BENCH_" + name_ + ".json"));
     if (!os) return false;
-    os << "{\"bench\":\"" << bench_json_escape(name_) << "\",\"results\":[";
+    os << "{\"bench\":\"" << telemetry::json_escape(name_)
+       << "\",\"results\":[";
     for (std::size_t i = 0; i < rows_.size(); ++i) {
       if (i) os << ",";
       os << "\n" << rows_[i];

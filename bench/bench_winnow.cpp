@@ -83,8 +83,10 @@ int main() {
       json.record("tcam_before", before.tcam_rules, "rules", p);
       json.record("tcam_after", after.tcam_rules, "rules", p);
       json.record("tcam_reduction", red, "%", p);
-      json.record("pcie_before", before.pcie_mbps, "Mbps", p);
-      json.record("pcie_after", after.pcie_mbps, "Mbps", p);
+      if (before.pcie_mbps)
+        json.record("pcie_before", *before.pcie_mbps, "Mbps", p);
+      if (after.pcie_mbps)
+        json.record("pcie_after", *after.pcie_mbps, "Mbps", p);
       json.record("replay_identical", report.ok() ? 1 : 0, "bool", p);
       json.record("rewrites", opt.stats.total(), "count", p);
     }

@@ -174,8 +174,11 @@ int optimize_cmd(const std::string& path) {
         std::printf(" (%.1f%% reduction)",
                     100.0 * (before.tcam_rules - after.tcam_rules) /
                         before.tcam_rules);
-      std::printf("\n  pcie: %.3f -> %.3f Mbps\n", before.pcie_mbps,
-                  after.pcie_mbps);
+      if (before.pcie_mbps && after.pcie_mbps)
+        std::printf("\n  pcie: %.3f -> %.3f Mbps\n", *before.pcie_mbps,
+                    *after.pcie_mbps);
+      else
+        std::printf("\n  pcie: not analyzable\n");
 
       auto report =
           almanac::opt::replay_compare(cm, result.machine, result.analysis);

@@ -87,6 +87,7 @@ int main() {
                              static_cast<double>(requests)
                        : 0.0);
   std::printf("control-plane upstream: %.2f MB over 5 s for %zu tasks\n",
-              farm.bus().upstream().megabytes(), harvesters.size());
+              static_cast<double>(farm.bus().upstream_bytes()) / 1e6,
+              harvesters.size());
   return total_reports > 0 ? 0 : 1;
 }

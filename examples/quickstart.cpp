@@ -75,6 +75,6 @@ int main() {
               "involved\n",
               reactions);
   std::printf("control-plane bytes to central components: %llu\n",
-              static_cast<unsigned long long>(farm.bus().upstream().bytes));
+              static_cast<unsigned long long>(farm.bus().upstream_bytes()));
   return harvester.reports.empty() ? 1 : 0;
 }

@@ -103,13 +103,12 @@ ResourceEstimate estimate_resources(const CompiledMachine& m,
                                     const absint::Analysis* facts) {
   ResourceEstimate est = estimate_tcam(m, opts, facts);
   Env env = static_machine_env(m, opts.externals);
+  // pcie_mbps stays empty when the poll specs do not analyze.
   try {
     est.pcie_mbps =
         static_poll_mbps(analyze_polls(m, env, kReferenceAlloc), opts);
   } catch (const CompileError&) {
-    est.pcie_analyzable = false;
   } catch (const EvalError&) {
-    est.pcie_analyzable = false;
   }
   return est;
 }

@@ -9,6 +9,7 @@
 // syntactic score.
 #pragma once
 
+#include <optional>
 #include <vector>
 
 #include "almanac/analysis.h"
@@ -19,10 +20,9 @@ namespace farm::almanac::verify {
 
 struct ResourceEstimate {
   double tcam_rules = 0;
-  // Static worst-case poll bandwidth; pcie_analyzable = false (and 0) when
-  // analyze_polls rejects the machine's poll specs.
-  double pcie_mbps = 0;
-  bool pcie_analyzable = true;
+  // Static worst-case poll bandwidth; empty when analyze_polls rejects the
+  // machine's poll specs.
+  std::optional<double> pcie_mbps;
   // `while` loops encountered while weighing, and how many of them carried
   // a Winnow-proven trip bound.
   int loops_scored = 0;
@@ -35,7 +35,7 @@ ResourceEstimate estimate_resources(const CompiledMachine& m,
 
 // The two halves of estimate_resources, for the RS pass, which reports on
 // the poll analysis itself and so runs it once:
-//   estimate_tcam — the TCAM fields alone (the PCIe ones keep defaults);
+//   estimate_tcam — the TCAM fields alone (pcie_mbps stays empty);
 //   static_poll_mbps — the worst-case bandwidth of analyzed polls: each at
 //   the higher rate of the reference allocation and a grant of the whole
 //   PCIe budget, reading what.poll_entries(max_ifaces) entries a poll.

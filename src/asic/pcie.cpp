@@ -7,24 +7,20 @@
 
 namespace farm::asic {
 
-PcieBus::PcieBus(Engine& engine, double bandwidth_bps,
-                 Duration per_request_overhead, std::uint64_t loss_seed)
+PcieBus::PcieBus(Engine& engine, const std::string& prefix,
+                 double bandwidth_bps, Duration per_request_overhead,
+                 std::uint64_t loss_seed)
     : engine_(engine),
       bandwidth_bps_(bandwidth_bps),
       overhead_(per_request_overhead),
-      loss_rng_(loss_seed) {
+      loss_rng_(loss_seed),
+      tel_(&engine.telemetry()) {
   FARM_CHECK(bandwidth_bps > 0);
-  set_telemetry_prefix("pcie.bus");
-}
-
-void PcieBus::set_telemetry_prefix(std::string_view prefix) {
-  tel_ = &engine_.telemetry();
-  std::string p(prefix);
-  m_requests_ = tel_->counter(p + ".requests");
-  m_bytes_ = tel_->counter(p + ".bytes");
-  m_busy_ns_ = tel_->counter(p + ".busy_ns");
-  m_free_at_ns_ = tel_->gauge(p + ".free_at_ns");
-  m_dropped_ = tel_->counter(p + ".dropped");
+  m_requests_ = tel_->counter(prefix + ".requests");
+  m_bytes_ = tel_->counter(prefix + ".bytes");
+  m_busy_ns_ = tel_->counter(prefix + ".busy_ns");
+  m_free_at_ns_ = tel_->gauge(prefix + ".free_at_ns");
+  m_dropped_ = tel_->counter(prefix + ".dropped");
 }
 
 void PcieBus::set_loss_rate(double p) {
@@ -35,7 +31,6 @@ void PcieBus::set_loss_rate(double p) {
 void PcieBus::request(int entries, std::function<void()> on_complete) {
   FARM_CHECK(entries >= 0);
   if (!online_) {
-    ++dropped_;
     tel_->add(m_dropped_);
     return;
   }
@@ -46,9 +41,6 @@ void PcieBus::request(int entries, std::function<void()> on_complete) {
                                       8.0 / bandwidth_bps_);
   TimePoint start = std::max(engine_.now(), free_at_);
   free_at_ = start + transfer;
-  busy_ += transfer;
-  bytes_ += transfer_bytes;
-  ++requests_;
   // Per-request path: registry-only updates — a busy poll channel would
   // otherwise flood the event ring and evict sparser, more telling rows.
   tel_->count(m_requests_);
@@ -56,7 +48,7 @@ void PcieBus::request(int entries, std::function<void()> on_complete) {
   tel_->count(m_busy_ns_, static_cast<double>(transfer.count_ns()));
   tel_->level(m_free_at_ns_, static_cast<double>(free_at_.count_ns()));
   if (loss_rate_ > 0 && loss_rng_.next_bool(loss_rate_)) {
-    ++dropped_;  // channel time was spent, but the payload never arrives
+    // Channel time was spent, but the payload never arrives.
     tel_->add(m_dropped_);
     return;
   }
@@ -68,14 +60,6 @@ void PcieBus::request(int entries, std::function<void()> on_complete) {
 Duration PcieBus::backlog() const {
   TimePoint now = engine_.now();
   return free_at_ > now ? free_at_ - now : Duration{};
-}
-
-double PcieBus::utilization() const {
-  double elapsed = engine_.now().seconds();
-  if (elapsed <= 0) return 0;
-  // Subtract the part of busy time that lies in the future (queued work).
-  double busy = busy_.seconds() - backlog().seconds();
-  return std::clamp(busy / elapsed, 0.0, 1.0);
 }
 
 }  // namespace farm::asic

@@ -5,11 +5,17 @@
 // the soil's polling aggregation. The model is a single serialized channel:
 // each poll request transfers `entries × kStatEntryBytes` plus a fixed
 // per-transaction overhead; requests queue FIFO.
+//
+// The bus counts into the engine's Granary Hub under the prefix it is
+// built with (the chassis passes "pcie.<switch>"):
+// `<prefix>.{requests,bytes,busy_ns,dropped}` counters and the
+// `<prefix>.free_at_ns` horizon gauge. Those are the only record: the
+// count accessors below read them back.
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <string_view>
+#include <string>
 
 #include "sim/cost_model.h"
 #include "sim/engine.h"
@@ -23,7 +29,8 @@ using sim::TimePoint;
 
 class PcieBus {
  public:
-  PcieBus(Engine& engine,
+  // `prefix` names this bus's metrics; it must be unique per engine.
+  PcieBus(Engine& engine, const std::string& prefix,
           double bandwidth_bps = sim::cost::kPciePollBandwidthBps,
           Duration per_request_overhead = sim::cost::kPcieRequestOverhead,
           std::uint64_t loss_seed = 0xFA17ull);
@@ -45,36 +52,25 @@ class PcieBus {
   // channel and completions never fire.
   void set_online(bool up) { online_ = up; }
   bool online() const { return online_; }
-  std::uint64_t requests_dropped() const { return dropped_; }
+  std::uint64_t requests_dropped() const { return tel_->tally(m_dropped_); }
 
   // Work not yet transferred at `now` (how far behind the bus is).
   Duration backlog() const;
-  // Fraction of wall time the bus has been busy since origin, in [0, 1].
-  double utilization() const;
 
-  std::uint64_t bytes_transferred() const { return bytes_; }
-  std::uint64_t requests_served() const { return requests_; }
+  std::uint64_t bytes_transferred() const { return tel_->tally(m_bytes_); }
+  std::uint64_t requests_served() const { return tel_->tally(m_requests_); }
   double bandwidth_bps() const { return bandwidth_bps_; }
-
-  // Re-homes this bus's Granary metrics under `<prefix>.{requests,bytes,
-  // busy_ns,free_at_ns,dropped}`; the chassis labels each bus by switch
-  // name ("pcie.leaf3"). The default prefix is "pcie.bus".
-  void set_telemetry_prefix(std::string_view prefix);
 
  private:
   Engine& engine_;
   double bandwidth_bps_;
   Duration overhead_;
   TimePoint free_at_;   // when the channel next becomes idle
-  Duration busy_;       // cumulative transfer time
-  std::uint64_t bytes_ = 0;
-  std::uint64_t requests_ = 0;
   util::Rng loss_rng_;
   double loss_rate_ = 0;
   bool online_ = true;
-  std::uint64_t dropped_ = 0;
 
-  telemetry::Hub* tel_ = nullptr;
+  telemetry::Hub* tel_;
   telemetry::MetricId m_requests_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_bytes_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_busy_ns_ = telemetry::kInvalidMetric;

@@ -15,12 +15,11 @@ SwitchChassis::SwitchChassis(sim::Engine& engine, net::NodeId node,
       name_(std::move(name)),
       config_(config),
       tcam_(config.tcam_capacity, config.tcam_monitoring_reserved),
-      pcie_(engine, config.pcie_bandwidth_bps,
+      pcie_(engine, "pcie." + name_, config.pcie_bandwidth_bps,
             sim::cost::kPcieRequestOverhead, 0xFA17ull ^ sample_seed),
       cpu_(engine, config.cpu_cores, config.context_switch),
       ports_(static_cast<std::size_t>(config.n_ifaces)) {
   FARM_CHECK(config.n_ifaces > 0);
-  pcie_.set_telemetry_prefix("pcie." + name_);
 }
 
 void SwitchChassis::power_off() {

@@ -17,8 +17,6 @@ void SflowCollector::ingest(net::NodeId sw, int port, std::uint64_t tx_bytes,
 void SflowCollector::ingest_batch(net::NodeId sw,
                                   const std::vector<PortRecord>& records,
                                   TimePoint /*exported_at*/) {
-  ingress_.add(static_cast<std::uint64_t>(sim::cost::kSflowDatagramBytes) *
-               records.size());
   tel_->add(m_bytes_,
             static_cast<double>(
                 static_cast<std::uint64_t>(sim::cost::kSflowDatagramBytes) *

@@ -15,7 +15,6 @@
 #include "asic/switch.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
-#include "sim/metrics.h"
 
 namespace farm::baselines {
 
@@ -54,8 +53,8 @@ class SflowCollector {
                     TimePoint exported_at);
 
   // --- Observability ---------------------------------------------------------
-  const sim::ByteMeter& ingress() const { return ingress_; }
-  sim::ByteMeter& ingress() { return ingress_; }
+  // Record bytes that reached the collector ("sflow.collector.bytes").
+  std::uint64_t ingress_bytes() const { return tel_->tally(m_bytes_); }
   std::uint64_t records_processed() const { return processed_; }
   sim::CpuModel& cpu() { return cpu_; }
   // (switch, port, detection time) of each HH detection event.
@@ -71,7 +70,6 @@ class SflowCollector {
   sim::CpuModel cpu_;
   std::uint64_t threshold_ = ~0ull;
   std::unordered_map<std::uint64_t, std::uint64_t> last_bytes_;  // (sw,port)
-  sim::ByteMeter ingress_;
   std::uint64_t processed_ = 0;
   std::vector<Detection> detections_;
   // Granary: collector-side load and detections, comparable against

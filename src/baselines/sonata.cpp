@@ -21,7 +21,6 @@ void SonataProcessor::ingest(const std::string& key, std::uint64_t bytes) {
 }
 
 void SonataProcessor::meter_stream(std::uint64_t bytes) {
-  ingress_.add(bytes);
   // Per-record path (one call per reduced tuple): registry-only.
   tel_->count(m_bytes_, static_cast<double>(bytes));
 }

@@ -22,7 +22,6 @@
 #include "asic/switch.h"
 #include "sim/cost_model.h"
 #include "sim/cpu.h"
-#include "sim/metrics.h"
 
 namespace farm::baselines {
 
@@ -55,8 +54,8 @@ class SonataProcessor {
   // (the duplicate records of a reduced stream); metered only.
   void meter_stream(std::uint64_t bytes);
 
-  const sim::ByteMeter& ingress() const { return ingress_; }
-  sim::ByteMeter& ingress() { return ingress_; }
+  // Stream bytes that reached the processor ("sonata.processor.bytes").
+  std::uint64_t ingress_bytes() const { return tel_->tally(m_bytes_); }
   struct Detection {
     std::string key;
     TimePoint at;
@@ -73,7 +72,6 @@ class SonataProcessor {
   sim::PeriodicTask batcher_;
   std::uint64_t threshold_ = ~0ull;
   std::map<std::string, std::uint64_t> pending_;  // key → bytes this batch
-  sim::ByteMeter ingress_;
   std::uint64_t processed_ = 0;
   std::vector<Detection> detections_;
   // Granary: processor-side load and detections.

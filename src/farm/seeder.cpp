@@ -124,7 +124,6 @@ void Seeder::heartbeat_tick() {
       // left no trace at all; now they are counted and marked with the
       // streak length so flight dumps show the near-miss.
       if (!h.failed && h.miss_streak > 0) {
-        ++transients_;
         // Aggregate counts the transients; the mark row carries how deep
         // into the dead-switch window the streak got.
         tel_->count(m_transient_);
@@ -140,18 +139,20 @@ void Seeder::heartbeat_tick() {
 void Seeder::on_node_failed(Soil& soil) {
   NodeHealth& h = health_[soil.node()];
   h.failed = true;
-  detection_latency_.record((engine_.now() - h.last_seen).seconds());
+  const double latency = (engine_.now() - h.last_seen).seconds();
+  detection_latency_sum_ += latency;
+  detection_latency_max_ = std::max(detection_latency_max_, latency);
   tel_->add(m_failures_);
   // Stop routing seed/harvester traffic through the dead switch. The soil
   // stays in soils_ so heartbeats keep probing it for a reboot.
   bus_.detach_soil(soil.node());
   // Re-place over the survivors; deployments made here replace the seeds the
   // failure displaced.
-  std::uint64_t before = deployments_;
+  const std::uint64_t before = deployments();
   reoptimize();
-  reseed_count_.add(deployments_ - before);
-  tel_->add(m_reseeds_, static_cast<double>(deployments_ - before));
-  if (deployments_ > before) {
+  const std::uint64_t reseeds = deployments() - before;
+  tel_->add(m_reseeds_, static_cast<double>(reseeds));
+  if (reseeds > 0) {
     // Monitoring downtime for the displaced seeds: dark from the last
     // heartbeat answer until the replacements deployed (now, in virtual
     // time — deploys are immediate; the PCIe/bus costs are simulated by
@@ -336,7 +337,6 @@ void Seeder::realize(const placement::PlacementResult& result,
       FARM_CHECK_MSG(target != nullptr, "placement chose unmanaged switch");
       if (!current) {
         target->deploy(ps.id, ps.image, ps.externals, e.alloc);
-        ++deployments_;
         tel_->add(m_deployments_);
         continue;
       }
@@ -359,7 +359,6 @@ void Seeder::realize(const placement::PlacementResult& result,
           sim::Duration::from_seconds(
               static_cast<double>(snap.wire_bytes()) * 8.0 /
               sim::cost::kControlLinkBandwidthBps);
-      ++migrations_;
       tel_->add(m_migrations_);
       tel_->observe(m_transfer_hist_, transfer.millis());
       in_transfer_.insert(key);
@@ -428,7 +427,6 @@ std::optional<Seeder::Images> Seeder::lint_intake(const TaskSpec& spec) {
     last_lint_.push_back(almanac::verify::Diagnostic{
         "PARSE", almanac::verify::Severity::kError, {}, e.what(), {}});
     tel_->add(m_lint_rejected_);
-    ++lint_rejections_;
     FARM_LOG(kWarn) << "seeder: task '" << spec.name
                    << "' rejected by Sickle: parse error: " << e.what();
     return std::nullopt;
@@ -446,7 +444,6 @@ std::optional<Seeder::Images> Seeder::lint_intake(const TaskSpec& spec) {
     return images;
   }
   tel_->add(m_lint_rejected_);
-  ++lint_rejections_;
   FARM_LOG(kWarn) << "seeder: task '" << spec.name << "' rejected by Sickle: "
                  << almanac::verify::count_errors(last_lint_)
                  << " error(s), first: " << last_lint_.front().code << " "

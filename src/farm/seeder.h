@@ -15,6 +15,11 @@
 // seeds, reallocates resources, and live-migrates moved seeds (description
 // first, then state; execution resumes at the target once the state
 // arrived — §V-B).
+//
+// The seeder counts deployments, migrations, reseeds, transients, failure
+// verdicts and lint rejections into the engine's Granary Hub (`seeder.*`,
+// `seed.lint.rejected`), and its count accessors read them back; of the
+// detection latencies it keeps only the running sum and maximum.
 #pragma once
 
 #include <memory>
@@ -71,7 +76,9 @@ class Seeder {
     return last_lint_;
   }
   // Tasks rejected by the Sickle gate since construction.
-  std::uint64_t lint_rejections() const { return lint_rejections_; }
+  std::uint64_t lint_rejections() const {
+    return tel_->tally(m_lint_rejected_);
+  }
   void remove_task(const std::string& name);
   // Re-runs global placement over all installed tasks: one build → solve →
   // realize pass. The seeder runs it once per control event (task install
@@ -87,8 +94,10 @@ class Seeder {
   // exposed so benchmarks can solve it with other algorithms.
   placement::PlacementProblem build_problem() const;
 
-  std::uint64_t migrations_performed() const { return migrations_; }
-  std::uint64_t deployments() const { return deployments_; }
+  std::uint64_t migrations_performed() const {
+    return tel_->tally(m_migrations_);
+  }
+  std::uint64_t deployments() const { return tel_->tally(m_deployments_); }
   std::vector<SeedId> seeds_of_task(const std::string& name) const;
 
   // --- Failure detection ---------------------------------------------------
@@ -101,17 +110,20 @@ class Seeder {
   double health_grade(net::NodeId node) const;
   // Consecutive heartbeat periods the switch has been silent (0 = current).
   int miss_streak(net::NodeId node) const;
-  // Time from last successful heartbeat to the dead-switch verdict, one
-  // sample per detected failure.
-  const sim::Stats& detection_latency() const { return detection_latency_; }
+  // Dead-switch verdicts since construction, and the time from the last
+  // successful heartbeat to each verdict, in seconds: summed and maximised
+  // over the verdicts.
+  std::uint64_t failures_detected() const { return tel_->tally(m_failures_); }
+  double detection_latency_sum() const { return detection_latency_sum_; }
+  double detection_latency_max() const { return detection_latency_max_; }
   // Switches that went silent for >= 1 heartbeat period but answered again
   // before the dead-switch verdict. These used to vanish from the
   // detection accounting entirely; now each one is counted and marked
   // ("seeder.transient" event carrying the streak length) so chaos flight
   // dumps show the near-miss.
-  std::uint64_t transients() const { return transients_; }
+  std::uint64_t transients() const { return tel_->tally(m_transient_); }
   // Deployments performed to replace seeds displaced by switch failures.
-  std::uint64_t reseed_count() const { return reseed_count_.value; }
+  std::uint64_t reseed_count() const { return tel_->tally(m_reseeds_); }
 
  private:
   struct PlannedSeed {
@@ -171,22 +183,18 @@ class Seeder {
   // one seed event only re-solves the LPs it changed, and the result is
   // bit-identical to a memo-less solve.
   placement::SolveMemo memo_;
-  std::uint64_t migrations_ = 0;
-  std::uint64_t deployments_ = 0;
   // True for the whole reoptimize (solve + realize); guards re-entry.
   bool reoptimizing_ = false;
   // Ids (SeedId::to_string) of seeds whose live migration is under way.
   // realize() leaves them at their source until the transfer lands.
   std::unordered_set<std::string> in_transfer_;
   std::vector<almanac::verify::Diagnostic> last_lint_;
-  std::uint64_t lint_rejections_ = 0;
 
   // Heartbeat failure detection, keyed by switch node.
   std::unordered_map<net::NodeId, NodeHealth> health_;
   std::unique_ptr<sim::PeriodicTask> heartbeat_task_;
-  sim::Stats detection_latency_;
-  sim::Counter reseed_count_;
-  std::uint64_t transients_ = 0;
+  double detection_latency_sum_ = 0;
+  double detection_latency_max_ = 0;
 
   // Granary: seeder.* metrics and placement-solve spans on the "seeder"
   // track; failure detections are marks so chaos traces show the verdict.

@@ -11,9 +11,8 @@
 
 namespace farm::net {
 
-CountMinSketch::CountMinSketch(int width, int depth, std::uint64_t hash_seed,
-                               Update update)
-    : width_(width), depth_(depth), hash_seed_(hash_seed), update_(update) {
+CountMinSketch::CountMinSketch(int width, int depth, std::uint64_t hash_seed)
+    : width_(width), depth_(depth), hash_seed_(hash_seed) {
   FARM_CHECK(width > 0 && depth > 0 && depth <= 16);
   row_seeds_.reserve(static_cast<std::size_t>(depth));
   for (int r = 0; r < depth; ++r)
@@ -32,13 +31,6 @@ std::uint64_t CountMinSketch::cell_hash(std::string_view key, int row) const {
 
 void CountMinSketch::add(std::string_view key, std::uint64_t count) {
   total_ += count;
-  if (update_ == Update::kPlain) {
-    for (int r = 0; r < depth_; ++r)
-      counters_[static_cast<std::size_t>(r) *
-                    static_cast<std::size_t>(width_) +
-                cell_hash(key, r)] += count;
-    return;
-  }
   // Conservative update: raise each row's cell only to the new minimum —
   // tighter estimates than plain count-min at the same memory.
   std::uint64_t current = estimate(key);
@@ -63,16 +55,6 @@ std::uint64_t CountMinSketch::estimate(std::string_view key) const {
 void CountMinSketch::clear() {
   std::fill(counters_.begin(), counters_.end(), 0);
   total_ = 0;
-}
-
-void CountMinSketch::merge(const CountMinSketch& other) {
-  FARM_CHECK(update_ == Update::kPlain &&
-             other.update_ == Update::kPlain);
-  FARM_CHECK(width_ == other.width_ && depth_ == other.depth_ &&
-             hash_seed_ == other.hash_seed_);
-  for (std::size_t i = 0; i < counters_.size(); ++i)
-    counters_[i] += other.counters_[i];
-  total_ += other.total_;
 }
 
 MisraGries::MisraGries(int capacity) : capacity_(capacity) {
@@ -197,13 +179,6 @@ double HyperLogLog::estimate() const {
 
 void HyperLogLog::clear() {
   std::fill(registers_.begin(), registers_.end(), 0);
-}
-
-void HyperLogLog::merge(const HyperLogLog& other) {
-  FARM_CHECK(precision_ == other.precision_ &&
-             hash_seed_ == other.hash_seed_);
-  for (std::size_t i = 0; i < registers_.size(); ++i)
-    registers_[i] = std::max(registers_[i], other.registers_[i]);
 }
 
 // --- SketchSpec --------------------------------------------------------------

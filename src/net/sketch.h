@@ -7,9 +7,9 @@
 //
 // CountMinSketch: count-min for per-key frequency estimation under bounded
 // memory (over-estimates only; error ≤ εN with probability 1-δ for
-// width=⌈e/ε⌉, depth=⌈ln 1/δ⌉). Conservative update by default; plain
-// (linear) update is selectable — required for mergeable fragments, since
-// only the linear form is a cell-wise monoid.
+// width=⌈e/ε⌉, depth=⌈ln 1/δ⌉), with conservative update. DiSketch
+// fragments keep their own count-min cells with plain (linear) update, the
+// only form whose cells fold into the monolithic sketch.
 // MisraGries: deterministic heavy-hitter summary with k counters; every
 // counter under-estimates its key's true count by at most the recorded
 // decrement total (≤ N/(k+1)).
@@ -37,23 +37,13 @@ inline constexpr std::uint64_t kDefaultSketchSeed = 0x5EED'FA23'D15C'A7C4ull;
 
 class CountMinSketch {
  public:
-  enum class Update {
-    kConservative,  // raise each row's cell only to the new minimum
-    kPlain,         // add to every row's cell (linear ⇒ mergeable)
-  };
-
   CountMinSketch(int width, int depth,
-                 std::uint64_t hash_seed = kDefaultSketchSeed,
-                 Update update = Update::kConservative);
+                 std::uint64_t hash_seed = kDefaultSketchSeed);
 
   void add(std::string_view key, std::uint64_t count = 1);
   // Point query; never under-estimates the true count.
   std::uint64_t estimate(std::string_view key) const;
   void clear();
-  // Cell-wise fold of another sketch with identical geometry, seed, and
-  // kPlain update mode (conservative update is not linear, so merging it
-  // would not equal the monolithic sketch).
-  void merge(const CountMinSketch& other);
 
   int width() const { return width_; }
   int depth() const { return depth_; }
@@ -70,7 +60,6 @@ class CountMinSketch {
   int width_;
   int depth_;
   std::uint64_t hash_seed_;
-  Update update_;
   std::uint64_t total_ = 0;
   std::vector<std::uint64_t> row_seeds_;  // derive_seed(hash_seed, row)
   std::vector<std::uint64_t> counters_;   // depth × width
@@ -131,8 +120,6 @@ class HyperLogLog {
   // Cardinality estimate with small-range (linear counting) correction.
   double estimate() const;
   void clear();
-  // Register-wise max of another sketch with the same precision and seed.
-  void merge(const HyperLogLog& other);
 
   int precision() const { return precision_; }
   std::uint64_t hash_seed() const { return hash_seed_; }

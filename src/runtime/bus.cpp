@@ -16,13 +16,11 @@ MessageBus::MessageBus(sim::Engine& engine) : engine_(engine) {
 }
 
 void MessageBus::meter_up(std::size_t bytes) {
-  upstream_.add(bytes);
   tel_->add(m_up_bytes_, static_cast<double>(bytes));
   tel_->add(m_up_msgs_);
 }
 
 void MessageBus::meter_down(std::size_t bytes) {
-  downstream_.add(bytes);
   tel_->add(m_down_bytes_, static_cast<double>(bytes));
   tel_->add(m_down_msgs_);
 }

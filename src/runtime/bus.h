@@ -3,8 +3,9 @@
 //
 // Every message crosses the out-of-band management network: the bus charges
 // the control-path latency plus serialization time at the control link
-// bandwidth, and meters bytes per direction — the network-load numbers of
-// Fig. 4 read these meters.
+// bandwidth, and meters bytes and messages per direction into the engine's
+// Granary Hub (`bus.{up,down}.{bytes,msgs}`) — the network-load numbers of
+// Fig. 4 read these counters, and so do the metering accessors below.
 #pragma once
 
 #include <functional>
@@ -14,7 +15,6 @@
 #include <vector>
 
 #include "runtime/soil.h"
-#include "sim/metrics.h"
 
 namespace farm::runtime {
 
@@ -57,10 +57,14 @@ class MessageBus : public SoilNetwork {
       const std::string& task, const std::string& machine) const;
 
   // --- Metering ------------------------------------------------------------
-  // Bytes that crossed the management network toward central components
-  // (the collector-side load FARM minimizes) and away from them.
-  const sim::ByteMeter& upstream() const { return upstream_; }
-  const sim::ByteMeter& downstream() const { return downstream_; }
+  // Bytes and messages that crossed the management network toward central
+  // components (the collector-side load FARM minimizes), and bytes sent
+  // away from them.
+  std::uint64_t upstream_bytes() const { return tel_->tally(m_up_bytes_); }
+  std::uint64_t upstream_messages() const { return tel_->tally(m_up_msgs_); }
+  std::uint64_t downstream_bytes() const {
+    return tel_->tally(m_down_bytes_);
+  }
 
  private:
   sim::Duration control_delay(std::size_t bytes) const;
@@ -71,10 +75,8 @@ class MessageBus : public SoilNetwork {
   sim::Engine& engine_;
   std::unordered_map<net::NodeId, Soil*> soils_;
   std::unordered_map<std::string, Harvester*> harvesters_;
-  sim::ByteMeter upstream_;
-  sim::ByteMeter downstream_;
-  // Granary mirror of the meters: bus.{up,down}.{bytes,msgs} events let
-  // benchmarks slice management-network load by time window (Fig. 4).
+  // bus.{up,down}.{bytes,msgs}: their event rows let benchmarks slice
+  // management-network load by time window (Fig. 4).
   telemetry::Hub* tel_ = nullptr;
   telemetry::MetricId m_up_bytes_ = telemetry::kInvalidMetric;
   telemetry::MetricId m_up_msgs_ = telemetry::kInvalidMetric;

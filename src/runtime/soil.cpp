@@ -344,15 +344,13 @@ void Soil::schedule_poll(Registration& reg) {
           chassis_.cpu().submit(s->cpu_task(), sim::cost::kPollWakeupCpu,
                                 [this, id, var, due] {
                                   if (Seed* s2 = find(id)) {
-                                    poll_lateness_.record(
-                                        (engine_.now() - due).seconds());
+                                    note_wakeup(due);
                                     s2->on_time(var);
                                   }
                                 });
       });
     } else {
       // Unaggregated poll: a dedicated PCIe request for this seed alone.
-      ++poll_requests_;
       tel_->add(m_poll_requests_);
       int entries = raw->what.poll_entries(chassis_.n_ifaces());
       net::Filter what = raw->what;
@@ -395,14 +393,11 @@ void Soil::pcie_poll_request(int entries, std::function<void()> on_complete,
       wait, [this, done, entries, on_complete, retries_left, span] {
         if (*done) return;
         *done = true;
-        poll_timeouts_.add();
         tel_->add(m_poll_timeouts_);
         if (retries_left > 0) {
-          poll_retries_.add();
           tel_->add(m_poll_retries_);
           pcie_poll_request(entries, on_complete, retries_left - 1, span);
         } else {
-          polls_abandoned_.add();
           tel_->add(m_polls_abandoned_);
           tel_->end_span(track_, span);
         }
@@ -437,7 +432,6 @@ void Soil::fire_poll_group(const std::string& subject_key) {
   if (due_targets.empty()) return;
 
   // One PCIe transfer serves the whole group — the aggregation benefit.
-  ++poll_requests_;
   tel_->add(m_poll_requests_);
   int entries = what.poll_entries(chassis_.n_ifaces());
   bool as_threads = config_.seeds_as_threads;
@@ -473,7 +467,8 @@ void Soil::deliver_poll_to(const SeedId& id, const std::string& var,
         // Communication latency is measured here — at IPC arrival, before
         // the handler queues for CPU (what Fig. 10 plots); handler-side
         // queueing shows up in poll lateness instead.
-        delivery_latency_.record((engine_.now() - available).seconds());
+        delivery_latency_sum_ += (engine_.now() - available).seconds();
+        ++delivery_latency_count_;
         sim::Duration handler_cpu =
             sim::cost::kPollWakeupCpu +
             sim::cost::kPollEntryCpu * static_cast<std::int64_t>(n_entries);
@@ -482,9 +477,8 @@ void Soil::deliver_poll_to(const SeedId& id, const std::string& var,
             [this, id, var, stats, due] {
               Seed* s = find(id);
               if (!s) return;
-              ++poll_deliveries_;
               tel_->add(m_poll_deliveries_);
-              poll_lateness_.record((engine_.now() - due).seconds());
+              note_wakeup(due);
               tel_->observe(m_poll_lateness_ms_, (engine_.now() - due).millis());
               s->on_poll(var, stats);
             });
@@ -530,13 +524,24 @@ std::vector<almanac::StatEntry> Soil::resolve_subject(
   return out;
 }
 
-double Soil::polling_accuracy() const {
-  if (poll_lateness_.empty()) return 1.0;
-  // A delivery is accurate when its lateness stays within 10 ms — one
+void Soil::note_wakeup(sim::TimePoint due) {
+  // A wakeup is accurate when its lateness stays within 10 ms — one
   // polling interval of the paper's coarse setting. Under CPU saturation
-  // the handler queue grows and this fraction collapses (Fig. 6).
-  return static_cast<double>(poll_lateness_.count_below(0.010)) /
-         static_cast<double>(poll_lateness_.count());
+  // the handler queue grows and the accurate share collapses (Fig. 6).
+  ++wakeups_;
+  if ((engine_.now() - due).seconds() < 0.010) ++timely_wakeups_;
+}
+
+double Soil::polling_accuracy() const {
+  if (wakeups_ == 0) return 1.0;
+  return static_cast<double>(timely_wakeups_) /
+         static_cast<double>(wakeups_);
+}
+
+double Soil::mean_delivery_latency() const {
+  if (delivery_latency_count_ == 0) return 0;
+  return delivery_latency_sum_ /
+         static_cast<double>(delivery_latency_count_);
 }
 
 }  // namespace farm::runtime

@@ -15,6 +15,14 @@
 // Polled statistics are resolved against the chassis: interface subjects
 // read port counters; flow subjects read TCAM rule counters, installing a
 // monitoring-region count rule on demand (the iSTAMP-style TCAM split).
+//
+// The soil counts its polls into the engine's Granary Hub
+// (`soil.<switch>.{poll_requests,poll_deliveries,poll_timeouts,
+// poll_retries,polls_abandoned}`); the poll accessors read those counters
+// back. It keeps only the two figures the Hub has no record of, as running
+// totals: the delivery latency sum and count (Fig. 10 plots their mean)
+// and how many wakeups started less than 10 ms after their due time, out
+// of how many (Fig. 6's accuracy).
 #pragma once
 
 #include <functional>
@@ -28,7 +36,6 @@
 #include "runtime/seed.h"
 #include "sim/cost_model.h"
 #include "sim/engine.h"
-#include "sim/metrics.h"
 #include "util/rng.h"
 
 namespace farm::runtime {
@@ -109,18 +116,26 @@ class Soil {
   }
 
   // --- Metrics -------------------------------------------------------------
-  // Latency from event availability to handler start (comm + queueing).
-  const sim::Stats& delivery_latency() const { return delivery_latency_; }
-  std::uint64_t poll_requests_issued() const { return poll_requests_; }
-  std::uint64_t poll_deliveries() const { return poll_deliveries_; }
-  // The polling accuracy of Fig. 6: the fraction of poll deliveries within
-  // one interval of their nominal due time.
+  // Mean latency, in seconds, from poll data availability to its arrival
+  // at the seed (comm + IPC; handler queueing shows in lateness instead).
+  double mean_delivery_latency() const;
+  std::uint64_t poll_requests_issued() const {
+    return tel_->tally(m_poll_requests_);
+  }
+  std::uint64_t poll_deliveries() const {
+    return tel_->tally(m_poll_deliveries_);
+  }
+  // The polling accuracy of Fig. 6: the fraction of wakeups whose handler
+  // started less than 10 ms after its nominal due time. Wakeups are poll
+  // deliveries *and* time-trigger firings; 1 before the first one.
   double polling_accuracy() const;
   // Poll transfers that timed out on a lossy/saturated PCIe channel, the
   // retries issued for them, and the polls abandoned after the retry budget.
-  std::uint64_t poll_timeouts() const { return poll_timeouts_.value; }
-  std::uint64_t poll_retries() const { return poll_retries_.value; }
-  std::uint64_t polls_abandoned() const { return polls_abandoned_.value; }
+  std::uint64_t poll_timeouts() const { return tel_->tally(m_poll_timeouts_); }
+  std::uint64_t poll_retries() const { return tel_->tally(m_poll_retries_); }
+  std::uint64_t polls_abandoned() const {
+    return tel_->tally(m_polls_abandoned_);
+  }
 
  private:
   struct Registration {
@@ -159,6 +174,9 @@ class Soil {
                          int retries_left,
                          telemetry::SpanId span = telemetry::kInvalidSpan);
   sim::Duration comm_latency() const;
+  // Accounts one wakeup (poll delivery or time firing) due at `due` that
+  // starts its handler now.
+  void note_wakeup(sim::TimePoint due);
   // Re-publishes the monitoring-region TCAM fill fraction gauge; called
   // wherever monitoring rules are installed or removed.
   void publish_tcam_occupancy();
@@ -194,14 +212,10 @@ class Soil {
   // updated on rule install/remove so Scarecrow can alert before the
   // region fills and rules start dropping.
   telemetry::MetricId m_tcam_mon_frac_ = telemetry::kInvalidMetric;
-  sim::Stats delivery_latency_;
-  // Lateness of poll deliveries vs their nominal due time.
-  sim::Stats poll_lateness_;
-  std::uint64_t poll_requests_ = 0;
-  std::uint64_t poll_deliveries_ = 0;
-  sim::Counter poll_timeouts_;
-  sim::Counter poll_retries_;
-  sim::Counter polls_abandoned_;
+  double delivery_latency_sum_ = 0;  // seconds
+  std::uint64_t delivery_latency_count_ = 0;
+  std::uint64_t wakeups_ = 0;
+  std::uint64_t timely_wakeups_ = 0;  // started < 10 ms after due
 };
 
 }  // namespace farm::runtime

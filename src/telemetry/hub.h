@@ -4,7 +4,9 @@
 // span tracer, and stamps every record with *virtual* time read from a
 // clock the owner installs (sim::Engine binds its own clock, so each
 // Engine is an isolated telemetry domain — concurrent experiments never
-// interfere, matching the old sim/metrics.h philosophy).
+// interfere). A component's counters in its engine's Hub are the one
+// record of its counts, so a metric name names one component instance
+// per engine.
 #pragma once
 
 #include <functional>
@@ -89,6 +91,12 @@ class Hub {
   void end_span(TrackId t, SpanId id) { tracer_.end(t, id, now()); }
 
   Query query() const { return Query(store_, registry_); }
+  // A counter's live total as an integer: the read side of components
+  // whose count accessors report the Hub's record. Integer deltas sum
+  // exactly in the registry's double below 2^53.
+  std::uint64_t tally(MetricId id) const {
+    return static_cast<std::uint64_t>(registry_.value(id));
+  }
 
  private:
   std::function<TimePoint()> clock_;

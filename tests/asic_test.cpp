@@ -77,7 +77,7 @@ TEST(TcamTest, RemoveByPatternAndById) {
 TEST(PcieBusTest, TransferTimeMatchesBandwidth) {
   Engine e;
   // 8 Mbps, no overhead: 1000 entries × kStatEntryBytes × 8 bits.
-  PcieBus bus(e, 8e6, Duration{});
+  PcieBus bus(e, "pcie.test", 8e6, Duration{});
   const auto expected = Duration::from_seconds(
       1000.0 * sim::cost::kStatEntryBytes * 8 / 8e6);
   bool done = false;
@@ -90,7 +90,7 @@ TEST(PcieBusTest, TransferTimeMatchesBandwidth) {
 
 TEST(PcieBusTest, RequestsSerialize) {
   Engine e;
-  PcieBus bus(e, 8e6, Duration{});
+  PcieBus bus(e, "pcie.test", 8e6, Duration{});
   const auto one = Duration::from_seconds(
       1000.0 * sim::cost::kStatEntryBytes * 8 / 8e6);
   int done = 0;
@@ -105,7 +105,7 @@ TEST(PcieBusTest, RequestsSerialize) {
 
 TEST(PcieBusTest, BacklogGrowsWhenOversubscribed) {
   Engine e;
-  PcieBus bus(e, 8e6, Duration{});
+  PcieBus bus(e, "pcie.test", 8e6, Duration{});
   for (int i = 0; i < 100; ++i) bus.request(1000, {});
   const auto one = Duration::from_seconds(
       1000.0 * sim::cost::kStatEntryBytes * 8 / 8e6);

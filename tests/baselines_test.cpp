@@ -59,7 +59,7 @@ TEST(SflowTest, AgentsExportPerPortRecords) {
   rig.engine.run_for(Duration::sec(1));
   // 6 switches × 8 ports × 10 probes/sec ≈ 480 records.
   EXPECT_GT(collector.records_processed(), 400u);
-  EXPECT_GT(collector.ingress().bytes, 400u * 100);
+  EXPECT_GT(collector.ingress_bytes(), 400u * 100);
 }
 
 TEST(SflowTest, CollectorLoadGrowsLinearlyWithPorts) {
@@ -73,7 +73,7 @@ TEST(SflowTest, CollectorLoadGrowsLinearlyWithPorts) {
                      SflowConfig{.probe_period = Duration::ms(10)});
     agent.start();
     engine.run_for(Duration::sec(1));
-    return collector.ingress().bytes;
+    return collector.ingress_bytes();
   };
   auto small = run(16);
   auto large = run(64);

@@ -143,10 +143,10 @@ TEST(ChaosTest, LeafCrashDetectedSeedReplacedReportsResume) {
     Seeder& seeder = farm.seeder();
     EXPECT_TRUE(seeder.node_failed(victim));
     EXPECT_EQ(seeder.failed_nodes(), std::vector<net::NodeId>{victim});
-    EXPECT_EQ(seeder.detection_latency().count(), 1u);
+    EXPECT_EQ(seeder.failures_detected(), 1u);
     // Detection within the heartbeat window: period × (miss_limit + 2)
     // bounds timeout plus tick alignment.
-    EXPECT_LE(seeder.detection_latency().max(), 0.25 * 5);
+    EXPECT_LE(seeder.detection_latency_max(), 0.25 * 5);
     EXPECT_GE(seeder.reseed_count(), 1u);
 
     // The seed lives on a survivor now.
@@ -170,11 +170,11 @@ TEST(ChaosTest, LeafCrashDetectedSeedReplacedReportsResume) {
     return Outcome{before,
                    harv.count(),
                    seeder.reseed_count(),
-                   seeder.detection_latency().count(),
-                   seeder.detection_latency().max(),
+                   seeder.failures_detected(),
+                   seeder.detection_latency_max(),
                    first_resume,
                    farm.engine().executed_events(),
-                   farm.bus().upstream().bytes};
+                   farm.bus().upstream_bytes()};
   };
   Outcome a = run(), b = run();
   EXPECT_EQ(a, b);  // deterministic replay of the whole scenario
@@ -274,9 +274,9 @@ TEST(ChaosTest, RandomPlanChaosRunsToCompletionDeterministically) {
     for (auto* s : farm.soils()) timeouts += s->poll_timeouts();
     return std::make_tuple(
         farm.engine().executed_events(), chaos.injector().injected(),
-        harv.count(), farm.bus().upstream().bytes, timeouts,
+        harv.count(), farm.bus().upstream_bytes(), timeouts,
         farm.seeder().reseed_count(),
-        farm.seeder().detection_latency().count(),
+        farm.seeder().failures_detected(),
         farm.seeder().failed_nodes().size());
   };
   auto a = run(2024), b = run(2024);
@@ -441,7 +441,7 @@ TEST(ChaosTest, TransientCrashIsRecordedWithoutDeclaringFailure) {
   farm.run_for(Duration::sec(3));
 
   EXPECT_FALSE(farm.seeder().node_failed(victim));
-  EXPECT_EQ(farm.seeder().detection_latency().count(), 0u);
+  EXPECT_EQ(farm.seeder().failures_detected(), 0u);
   EXPECT_GE(farm.seeder().transients(), 1u);
   EXPECT_EQ(farm.seeder().miss_streak(victim), 0);  // streak cleared again
   telemetry::Hub& tel = farm.telemetry();

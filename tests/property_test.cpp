@@ -242,10 +242,10 @@ TEST_P(ChaosProperty, SeededFaultPlanReplaysToIdenticalMetrics) {
     return std::make_tuple(
         farm.engine().executed_events(), chaos.injector().injected(),
         chaos.injector().history().size(), harv.count(),
-        farm.bus().upstream().bytes, farm.bus().downstream().bytes,
+        farm.bus().upstream_bytes(), farm.bus().downstream_bytes(),
         timeouts, retries, abandoned, farm.seeder().reseed_count(),
-        farm.seeder().detection_latency().count(),
-        farm.seeder().detection_latency().sum(),
+        farm.seeder().failures_detected(),
+        farm.seeder().detection_latency_sum(),
         farm.seeder().migrations_performed(), farm.seeder().deployments());
   };
   auto a = run(GetParam());
@@ -443,34 +443,9 @@ TEST_P(DiSketchProperty, ClearResetsStateButKeepsOwnership) {
 INSTANTIATE_TEST_SUITE_P(FragmentCounts, DiSketchProperty,
                          ::testing::Values(1, 2, 4, 16));
 
-// Standalone sketch merges (net/sketch.h) keep their accuracy contracts
-// when combining independently built summaries.
-TEST(SketchMergeProperty, PlainCountMinMergeEqualsConcatenatedStream) {
-  auto a = dsk::make_zipf_stream(1, 200, 3000, 1.2);
-  auto b = dsk::make_zipf_stream(2, 200, 3000, 1.2);
-  net::CountMinSketch left(256, 4, net::kDefaultSketchSeed,
-                           net::CountMinSketch::Update::kPlain);
-  net::CountMinSketch right(256, 4, net::kDefaultSketchSeed,
-                            net::CountMinSketch::Update::kPlain);
-  net::CountMinSketch both(256, 4, net::kDefaultSketchSeed,
-                           net::CountMinSketch::Update::kPlain);
-  for (const auto& it : a.items) left.add(it.key), both.add(it.key);
-  for (const auto& it : b.items) right.add(it.key), both.add(it.key);
-  left.merge(right);
-  EXPECT_EQ(left.cells(), both.cells());
-  EXPECT_EQ(left.total_added(), both.total_added());
-}
-
-TEST(SketchMergeProperty, HllMergeEqualsUnionStream) {
-  auto a = dsk::make_zipf_stream(3, 500, 2000, 1.0);
-  auto b = dsk::make_zipf_stream(4, 500, 2000, 1.0);
-  net::HyperLogLog left(11), right(11), both(11);
-  for (const auto& it : a.items) left.add(it.key), both.add(it.key);
-  for (const auto& it : b.items) right.add(it.key), both.add(it.key);
-  left.merge(right);
-  EXPECT_EQ(left.registers(), both.registers());
-}
-
+// The standalone Misra-Gries merge (net/sketch.h), which DiSketch's MG
+// fragments fold with, keeps its accuracy contract when combining
+// independently built summaries.
 TEST(SketchMergeProperty, MisraGriesMergeKeepsErrorBound) {
   auto a = dsk::make_zipf_stream(5, 300, 5000, 1.3);
   auto b = dsk::make_zipf_stream(6, 300, 5000, 1.3);

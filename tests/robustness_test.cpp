@@ -171,7 +171,7 @@ TEST(RobustnessTest, FullSystemRunIsDeterministic) {
         farm.topology(), rng, 0.2, 600e6, Duration::sec(1),
         Duration::sec(2)));
     farm.run_for(Duration::sec(2));
-    return std::make_tuple(harv.count(), farm.bus().upstream().bytes,
+    return std::make_tuple(harv.count(), farm.bus().upstream_bytes(),
                            farm.engine().executed_events());
   };
   EXPECT_EQ(run(), run());

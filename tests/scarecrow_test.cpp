@@ -3,8 +3,10 @@
 // FarmSystem integration (default rules, periodic evaluation, report).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "farm/scarecrow.h"
 #include "farm/system.h"
@@ -468,6 +470,28 @@ TEST(Scarecrow, SystemReportsRenderAfterARun) {
   expect_balanced_json(json.str());
   EXPECT_NE(json.str().find("\"health\""), std::string::npos);
   EXPECT_NE(json.str().find("\"profile\""), std::string::npos);
+}
+
+
+// Each chassis names its PCIe bus's metrics after its switch: the registry
+// holds no metric of a switch that does not exist, and the default
+// pcie-saturated rule watches every switch exactly once.
+TEST(Scarecrow, PcieRuleWatchesEachSwitchOnce) {
+  core::FarmSystem farm(small_config());
+  farm.run_for(Duration::ms(500));
+  const Registry& reg = farm.telemetry().registry();
+  for (MetricId id = 0; id < reg.size(); ++id)
+    EXPECT_NE(reg.name(id).rfind("pcie.bus.", 0), 0u) << reg.name(id);
+  const AlertManager& mgr = farm.scarecrow().alerts();
+  std::vector<std::string> watched, switches;
+  for (const Alert& a : mgr.alerts())
+    if (mgr.rules()[a.rule].name == "pcie-saturated")
+      watched.emplace_back(label_component(reg.name(a.metric), 1));
+  for (net::NodeId n : farm.topology().switches())
+    switches.push_back(farm.topology().node(n).name);
+  std::sort(watched.begin(), watched.end());
+  std::sort(switches.begin(), switches.end());
+  EXPECT_EQ(watched, switches);
 }
 
 }  // namespace

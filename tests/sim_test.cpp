@@ -1,11 +1,10 @@
-// Tests for the discrete-event engine, CPU model, and metrics.
+// Tests for the discrete-event engine and the CPU model.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "sim/cpu.h"
 #include "sim/engine.h"
-#include "sim/metrics.h"
 
 namespace farm::sim {
 namespace {
@@ -178,56 +177,6 @@ TEST(CpuModelTest, LoadPercentReflectsMultiCoreSaturation) {
   // 8 × 50ms on 4 cores over 100ms → 400% for the first half, 400%*0.5 = 200%…
   // exact: total busy 400ms / 100ms window = 400%.
   EXPECT_NEAR(cpu.load_percent(start, busy0), 400, 1);
-}
-
-TEST(StatsTest, SummaryStatistics) {
-  Stats s;
-  for (double v : {1.0, 2.0, 3.0, 4.0}) s.record(v);
-  EXPECT_EQ(s.count(), 4u);
-  EXPECT_DOUBLE_EQ(s.mean(), 2.5);
-  EXPECT_DOUBLE_EQ(s.min(), 1);
-  EXPECT_DOUBLE_EQ(s.max(), 4);
-  EXPECT_NEAR(s.stddev(), 1.2909944, 1e-6);
-  EXPECT_DOUBLE_EQ(s.percentile(50), 2);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 4);
-}
-
-TEST(StatsTest, PercentileAfterMoreRecords) {
-  Stats s;
-  for (int i = 100; i >= 1; --i) s.record(i);
-  EXPECT_DOUBLE_EQ(s.percentile(90), 90);
-  s.record(1000);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 1000);
-}
-
-TEST(StatsTest, PercentileEndpointsAreExactMinMax) {
-  Stats s;
-  for (double v : {7.5, -3.0, 42.0, 0.25}) s.record(v);
-  EXPECT_DOUBLE_EQ(s.percentile(0), -3.0);
-  EXPECT_DOUBLE_EQ(s.percentile(100), 42.0);
-  EXPECT_DOUBLE_EQ(s.percentile(0), s.min());
-  EXPECT_DOUBLE_EQ(s.percentile(100), s.max());
-}
-
-TEST(StatsTest, PercentileClampsOutOfRangeArguments) {
-  Stats s;
-  for (int i = 1; i <= 10; ++i) s.record(i);
-  EXPECT_DOUBLE_EQ(s.percentile(-5), 1);
-  EXPECT_DOUBLE_EQ(s.percentile(150), 10);
-  EXPECT_DOUBLE_EQ(s.percentile(1e18), 10);
-  // Empty stats stay safe regardless of the argument.
-  Stats empty;
-  EXPECT_DOUBLE_EQ(empty.percentile(-1), 0);
-  EXPECT_DOUBLE_EQ(empty.percentile(101), 0);
-}
-
-TEST(ByteMeterTest, Accumulates) {
-  ByteMeter m;
-  m.add(1000);
-  m.add(500);
-  EXPECT_EQ(m.bytes, 1500u);
-  EXPECT_EQ(m.messages, 2u);
-  EXPECT_DOUBLE_EQ(m.megabytes(), 0.0015);
 }
 
 TEST(EngineTest, CancelHeavyWorkloadKeepsHeapBounded) {
