@@ -4,8 +4,9 @@
 #include <benchmark/benchmark.h>
 
 #include "almanac/analysis.h"
-#include "almanac/interp.h"
 #include "almanac/parser.h"
+#include "almanac/seed_core.h"
+#include "almanac/vm.h"
 #include "asic/tcam.h"
 #include "bench_json.h"
 #include "farm/scarecrow.h"
@@ -45,24 +46,70 @@ void BM_SeedVmPollHandler(benchmark::State& state) {
   const auto& uc = core::use_case("Heavy hitter (HH)");
   auto program = almanac::parse_program(uc.source);
   auto cm = almanac::compile_machine(program, "HH");
-  almanac::Interpreter interp(cm, nullptr);
-  almanac::Env env = almanac::static_machine_env(cm);
+  almanac::Vm vm(cm, nullptr);
+  almanac::Registers regs = almanac::static_machine_env(cm);
   almanac::StatsValue stats;
   for (int i = 0; i < 48; ++i)
     stats.entries->push_back(
         {"port:" + std::to_string(i), i, 0, 1000, 1'000'00});
-  const auto* observe = cm.state("observe");
-  const auto& actions = observe->events[0]->actions;
+  const int observe = cm.code->state_index("observe");
+  const auto& handler =
+      cm.code->states[static_cast<std::size_t>(observe)].handlers[0];
   for (auto _ : state) {
-    almanac::Env scope(&env);
-    scope.define("stats", almanac::Value(stats));
     try {
-      interp.exec(actions, scope);
+      vm.run(handler, regs, almanac::Value(stats));
     } catch (const almanac::EvalError&) {
     }
   }
 }
 BENCHMARK(BM_SeedVmPollHandler);
+
+// A seed core over a host that serves nothing: what one event costs the
+// event loop and the VM before a handler does any work.
+class IdleHostSeed : public almanac::SeedCore {
+ public:
+  explicit IdleHostSeed(const almanac::CompiledMachine& m) : SeedCore(m) {
+    bind({});
+  }
+  almanac::ResourcesValue resources() override {
+    return almanac::kReferenceAlloc;
+  }
+  void add_tcam_rule(const asic::TcamRule&) override {}
+  void remove_tcam_rule(const net::Filter&) override {}
+  std::optional<asic::TcamRule> get_tcam_rule(const net::Filter&) override {
+    return std::nullopt;
+  }
+  void send(const almanac::Value&, const almanac::SendTarget&) override {}
+  void exec(const std::string&) override {}
+  void trigger_updated(const std::string&) override {}
+  std::int64_t switch_id() override { return 0; }
+  std::int64_t now_ms() override { return 0; }
+  void log(const std::string&) override {}
+
+ private:
+  void handler_ran() override {}
+  void handler_failed(Site, const almanac::EvalError&) override {}
+  void state_entered() override {}
+  void chain_cut() override {}
+};
+
+void BM_SeedCoreTimerHandler(benchmark::State& state) {
+  // One timer delivery to a handler that increments a register: the fixed
+  // per-event cost most handler calls of a fleet pay.
+  auto program = almanac::parse_program(R"(
+    machine M {
+      long n = 0;
+      time tick = 1.0;
+      state s { when (tick as t) do { n = n + 1; } }
+    })");
+  auto cm = almanac::compile_machine(program, "M");
+  IdleHostSeed seed(cm);
+  seed.start();
+  const std::string tick = "tick";
+  for (auto _ : state) seed.on_time(tick);
+  benchmark::DoNotOptimize(seed.variable("n")->as_int());
+}
+BENCHMARK(BM_SeedCoreTimerHandler);
 
 void BM_FilterMatch(benchmark::State& state) {
   auto f = net::Filter::conj(

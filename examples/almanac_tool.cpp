@@ -75,7 +75,7 @@ int check(const std::string& path) {
           std::printf("\n");
         }
       }
-      almanac::Env env = almanac::static_machine_env(cm);
+      almanac::Registers env = almanac::static_machine_env(cm);
       for (const auto& pa :
            almanac::analyze_polls(cm, env, almanac::kReferenceAlloc)) {
         std::printf("  %s %s: subjects=%zu, ival%s = %s\n",

@@ -397,33 +397,34 @@ bool inverse_linear(const Expr& e, Poly& inv) {
 
 }  // namespace
 
-Env static_machine_env(
+Registers static_machine_env(
     const CompiledMachine& machine,
     const std::unordered_map<std::string, Value>& externals) {
-  Env env;
-  Interpreter interp(machine, nullptr);
-  for (const auto* v : machine.vars) {
+  Registers regs(machine);
+  Vm vm(machine, nullptr);
+  for (std::size_t i = 0; i < machine.vars.size(); ++i) {
+    const VarDecl* v = machine.vars[i];
     auto it = externals.find(v->name);
     if (v->external && it != externals.end()) {
-      env.define(v->name, it->second);
+      regs.bind(i, it->second);
     } else if (v->init && !v->trigger) {
       try {
-        env.define(v->name, interp.eval(*v->init, env));
+        regs.bind(i, vm.eval(machine.code->var_inits[i], regs));
       } catch (const EvalError&) {
-        env.define(v->name, Interpreter::default_value(v->type));
+        regs.bind(i, default_value(v->type));
       }
     } else if (!v->trigger) {
-      env.define(v->name, Interpreter::default_value(v->type));
+      regs.bind(i, default_value(v->type));
     }
   }
-  return env;
+  return regs;
 }
 
 std::vector<PollAnalysis> analyze_polls(
-    const CompiledMachine& machine, Env& machine_env,
+    const CompiledMachine& machine, Registers& machine_env,
     const ResourcesValue& reference_alloc) {
   std::vector<PollAnalysis> out;
-  Interpreter interp(machine, nullptr);
+  Vm vm(machine, nullptr);
   for (const auto* v : machine.trigger_vars()) {
     if (*v->trigger == TriggerType::kTime) continue;  // pure timers
     FARM_CHECK(v->init);
@@ -431,7 +432,7 @@ std::vector<PollAnalysis> analyze_polls(
     pa.var = v->name;
     pa.ttype = *v->trigger;
 
-    // Evaluate .what with a host-independent interpreter. A res()-dependent
+    // Evaluate .what with a host-independent VM. A res()-dependent
     // `what` would throw — disallowed by construction of the language.
     if (v->init->kind != Expr::Kind::kStructInit)
       throw CompileError("poll/probe initializer must be Poll{...}/Probe{...}",
@@ -447,7 +448,7 @@ std::vector<PollAnalysis> analyze_polls(
     if (!ival_expr)
       throw CompileError("poll/probe needs .ival", v->loc);
     if (what_expr) {
-      Value w = interp.eval(*what_expr, machine_env);
+      Value w = vm.eval(*what_expr, machine_env);
       if (!w.is_filter())
         throw CompileError(".what must evaluate to a filter", v->loc);
       pa.what = w.as_filter();
@@ -479,8 +480,8 @@ std::vector<PollAnalysis> analyze_polls(
        private:
         ResourcesValue r_;
       } host(reference_alloc);
-      Interpreter ri(machine, &host);
-      Value iv = ri.eval(*ival_expr, machine_env);
+      Vm host_vm(machine, &host);
+      Value iv = host_vm.eval(*ival_expr, machine_env);
       double ival = iv.is_numeric() ? iv.as_float() : 0;
       if (ival <= 0)
         throw CompileError("ival must evaluate to a positive number", v->loc);
@@ -498,10 +499,10 @@ namespace {
 
 // Evaluates one cms_new/mg_new/hll_new argument to an int without a host;
 // returns false when it depends on res() or other runtime state.
-bool static_int_arg(Interpreter& interp, const Expr& e, Env& env,
+bool static_int_arg(Vm& vm, const Expr& e, Registers& env,
                     std::int64_t& out) {
   try {
-    Value v = interp.eval(e, env);
+    Value v = vm.eval(e, env);
     if (!v.is_int()) return false;
     out = v.as_int();
     return true;
@@ -510,7 +511,7 @@ bool static_int_arg(Interpreter& interp, const Expr& e, Env& env,
   }
 }
 
-void analyze_sketch_var(Interpreter& interp, const VarDecl& v, Env& env,
+void analyze_sketch_var(Vm& vm, const VarDecl& v, Registers& env,
                         std::vector<SketchAnalysis>& out) {
   if (v.type != TypeName::kSketch || !v.init) return;
   SketchAnalysis sa;
@@ -524,7 +525,7 @@ void analyze_sketch_var(Interpreter& interp, const VarDecl& v, Env& env,
     bool all_static = true;
     for (const auto& a : init.args) {
       std::int64_t x = 0;
-      all_static &= static_int_arg(interp, *a, env, x);
+      all_static &= static_int_arg(vm, *a, env, x);
       args.push_back(x);
     }
     if (all_static) {
@@ -552,14 +553,14 @@ void analyze_sketch_var(Interpreter& interp, const VarDecl& v, Env& env,
 }  // namespace
 
 std::vector<SketchAnalysis> analyze_sketches(const CompiledMachine& machine,
-                                             Env& machine_env) {
+                                             Registers& machine_env) {
   std::vector<SketchAnalysis> out;
-  Interpreter interp(machine, nullptr);
+  Vm vm(machine, nullptr);
   for (const auto* v : machine.vars)
-    analyze_sketch_var(interp, *v, machine_env, out);
+    analyze_sketch_var(vm, *v, machine_env, out);
   for (const auto& s : machine.states)
     for (const auto* v : s.locals)
-      analyze_sketch_var(interp, *v, machine_env, out);
+      analyze_sketch_var(vm, *v, machine_env, out);
   return out;
 }
 
@@ -609,10 +610,10 @@ bool range_ok(BinOp op, int dist, std::int64_t bound) {
 }  // namespace
 
 std::vector<ResolvedSeed> resolve_places(const CompiledMachine& machine,
-                                         Env& machine_env,
+                                         Registers& machine_env,
                                          const net::SdnController& controller) {
   const net::Topology& topo = controller.topology();
-  Interpreter interp(machine, nullptr);
+  Vm vm(machine, nullptr);
   std::vector<ResolvedSeed> out;
 
   auto push_dedup = [&out](std::vector<net::NodeId> candidates) {
@@ -646,7 +647,7 @@ std::vector<ResolvedSeed> resolve_places(const CompiledMachine& machine,
       case PlaceDirective::Mode::kSwitchList: {
         std::vector<net::NodeId> ids;
         for (const auto& ex : pl->switch_ids) {
-          Value v = interp.eval(*ex, machine_env);
+          Value v = vm.eval(*ex, machine_env);
           if (!v.is_int())
             throw CompileError("place: switch ids must be integers", pl->loc);
           auto id = static_cast<net::NodeId>(v.as_int());
@@ -667,13 +668,13 @@ std::vector<ResolvedSeed> resolve_places(const CompiledMachine& machine,
       case PlaceDirective::Mode::kRange: {
         net::Prefix src = net::Prefix::any(), dst = net::Prefix::any();
         if (pl->path_filter) {
-          Value f = interp.eval(*pl->path_filter, machine_env);
+          Value f = vm.eval(*pl->path_filter, machine_env);
           if (!f.is_filter())
             throw CompileError("place: path expression must be a filter",
                                pl->loc);
           extract_prefixes(f.as_filter(), src, dst);
         }
-        Value bound_v = interp.eval(*pl->range_value, machine_env);
+        Value bound_v = vm.eval(*pl->range_value, machine_env);
         std::int64_t bound = bound_v.as_int();
         auto paths = controller.paths_matching(src, dst);
         for (const auto& path : paths) {

@@ -29,7 +29,7 @@
 #include <vector>
 
 #include "almanac/compile.h"
-#include "almanac/interp.h"
+#include "almanac/vm.h"
 #include "net/topology.h"
 
 namespace farm::almanac {
@@ -48,12 +48,12 @@ UtilityAnalysis default_utility();
 
 // --- Machine environment -----------------------------------------------------
 
-// The machine environment the static analyses evaluate in, with no runtime
+// The machine registers the static analyses evaluate in, with no runtime
 // host: `externals` bind external variables (bindings of other names are
 // ignored); other variables take their initializer's value, or their type's
 // default when they have none or it cannot be evaluated statically.
-// Trigger variables stay unbound.
-Env static_machine_env(
+// Trigger variables and state locals stay unbound.
+Registers static_machine_env(
     const CompiledMachine& machine,
     const std::unordered_map<std::string, Value>& externals = {});
 
@@ -80,7 +80,7 @@ struct PollAnalysis {
 // `what` expressions evaluate to concrete filters. `reference_alloc` is
 // the allocation used for the non-linear fallback.
 std::vector<PollAnalysis> analyze_polls(const CompiledMachine& machine,
-                                        Env& machine_env,
+                                        Registers& machine_env,
                                         const ResourcesValue& reference_alloc);
 
 // --- Sketch analysis ---------------------------------------------------------
@@ -106,7 +106,7 @@ struct SketchAnalysis {
 // initializer. `machine_env` supplies external-variable bindings, as for
 // analyze_polls.
 std::vector<SketchAnalysis> analyze_sketches(const CompiledMachine& machine,
-                                             Env& machine_env);
+                                             Registers& machine_env);
 
 // --- Placement resolution -----------------------------------------------------
 
@@ -118,7 +118,7 @@ struct ResolvedSeed {
 // π interpretation of the machine's place directives (see header comment
 // for the grouping semantics). Only switch nodes are placeable.
 std::vector<ResolvedSeed> resolve_places(const CompiledMachine& machine,
-                                         Env& machine_env,
+                                         Registers& machine_env,
                                          const net::SdnController& controller);
 
 }  // namespace farm::almanac

@@ -4,6 +4,7 @@
 #include <unordered_set>
 
 #include "almanac/analysis.h"
+#include "almanac/code.h"
 
 namespace farm::almanac {
 
@@ -275,6 +276,7 @@ std::optional<CompiledMachine> compile_machine_collect(
                  "poll/probe variable '" + v->name + "' needs an initializer",
                  "declare it as  poll " + v->name + " = Poll { .ival = ... }");
 
+  out.code = lower_machine(out);
   return out;
 }
 

@@ -10,11 +10,14 @@
 //     §III-A f (if/return only; limited operators; only min/max calls);
 //   - every state's util analyzed once (analyze_utility, §III-B b): the
 //     result, or the error that stops it, is part of the compiled state, so
-//     Sickle, the seeder and the seed runtime all read the same derivation.
+//     Sickle, the seeder and the seed runtime all read the same derivation;
+//   - the machine lowered into slot-resolved code (code.h), which the seed
+//     VM (vm.h) runs.
 //
 // CompiledMachine borrows AST nodes from the Program, which must outlive it.
 #pragma once
 
+#include <memory>
 #include <optional>
 #include <stdexcept>
 #include <string>
@@ -36,6 +39,8 @@ class CompileError : public std::runtime_error {
  private:
   SourceLoc loc_;
 };
+
+struct MachineCode;
 
 struct CompiledState {
   std::string name;
@@ -67,6 +72,8 @@ struct CompiledMachine {
   std::vector<const PlaceDirective*> places;
   std::vector<CompiledState> states;
   std::string initial_state;  // first state declared by the base-most machine
+  // The machine's slot-resolved code; shared by copies of the machine.
+  std::shared_ptr<const MachineCode> code;
 
   const CompiledState* state(const std::string& n) const {
     for (const auto& s : states)

@@ -6,6 +6,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "almanac/opt/transcript.h"
 #include "almanac/seed_core.h"
 #include "util/rng.h"
 
@@ -15,83 +16,6 @@ namespace {
 
 using verify::absint::AbsVal;
 using verify::absint::Analysis;
-
-std::string rule_key(const asic::TcamRule& r) {
-  char buf[64];
-  std::snprintf(buf, sizeof buf, " p%d a%d rl%.3f ", r.priority,
-                static_cast<int>(r.action), r.rate_limit_bps);
-  return r.pattern.canonical_key() + buf + r.note;
-}
-
-// The transcript host: runs the seed core the soil runtime runs
-// (seed_core.h) over a deterministic in-memory host that appends every
-// host effect and hook report to a transcript instead of hitting a soil.
-class TranscriptSeed : public SeedCore {
- public:
-  TranscriptSeed(const CompiledMachine& m,
-                 const std::unordered_map<std::string, Value>& externals,
-                 std::vector<std::string>& transcript)
-      : SeedCore(m), transcript_(transcript) {
-    bind(externals);  // may throw
-  }
-
-  void set_now_ms(std::int64_t now) { now_ms_ = now; }
-  void set_alloc(const ResourcesValue& r) { alloc_ = r; }
-
-  // --- SeedHost -------------------------------------------------------------
-  ResourcesValue resources() override { return alloc_; }
-  void add_tcam_rule(const asic::TcamRule& rule) override {
-    transcript_.push_back("tcam+ " + rule_key(rule));
-    store_[rule.pattern.canonical_key()] = rule;
-  }
-  void remove_tcam_rule(const net::Filter& pattern) override {
-    transcript_.push_back("tcam- " + pattern.canonical_key());
-    store_.erase(pattern.canonical_key());
-  }
-  std::optional<asic::TcamRule> get_tcam_rule(
-      const net::Filter& pattern) override {
-    transcript_.push_back("tcam? " + pattern.canonical_key());
-    auto it = store_.find(pattern.canonical_key());
-    if (it == store_.end()) return std::nullopt;
-    return it->second;
-  }
-  void send(const Value& payload, const SendTarget& target) override {
-    std::string to = target.to_harvester ? "harvester" : target.machine;
-    if (target.dst) to += "@" + std::to_string(*target.dst);
-    transcript_.push_back("send " + to + " " + payload.to_string());
-  }
-  void exec(const std::string& command) override {
-    transcript_.push_back("exec " + command);
-  }
-  void request_transit(const std::string& state) override {
-    transcript_.push_back("transit-req " + state);
-    SeedCore::request_transit(state);
-  }
-  void trigger_updated(const std::string& var) override {
-    transcript_.push_back("trig " + var);
-  }
-  std::int64_t switch_id() override { return 7; }
-  std::int64_t now_ms() override { return now_ms_; }
-  void log(const std::string& message) override {
-    transcript_.push_back("log " + message);
-  }
-
- private:
-  // --- SeedCore hooks -------------------------------------------------------
-  void handler_ran() override {}
-  void handler_failed(Site site, const EvalError& e) override {
-    transcript_.push_back(std::string(site_name(site)) + "-err " + e.what());
-  }
-  void state_entered() override {
-    transcript_.push_back("enter " + current_state());
-  }
-  void chain_cut() override { transcript_.push_back("chain-cut"); }
-
-  std::vector<std::string>& transcript_;
-  std::unordered_map<std::string, asic::TcamRule> store_;
-  ResourcesValue alloc_{2, 512, 128, 4};
-  std::int64_t now_ms_ = 1000;
-};
 
 // Event menu drawn from the machine declaration (identical for original
 // and optimized: the optimizer never touches trigger registers or recv
@@ -180,10 +104,29 @@ net::PacketHeader random_packet(util::Rng& rng) {
 
 }  // namespace
 
+ReplayRunFactory seed_core_runs() {
+  return [](const CompiledMachine& m,
+            const std::unordered_map<std::string, Value>& externals,
+            std::vector<std::string>& transcript) {
+    return std::make_unique<TranscriptSeed<SeedCore>>(m, externals,
+                                                      transcript);
+  };
+}
+
 ReplayReport replay_compare(const CompiledMachine& original,
                             const CompiledMachine& optimized,
                             const Analysis& analysis,
                             const ReplayOptions& opts) {
+  const ReplayRunFactory runs = seed_core_runs();
+  return replay_compare_runs(original, runs, optimized, runs, &analysis, opts);
+}
+
+ReplayReport replay_compare_runs(const CompiledMachine& original,
+                                 const ReplayRunFactory& make_a,
+                                 const CompiledMachine& optimized,
+                                 const ReplayRunFactory& make_b,
+                                 const Analysis* analysis,
+                                 const ReplayOptions& opts) {
   ReplayReport rep;
 
   auto fail = [&](const std::string& why) {
@@ -192,16 +135,16 @@ ReplayReport replay_compare(const CompiledMachine& original,
 
   // Envelope check on the original run: every register value must be
   // admitted by the analysis' residency abstraction of the current state.
-  auto check_intervals = [&](const TranscriptSeed& a, const char* when) {
-    if (!rep.intervals_ok) return;
-    auto it = analysis.state_entry.find(a.current_state());
-    if (it == analysis.state_entry.end()) {
+  auto check_intervals = [&](const ReplayRun& a, const char* when) {
+    if (!analysis || !rep.intervals_ok) return;
+    auto it = analysis->state_entry.find(a.current_state());
+    if (it == analysis->state_entry.end()) {
       rep.intervals_ok = false;
       fail(std::string("resident in state '") + a.current_state() +
            "' which the analysis proved unreachable (" + when + ")");
       return;
     }
-    for (const auto& [name, val] : a.env().own()) {
+    for (const auto& [name, val] : a.machine_vars()) {
       auto ft = it->second.find(name);
       if (ft == it->second.end()) continue;
       if (!ft->second.admits(val)) {
@@ -219,14 +162,14 @@ ReplayReport replay_compare(const CompiledMachine& original,
   for (int stream = 0; stream < opts.streams; ++stream) {
     util::Rng rng(util::derive_seed(opts.seed, stream));
     std::vector<std::string> ta, tb;
-    std::unique_ptr<TranscriptSeed> a, b;
+    std::unique_ptr<ReplayRun> a, b;
     try {
-      a = std::make_unique<TranscriptSeed>(original, opts.externals, ta);
+      a = make_a(original, opts.externals, ta);
     } catch (const EvalError& e) {
       ta.push_back(std::string("ctor-err ") + e.what());
     }
     try {
-      b = std::make_unique<TranscriptSeed>(optimized, opts.externals, tb);
+      b = make_b(optimized, opts.externals, tb);
     } catch (const EvalError& e) {
       tb.push_back(std::string("ctor-err ") + e.what());
     }

@@ -15,11 +15,19 @@
 // by `analysis.state_entry[current_state]` — the soundness contract of
 // absint.h. Callers must pass the same externals the analysis was run
 // with, or the envelope check is meaningless.
+//
+// The stream driver is parameterized over the event loop it drives
+// (ReplayRun): `replay_compare_runs` compares any two, which is how a
+// differential test holds the seed VM against another implementation of
+// the same semantics (transcript.h wraps a core as a ReplayRun).
 #pragma once
 
 #include <cstdint>
+#include <functional>
+#include <memory>
 #include <string>
 #include <unordered_map>
+#include <vector>
 
 #include "almanac/compile.h"
 #include "almanac/value.h"
@@ -51,5 +59,45 @@ ReplayReport replay_compare(const CompiledMachine& original,
                             const CompiledMachine& optimized,
                             const verify::absint::Analysis& analysis,
                             const ReplayOptions& opts = {});
+
+// One machine's event loop under the harness, over the transcript host.
+class ReplayRun {
+ public:
+  virtual ~ReplayRun() = default;
+  virtual void set_now_ms(std::int64_t now) = 0;
+  virtual void set_alloc(const ResourcesValue& r) = 0;
+  virtual void start() = 0;
+  virtual void on_poll(const std::string& var, const StatsValue& stats) = 0;
+  virtual void on_probe(const std::string& var,
+                        const net::PacketHeader& packet) = 0;
+  virtual void on_time(const std::string& var) = 0;
+  virtual void on_message(const Value& payload, bool from_harvester,
+                          const std::string& from_machine) = 0;
+  virtual void on_realloc() = 0;
+  virtual const std::string& current_state() const = 0;
+  virtual double utility(const ResourcesValue& r) const = 0;
+  // The machine variables by name (the envelope check).
+  virtual std::unordered_map<std::string, Value> machine_vars() const = 0;
+};
+
+// Builds a run of `machine` with `externals` bound, appending to
+// `transcript`; an EvalError from binding propagates.
+using ReplayRunFactory = std::function<std::unique_ptr<ReplayRun>(
+    const CompiledMachine& machine,
+    const std::unordered_map<std::string, Value>& externals,
+    std::vector<std::string>& transcript)>;
+
+// The seed core (seed_core.h) under the transcript host.
+ReplayRunFactory seed_core_runs();
+
+// Drives `make_a(a)` and `make_b(b)` through the identical event streams
+// of `a`'s event menu and compares their transcripts. The envelope check
+// runs on the `a` run when `analysis` is given.
+ReplayReport replay_compare_runs(const CompiledMachine& a,
+                                 const ReplayRunFactory& make_a,
+                                 const CompiledMachine& b,
+                                 const ReplayRunFactory& make_b,
+                                 const verify::absint::Analysis* analysis,
+                                 const ReplayOptions& opts = {});
 
 }  // namespace farm::almanac::opt

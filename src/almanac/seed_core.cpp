@@ -1,61 +1,101 @@
 #include "almanac/seed_core.h"
 
-#include "almanac/analysis.h"
 #include "util/check.h"
 
 namespace farm::almanac {
 
 SeedCore::SeedCore(const CompiledMachine& machine)
     : machine_(machine),
-      current_state_(machine.initial_state),
-      interp_(machine, this) {}
+      code_(*machine.code),
+      regs_(machine),
+      state_(static_cast<std::size_t>(
+          code_.state_index(machine.initial_state))),
+      vm_(machine, this) {}
 
 SeedCore::~SeedCore() = default;
 
-void SeedCore::bind(const std::unordered_map<std::string, Value>& externals) {
-  for (const auto* v : machine_.vars) {
+const Value* SeedCore::variable(std::string_view name) const {
+  if (const Value* v = regs_.var(name)) return v;
+  for (const auto& l : state_code().locals)
+    if (code_.names[l.reg] == name && regs_.bound(l.reg)) return &regs_[l.reg];
+  return nullptr;
+}
+
+SeedCore::Bindings SeedCore::machine_vars() const {
+  Bindings out;
+  for (std::size_t i = 0; i < code_.n_vars; ++i)
+    if (regs_.bound(i)) out.emplace(code_.names[i], regs_[i]);
+  return out;
+}
+
+SeedCore::Bindings SeedCore::state_locals() const {
+  Bindings out;
+  for (const auto& l : state_code().locals)
+    if (regs_.bound(l.reg)) out.insert_or_assign(code_.names[l.reg], regs_[l.reg]);
+  return out;
+}
+
+void SeedCore::bind(const Bindings& externals) {
+  for (std::size_t i = 0; i < machine_.vars.size(); ++i) {
+    const VarDecl* v = machine_.vars[i];
     auto ext = externals.find(v->name);
     if (ext != externals.end()) {
       FARM_CHECK_MSG(v->external,
                      "binding supplied for non-external variable");
-      env_.define(v->name, ext->second);
+      regs_.bind(i, ext->second);
     } else if (v->init) {
-      env_.define(v->name, interp_.eval(*v->init, env_));
+      regs_.bind(i, vm_.eval(code_.var_inits[i], regs_));
     } else if (v->trigger) {
-      env_.define(v->name, Value(TriggerSpec{}));
+      regs_.bind(i, Value(TriggerSpec{}));
     } else {
-      env_.define(v->name, Interpreter::default_value(v->type));
+      regs_.bind(i, default_value(v->type));
     }
+  }
+}
+
+void SeedCore::bind_state_locals() {
+  for (const auto& l : state_code().locals) {
+    Value v = default_value(l.decl->type);
+    if (l.init.kind != ExprCode::Kind::kAbsent) {
+      try {
+        v = vm_.eval(l.init, regs_);
+      } catch (const EvalError& e) {
+        handler_failed(Site::kEnter, e);
+      }
+    }
+    regs_.bind(l.reg, std::move(v));
   }
 }
 
 void SeedCore::start() {
   FARM_CHECK(!started_);
   started_ = true;
+  bind_state_locals();
   fire_simple(EventDecl::TriggerKind::kEnter);
   apply_pending_transit();
 }
 
-void SeedCore::resume(
-    const std::string& state,
-    const std::unordered_map<std::string, Value>& machine_vars) {
+void SeedCore::resume(const std::string& state, const Bindings& machine_vars,
+                      const Bindings& locals) {
   FARM_CHECK(!started_);
   started_ = true;
-  current_state_ = state;
-  FARM_CHECK_MSG(this->state() != nullptr,
-                 "snapshot references unknown state");
+  int index = code_.state_index(state);
+  FARM_CHECK_MSG(index >= 0, "snapshot references unknown state");
+  state_ = static_cast<std::size_t>(index);
   for (const auto& [name, v] : machine_vars)
-    if (machine_.var(name)) env_.define(name, v);
+    if (int slot = code_.var_slot(name); slot >= 0)
+      regs_.bind(static_cast<std::size_t>(slot), v);
+  for (const auto& l : state_code().locals) {
+    auto it = locals.find(code_.names[l.reg]);
+    regs_.bind(l.reg, it != locals.end() ? it->second
+                                         : default_value(l.decl->type));
+  }
 }
 
-void SeedCore::run_handler(const std::vector<ActionPtr>& actions,
-                           const std::string& bind_name,
-                           const Value& bind_value) {
-  Env scope(&env_);
-  if (!bind_name.empty()) scope.define(bind_name, bind_value);
+void SeedCore::run_handler(const HandlerCode& handler, const Value& binding) {
   handler_ran();
   try {
-    interp_.exec(actions, scope);
+    vm_.run(handler, regs_, binding);
   } catch (const EvalError& e) {
     handler_failed(Site::kHandler, e);
   }
@@ -64,29 +104,25 @@ void SeedCore::run_handler(const std::vector<ActionPtr>& actions,
 
 // A handler that transits does not stop the loop: the remaining handlers
 // of the state the event was delivered in still run.
-void SeedCore::fire_var(const std::string& var, const Value& bind_value) {
-  const CompiledState* st = state();
-  if (!started_ || !st) return;
-  for (const auto* ev : st->events)
-    if (ev->kind == EventDecl::TriggerKind::kVarTrigger && ev->var == var)
-      run_handler(ev->actions, ev->as_var, bind_value);
+void SeedCore::fire_var(const std::string& var, const Value& binding) {
+  if (!started_) return;
+  const int reg = code_.var_slot(var);
+  if (reg < 0) return;
+  for (const auto& h : state_code().handlers)
+    if (h.trigger_reg == reg) run_handler(h, binding);
 }
 
 void SeedCore::fire_simple(EventDecl::TriggerKind kind) {
-  const CompiledState* st = state();
-  if (!started_ || !st) return;
-  for (const auto* ev : st->events)
-    if (ev->kind == kind) run_handler(ev->actions, "", Value());
+  if (!started_) return;
+  for (const auto& h : state_code().handlers)
+    if (h.decl->kind == kind) run_handler(h, Value());
 }
 
 void SeedCore::run_transit_handlers(EventDecl::TriggerKind kind, Site site) {
-  const CompiledState* st = state();
-  if (!st) return;
-  for (const auto* ev : st->events) {
-    if (ev->kind != kind) continue;
-    Env scope(&env_);
+  for (const auto& h : state_code().handlers) {
+    if (h.decl->kind != kind) continue;
     try {
-      interp_.exec(ev->actions, scope);
+      vm_.run(h, regs_);
     } catch (const EvalError& e) {
       handler_failed(site, e);
     }
@@ -94,17 +130,18 @@ void SeedCore::run_transit_handlers(EventDecl::TriggerKind kind, Site site) {
 }
 
 void SeedCore::apply_pending_transit() {
-  while (pending_transit_) {
+  while (pending_transit_ >= 0) {
     if (++transit_depth_ > kMaxTransitChain) {
-      pending_transit_.reset();
+      pending_transit_ = -1;
       chain_cut();
       break;
     }
-    std::string target = std::move(*pending_transit_);
-    pending_transit_.reset();
-    if (target == current_state_) continue;
+    const auto target = static_cast<std::size_t>(pending_transit_);
+    pending_transit_ = -1;
+    if (target == state_) continue;
     run_transit_handlers(EventDecl::TriggerKind::kExit, Site::kExit);
-    current_state_ = std::move(target);
+    state_ = target;
+    bind_state_locals();
     // Enter handlers may request the next transit; the loop takes it.
     run_transit_handlers(EventDecl::TriggerKind::kEnter, Site::kEnter);
     state_entered();
@@ -127,17 +164,17 @@ void SeedCore::on_time(const std::string& var) {
 
 void SeedCore::on_message(const Value& payload, bool from_harvester,
                           const std::string& from_machine) {
-  const CompiledState* st = state();
-  if (!started_ || !st) return;
-  for (const auto* ev : st->events) {
+  if (!started_) return;
+  for (const auto& h : state_code().handlers) {
+    const EventDecl* ev = h.decl;
     if (ev->kind != EventDecl::TriggerKind::kRecv) continue;
     if (ev->from_harvester != from_harvester) continue;
     if (!from_harvester && !ev->from_machine.empty() &&
         ev->from_machine != from_machine)
       continue;
     // Pattern matching: the payload type must match the declared formal.
-    if (!Interpreter::matches_type(payload, ev->recv_type)) continue;
-    run_handler(ev->actions, ev->recv_var, payload);
+    if (!matches_type(payload, ev->recv_type)) continue;
+    run_handler(h, payload);
     return;
   }
 }
@@ -145,14 +182,14 @@ void SeedCore::on_message(const Value& payload, bool from_harvester,
 void SeedCore::on_realloc() { fire_simple(EventDecl::TriggerKind::kRealloc); }
 
 double SeedCore::utility(const ResourcesValue& r) const {
-  const CompiledState* st = state();
-  if (!st) return default_utility().utility(r);
-  const UtilityAnalysis* ua = st->utility_analysis();
+  const UtilityAnalysis* ua = state()->utility_analysis();
   return ua ? ua->utility(r) : 0;
 }
 
 void SeedCore::request_transit(const std::string& state) {
-  pending_transit_ = state;
+  int index = code_.state_index(state);
+  FARM_CHECK_MSG(index >= 0, "transit to unknown state");
+  pending_transit_ = index;
 }
 
 }  // namespace farm::almanac

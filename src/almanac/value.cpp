@@ -4,88 +4,9 @@
 
 namespace farm::almanac {
 
-double ResourcesValue::field(const std::string& name) const {
-  if (name == "vCPU") return vCPU;
-  if (name == "RAM") return RAM;
-  if (name == "TCAM") return TCAM;
-  if (name == "PCIe") return PCIe;
-  FARM_CHECK_MSG(false, ("unknown resource field: " + name).c_str());
-}
-
 const std::vector<std::string>& ResourcesValue::field_names() {
   static const std::vector<std::string> names{"vCPU", "RAM", "TCAM", "PCIe"};
   return names;
-}
-
-bool Value::as_bool() const {
-  FARM_CHECK_MSG(is_bool(), "expected bool value");
-  return std::get<bool>(v_);
-}
-
-std::int64_t Value::as_int() const {
-  FARM_CHECK_MSG(is_int(), "expected int value");
-  return std::get<std::int64_t>(v_);
-}
-
-double Value::as_float() const {
-  if (is_int()) return static_cast<double>(std::get<std::int64_t>(v_));
-  FARM_CHECK_MSG(is_float(), "expected numeric value");
-  return std::get<double>(v_);
-}
-
-const std::string& Value::as_string() const {
-  FARM_CHECK_MSG(is_string(), "expected string value");
-  return std::get<std::string>(v_);
-}
-
-const ListValue& Value::as_list() const {
-  FARM_CHECK_MSG(is_list(), "expected list value");
-  return std::get<ListValue>(v_);
-}
-
-const net::Filter& Value::as_filter() const {
-  FARM_CHECK_MSG(is_filter(), "expected filter value");
-  return std::get<net::Filter>(v_);
-}
-
-const net::PacketHeader& Value::as_packet() const {
-  FARM_CHECK_MSG(is_packet(), "expected packet value");
-  return std::get<net::PacketHeader>(v_);
-}
-
-const ActionValue& Value::as_action() const {
-  FARM_CHECK_MSG(is_action(), "expected action value");
-  return std::get<ActionValue>(v_);
-}
-
-const TriggerSpec& Value::as_trigger() const {
-  FARM_CHECK_MSG(is_trigger(), "expected trigger value");
-  return std::get<TriggerSpec>(v_);
-}
-
-TriggerSpec& Value::as_trigger() {
-  FARM_CHECK_MSG(is_trigger(), "expected trigger value");
-  return std::get<TriggerSpec>(v_);
-}
-
-const StatsValue& Value::as_stats() const {
-  FARM_CHECK_MSG(is_stats(), "expected stats value");
-  return std::get<StatsValue>(v_);
-}
-
-const ResourcesValue& Value::as_resources() const {
-  FARM_CHECK_MSG(is_resources(), "expected resources value");
-  return std::get<ResourcesValue>(v_);
-}
-
-const asic::TcamRule& Value::as_rule() const {
-  FARM_CHECK_MSG(is_rule(), "expected rule value");
-  return std::get<asic::TcamRule>(v_);
-}
-
-const SketchValue& Value::as_sketch() const {
-  FARM_CHECK_MSG(is_sketch(), "expected sketch value");
-  return std::get<SketchValue>(v_);
 }
 
 bool Value::equals(const Value& o) const {

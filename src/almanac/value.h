@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <variant>
 #include <vector>
 
@@ -70,7 +71,6 @@ struct ResourcesValue {
   double PCIe = 0;
   friend bool operator==(const ResourcesValue&, const ResourcesValue&) = default;
 
-  double field(const std::string& name) const;
   static const std::vector<std::string>& field_names();
 };
 
@@ -141,20 +141,48 @@ class Value {
   bool is_rule() const { return std::holds_alternative<asic::TcamRule>(v_); }
   bool is_sketch() const { return std::holds_alternative<SketchValue>(v_); }
 
-  bool as_bool() const;
-  std::int64_t as_int() const;
-  double as_float() const;  // ints promote
-  const std::string& as_string() const;
-  const ListValue& as_list() const;
-  const net::Filter& as_filter() const;
-  const net::PacketHeader& as_packet() const;
-  const ActionValue& as_action() const;
-  const TriggerSpec& as_trigger() const;
-  TriggerSpec& as_trigger();
-  const StatsValue& as_stats() const;
-  const ResourcesValue& as_resources() const;
-  const asic::TcamRule& as_rule() const;
-  const SketchValue& as_sketch() const;
+  // Typed reads: each checks the alternative (a mismatch aborts), so
+  // callers test is_*() first. Inline: the seed VM reads them per operand.
+  bool as_bool() const { return get<bool>("expected bool value"); }
+  std::int64_t as_int() const {
+    return get<std::int64_t>("expected int value");
+  }
+  double as_float() const {  // ints promote
+    if (const auto* i = std::get_if<std::int64_t>(&v_))
+      return static_cast<double>(*i);
+    return get<double>("expected numeric value");
+  }
+  const std::string& as_string() const {
+    return get<std::string>("expected string value");
+  }
+  const ListValue& as_list() const { return get<ListValue>("expected list value"); }
+  const net::Filter& as_filter() const {
+    return get<net::Filter>("expected filter value");
+  }
+  const net::PacketHeader& as_packet() const {
+    return get<net::PacketHeader>("expected packet value");
+  }
+  const ActionValue& as_action() const {
+    return get<ActionValue>("expected action value");
+  }
+  const TriggerSpec& as_trigger() const {
+    return get<TriggerSpec>("expected trigger value");
+  }
+  TriggerSpec& as_trigger() {
+    return const_cast<TriggerSpec&>(std::as_const(*this).as_trigger());
+  }
+  const StatsValue& as_stats() const {
+    return get<StatsValue>("expected stats value");
+  }
+  const ResourcesValue& as_resources() const {
+    return get<ResourcesValue>("expected resources value");
+  }
+  const asic::TcamRule& as_rule() const {
+    return get<asic::TcamRule>("expected rule value");
+  }
+  const SketchValue& as_sketch() const {
+    return get<SketchValue>("expected sketch value");
+  }
 
   // Structural equality for message pattern matching & tests. Lists compare
   // element-wise; stats by pointer.
@@ -169,6 +197,13 @@ class Value {
   const Storage& storage() const { return v_; }
 
  private:
+  template <class T>
+  const T& get(const char* mismatch) const {
+    const T* p = std::get_if<T>(&v_);
+    FARM_CHECK_MSG(p != nullptr, mismatch);
+    return *p;
+  }
+
   Storage v_;
 };
 

@@ -7,7 +7,7 @@
 #include <deque>
 #include <limits>
 
-#include "almanac/interp.h"
+#include "almanac/vm.h"
 #include "almanac/verify/passes.h"
 
 namespace farm::almanac::verify::absint {
@@ -591,7 +591,7 @@ class Engine {
                                                : AbsVal::top());
         continue;
       }
-      AbsVal init = AbsVal::of_value(Interpreter::default_value(v->type));
+      AbsVal init = AbsVal::of_value(default_value(v->type));
       if (v->init) init = eval(*v->init, env);
       env.define(v->name, std::move(init));
     }
@@ -688,7 +688,7 @@ class Engine {
         case Action::Kind::kDeclare: {
           AbsVal v = a.expr
                          ? eval(*a.expr, env)
-                         : AbsVal::of_value(Interpreter::default_value(
+                         : AbsVal::of_value(default_value(
                                a.decl_type));
           env.define(a.target, std::move(v));
           break;

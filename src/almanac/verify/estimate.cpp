@@ -2,7 +2,7 @@
 
 #include <algorithm>
 
-#include "almanac/interp.h"
+#include "almanac/vm.h"
 #include "almanac/verify/passes.h"
 #include "net/filter.h"
 #include "sim/cost_model.h"
@@ -102,7 +102,7 @@ ResourceEstimate estimate_resources(const CompiledMachine& m,
                                     const VerifyOptions& opts,
                                     const absint::Analysis* facts) {
   ResourceEstimate est = estimate_tcam(m, opts, facts);
-  Env env = static_machine_env(m, opts.externals);
+  Registers env = static_machine_env(m, opts.externals);
   // pcie_mbps stays empty when the poll specs do not analyze.
   try {
     est.pcie_mbps =

@@ -44,7 +44,7 @@ void pass_places(const CompiledMachine& m, const VerifyOptions& opts,
   // Default `place all` (no directive) binds every switch; nothing to do.
   if (m.places.empty()) return;
 
-  Env env = static_machine_env(m, opts.externals);
+  Registers env = static_machine_env(m, opts.externals);
   for (const auto* pl : m.places) {
     // Resolve this directive alone so the finding points at it precisely.
     CompiledMachine probe = m;

@@ -65,7 +65,7 @@ void pass_resources(const CompiledMachine& m, const VerifyOptions& opts,
                "per prefix instead of per interface)");
   }
 
-  Env env = static_machine_env(m, opts.externals);
+  Registers env = static_machine_env(m, opts.externals);
 
   // --- Sketch cells (SK, DESIGN.md §11) --------------------------------------
   // Declared sketch state is costed like TCAM: the per-variable SketchSpec

@@ -7,7 +7,7 @@
 #include <unordered_set>
 #include <vector>
 
-#include "almanac/interp.h"
+#include "almanac/vm.h"
 #include "almanac/verify/verify.h"
 
 namespace farm::almanac::verify {

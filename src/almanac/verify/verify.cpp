@@ -1,6 +1,6 @@
 #include "almanac/verify/verify.h"
 
-#include "almanac/interp.h"
+#include "almanac/vm.h"
 #include "almanac/verify/passes.h"
 
 namespace farm::almanac::verify {

@@ -54,7 +54,8 @@ std::optional<RuleId> Tcam::add_rule(TcamRule rule) {
 }
 
 int Tcam::remove_rules(const net::Filter& pattern, TcamRegion region) {
-  auto key = pattern.canonical_key();
+  // A copy: `pattern` may be the pattern of a rule this call erases.
+  const std::string key = pattern.canonical_key();
   int removed = 0;
   std::erase_if(rules_, [&](const TcamRule& r) {
     bool hit = r.region == region && r.pattern.canonical_key() == key;
@@ -102,7 +103,7 @@ const TcamRule* Tcam::find(RuleId id) const {
 
 const TcamRule* Tcam::find(const net::Filter& pattern,
                            TcamRegion region) const {
-  auto key = pattern.canonical_key();
+  const std::string& key = pattern.canonical_key();
   for (const auto& r : rules_)
     if (r.region == region && r.pattern.canonical_key() == key) return &r;
   return nullptr;

@@ -9,14 +9,8 @@ SflowCollector::SflowCollector(Engine& engine, int cpu_cores)
   m_detections_ = tel_->counter("sflow.collector.detections");
 }
 
-void SflowCollector::ingest(net::NodeId sw, int port, std::uint64_t tx_bytes,
-                            TimePoint exported_at) {
-  ingest_batch(sw, {{port, tx_bytes}}, exported_at);
-}
-
 void SflowCollector::ingest_batch(net::NodeId sw,
-                                  const std::vector<PortRecord>& records,
-                                  TimePoint /*exported_at*/) {
+                                  const std::vector<PortRecord>& records) {
   tel_->add(m_bytes_,
             static_cast<double>(
                 static_cast<std::uint64_t>(sim::cost::kSflowDatagramBytes) *
@@ -59,7 +53,6 @@ void SflowAgent::on_probe() {
   int ports = chassis_.n_ifaces();
   chassis_.pcie().request(ports, [this, ports] {
     chassis_.cpu().submit(2, sim::cost::kSflowSampleCpu);
-    TimePoint exported = engine_.now();
     std::vector<SflowCollector::PortRecord> records;
     records.reserve(static_cast<std::size_t>(ports));
     for (int p = 0; p < ports; ++p) {
@@ -71,10 +64,9 @@ void SflowAgent::on_probe() {
         Duration::from_seconds(config_.record_bytes * 8.0 * ports /
                                sim::cost::kControlLinkBandwidthBps);
     net::NodeId sw = chassis_.node();
-    engine_.schedule_after(transit,
-                           [this, sw, records = std::move(records), exported] {
-                             collector_.ingest_batch(sw, records, exported);
-                           });
+    engine_.schedule_after(transit, [this, sw, records = std::move(records)] {
+      collector_.ingest_batch(sw, records);
+    });
   });
 }
 

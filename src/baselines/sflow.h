@@ -38,19 +38,14 @@ class SflowCollector {
     threshold_ = bytes_per_period;
   }
 
-  // Transport + processing entry point (called by agents after the control
-  // path delay).
-  void ingest(net::NodeId sw, int port, std::uint64_t tx_bytes,
-              TimePoint exported_at);
-  // Batched variant: one datagram carrying all of a switch's port records
-  // (real sFlow packs samples into shared datagrams). Semantics match
-  // per-record ingestion; only the event count differs.
+  // Transport + processing entry point, called by agents after the
+  // control path delay: one datagram carrying all of a switch's port
+  // records (real sFlow packs samples into shared datagrams).
   struct PortRecord {
     int port;
     std::uint64_t tx_bytes;
   };
-  void ingest_batch(net::NodeId sw, const std::vector<PortRecord>& records,
-                    TimePoint exported_at);
+  void ingest_batch(net::NodeId sw, const std::vector<PortRecord>& records);
 
   // --- Observability ---------------------------------------------------------
   // Record bytes that reached the collector ("sflow.collector.bytes").

@@ -54,8 +54,6 @@ class SonataProcessor {
   // (the duplicate records of a reduced stream); metered only.
   void meter_stream(std::uint64_t bytes);
 
-  // Stream bytes that reached the processor ("sonata.processor.bytes").
-  std::uint64_t ingress_bytes() const { return tel_->tally(m_bytes_); }
   struct Detection {
     std::string key;
     TimePoint at;

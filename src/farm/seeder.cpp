@@ -226,7 +226,7 @@ std::vector<Seeder::PlannedSeed> Seeder::elaborate(const TaskSpec& spec,
   for (const auto& image : images) {
     const auto& cm = image->machine;
 
-    almanac::Env env = almanac::static_machine_env(cm, spec.externals);
+    almanac::Registers env = almanac::static_machine_env(cm, spec.externals);
     // The seeds bind only the task's externals this machine declares.
     std::unordered_map<std::string, Value> externals;
     for (const auto* v : cm.vars)

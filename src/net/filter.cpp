@@ -199,13 +199,27 @@ std::vector<Filter::Conjunct> Filter::to_dnf() const {
   return dnf;
 }
 
-std::string Filter::canonical_key() const {
-  std::string s;
-  for (const auto& c : to_dnf()) {
-    for (const auto& l : c) s += l.to_string() + "&";
-    s += "|";
-  }
-  return s;
+const Filter::Derived& Filter::derived() const {
+  const Node& n = *node_;
+  std::call_once(n.once, [this, &n] {
+    Derived& d = n.derived;
+    for (const auto& c : to_dnf()) {
+      for (const auto& l : c) {
+        d.key += l.to_string() + "&";
+        if (l.atom.field != FilterField::kIfacePort) continue;
+        // Footprint: kAllIfaces once any interface atom is a wildcard.
+        if (d.footprint != kAllIfaces)
+          d.footprint = l.atom.iface < 0 ? kAllIfaces : d.footprint + 1;
+        if (l.atom.iface >= 0 && !l.negated)
+          d.iface_atoms.push_back(l.atom.iface);
+      }
+      d.key += "|";
+    }
+    std::sort(d.iface_atoms.begin(), d.iface_atoms.end());
+    d.iface_atoms.erase(std::unique(d.iface_atoms.begin(), d.iface_atoms.end()),
+                        d.iface_atoms.end());
+  });
+  return n.derived;
 }
 
 std::vector<std::string> Filter::polling_subjects() const {
@@ -220,33 +234,10 @@ std::vector<std::string> Filter::polling_subjects() const {
   return out;
 }
 
-int Filter::iface_footprint() const {
-  int count = 0;
-  for (const auto& c : to_dnf())
-    for (const auto& l : c)
-      if (l.atom.field == FilterField::kIfacePort) {
-        if (l.atom.iface < 0) return kAllIfaces;
-        ++count;
-      }
-  return count;
-}
-
 int Filter::poll_entries(int n_ifaces) const {
   int fp = iface_footprint();
   if (fp == kAllIfaces) return n_ifaces;
   return fp > 0 ? fp : 1;
-}
-
-std::vector<std::int32_t> Filter::iface_atoms() const {
-  std::vector<std::int32_t> out;
-  for (const auto& c : to_dnf())
-    for (const auto& l : c)
-      if (l.atom.field == FilterField::kIfacePort && l.atom.iface >= 0 &&
-          !l.negated)
-        out.push_back(l.atom.iface);
-  std::sort(out.begin(), out.end());
-  out.erase(std::unique(out.begin(), out.end()), out.end());
-  return out;
 }
 
 std::string Filter::to_string() const {

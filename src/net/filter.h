@@ -8,11 +8,14 @@
 //      ASIC counters it requires, which drives polling aggregation (§III-B c).
 //
 // A Filter is an immutable expression tree; polling-subject extraction
-// first normalizes to DNF, then encodes each conjunct.
+// first normalizes to DNF, then encodes each conjunct. Each node derives
+// its canonical key and interface footprint from its DNF once, on first
+// use, so keyed lookups and equality compare stored strings.
 #pragma once
 
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
@@ -73,7 +76,7 @@ class Filter {
 
   // Canonical textual form (stable across equal filters after DNF
   // normalization); used as the aggregation key for polling subjects.
-  std::string canonical_key() const;
+  const std::string& canonical_key() const { return derived().key; }
 
   // φ_enc: the DNF conjuncts of this filter. Each conjunct corresponds to
   // one (set of) counter(s) the soil must poll; two poll variables share a
@@ -84,28 +87,41 @@ class Filter {
   // polls every interface (e.g. `port ANY`).
   static constexpr int kAllIfaces = -1;
   // Returns kAllIfaces, or the count of concrete interface atoms.
-  int iface_footprint() const;
+  int iface_footprint() const { return derived().footprint; }
   // Stat entries one poll of this subject reads on a switch with
   // `n_ifaces` interfaces: every interface for kAllIfaces, each named
   // interface, or else the one counter of the subject's TCAM rule.
   int poll_entries(int n_ifaces) const;
   // The concrete (non-negative, deduplicated) interface indices referenced;
   // empty when the filter has no interface atoms or only wildcards.
-  std::vector<std::int32_t> iface_atoms() const;
+  const std::vector<std::int32_t>& iface_atoms() const {
+    return derived().iface_atoms;
+  }
 
   std::string to_string() const;
   friend bool operator==(const Filter& a, const Filter& b) {
-    return a.canonical_key() == b.canonical_key();
+    return a.node_ == b.node_ || a.canonical_key() == b.canonical_key();
   }
 
  private:
   enum class Op : std::uint8_t { kAtom, kAnd, kOr, kNot };
+  // What a node's DNF says about it, derived once per node.
+  struct Derived {
+    std::string key;
+    int footprint = 0;
+    std::vector<std::int32_t> iface_atoms;
+  };
   struct Node {
     Op op;
     FilterAtom atom;  // kAtom only
     std::shared_ptr<const Node> lhs, rhs;
+    // Filled under `once` on first use: filters are shared across the
+    // placement worker threads.
+    mutable std::once_flag once;
+    mutable Derived derived;
   };
   explicit Filter(std::shared_ptr<const Node> n) : node_(std::move(n)) {}
+  const Derived& derived() const;
 
   // DNF as a list of conjunctions of atoms (negations pushed to atoms are
   // not needed: `not` distributes; negated atoms are kept with a flag).

@@ -8,8 +8,8 @@ namespace farm::runtime {
 
 std::size_t SeedSnapshot::wire_bytes() const {
   std::size_t n = 16 + current_state.size();
-  for (const auto& [name, v] : machine_vars)
-    n += name.size() + value_wire_bytes(v);
+  for (const auto* vars : {&machine_vars, &state_locals})
+    for (const auto& [name, v] : *vars) n += name.size() + value_wire_bytes(v);
   return n;
 }
 
@@ -34,29 +34,28 @@ void Seed::start() {
 }
 
 void Seed::start_from(const SeedSnapshot& snapshot) {
-  resume(snapshot.current_state, snapshot.machine_vars);
+  resume(snapshot.current_state, snapshot.machine_vars, snapshot.state_locals);
   soil_.refresh_triggers(*this);
 }
 
 SeedSnapshot Seed::snapshot() const {
   SeedSnapshot s;
   s.current_state = current_state();
-  s.machine_vars = env().own();
+  s.machine_vars = machine_vars();
+  s.state_locals = state_locals();
   return s;
 }
 
 std::vector<Seed::ActiveTrigger> Seed::active_triggers() const {
   std::vector<ActiveTrigger> out;
-  const almanac::CompiledState* st = state();
-  if (!st) return out;
-  for (const auto* ev : st->events) {
-    if (ev->kind != almanac::EventDecl::TriggerKind::kVarTrigger) continue;
-    const almanac::VarDecl* vd = machine().var(ev->var);
-    if (!vd || !vd->trigger) continue;
-    const Value* val = env().find(ev->var);
-    if (!val) continue;
+  for (const auto& h : state_code().handlers) {
+    if (h.trigger_reg < 0) continue;
+    const auto reg = static_cast<std::size_t>(h.trigger_reg);
+    const almanac::VarDecl* vd = machine().vars[reg];
+    if (!vd->trigger || !registers().bound(reg)) continue;
+    const Value* val = &registers()[reg];
     ActiveTrigger t;
-    t.var = ev->var;
+    t.var = vd->name;
     t.type = *vd->trigger;
     if (val->is_trigger()) {
       t.spec = val->as_trigger();

@@ -25,7 +25,6 @@ namespace farm::runtime {
 
 class Soil;
 
-using almanac::Env;
 using almanac::ResourcesValue;
 using almanac::SendTarget;
 using almanac::StatsValue;
@@ -43,11 +42,13 @@ struct SeedId {
   friend bool operator==(const SeedId&, const SeedId&) = default;
 };
 
-// Serializable seed state for migration: the machine env bindings and the
-// current state name (the paper transfers exactly this, §V-B).
+// Serializable seed state for migration: the machine variables, the
+// current state name and that state's locals (the paper transfers exactly
+// this, §V-B).
 struct SeedSnapshot {
   std::string current_state;
   std::unordered_map<std::string, Value> machine_vars;
+  std::unordered_map<std::string, Value> state_locals;
   // Approximate wire size, for migration cost accounting.
   std::size_t wire_bytes() const;
 };

@@ -10,11 +10,11 @@
 
 #include "almanac/analysis.h"
 #include "almanac/compile.h"
-#include "almanac/interp.h"
 #include "almanac/lexer.h"
 #include "almanac/parser.h"
 #include "almanac/seed_core.h"
 #include "almanac/verify/verify.h"
+#include "almanac/vm.h"
 #include "net/topology.h"
 
 namespace farm::almanac {
@@ -284,12 +284,11 @@ TEST(ParserTest, OperatorPrecedence) {
   // Evaluate the parsed expression to confirm grouping.
   auto c = compile_machine(p, "M");
   FakeHost host;
-  Interpreter interp(c, &host);
-  Env env;
-  env.define("b", Value(false));
-  const auto& actions = c.states[0].events[0]->actions;
-  interp.exec(actions, env);
-  EXPECT_TRUE(env.find("b")->as_bool());
+  Vm vm(c, &host);
+  Registers regs(c);
+  regs.bind(0, Value(false));
+  vm.run(c.code->states[0].handlers[0], regs);
+  EXPECT_TRUE(regs.var("b")->as_bool());
 }
 
 TEST(ParserTest, SyntaxErrorsCarryLocation) {
@@ -409,30 +408,36 @@ TEST(CompileTest, RejectsUninitializedPollVar) {
                CompileError);
 }
 
-// --- Interpreter ----------------------------------------------------------------
+// --- Seed VM --------------------------------------------------------------------
 
 struct InterpFixture {
   Compiled c;
   FakeHost host;
-  std::unique_ptr<Interpreter> interp;
-  Env env;  // machine root env
+  std::unique_ptr<Vm> vm;
+  std::unique_ptr<Registers> regs;  // the machine's register file
 
   explicit InterpFixture(const std::string& src, const std::string& name)
       : c(compile(src, name)) {
-    interp = std::make_unique<Interpreter>(c.machine, &host);
-    for (const auto* v : c.machine.vars) {
-      Value init = v->trigger ? Value(TriggerSpec{})
-                              : Interpreter::default_value(v->type);
-      if (v->init) init = interp->eval(*v->init, env);
-      env.define(v->name, std::move(init));
+    vm = std::make_unique<Vm>(c.machine, &host);
+    regs = std::make_unique<Registers>(c.machine);
+    for (std::size_t i = 0; i < c.machine.vars.size(); ++i) {
+      const VarDecl* v = c.machine.vars[i];
+      Value init =
+          v->trigger ? Value(TriggerSpec{}) : default_value(v->type);
+      if (v->init) init = vm->eval(c.machine.code->var_inits[i], *regs);
+      regs->bind(i, std::move(init));
     }
   }
 
-  ExecResult run_event(const std::string& state_name, std::size_t ev_index) {
-    const CompiledState* st = c.machine.state(state_name);
-    Env scope(&env);
-    return interp->exec(st->events[ev_index]->actions, scope);
+  // Runs handler `ev_index` of a state with `binding` in its binding slot.
+  void run_event(const std::string& state_name, std::size_t ev_index,
+                 const Value& binding = Value()) {
+    const int st = c.machine.code->state_index(state_name);
+    vm->run(c.machine.code->states[static_cast<std::size_t>(st)]
+                .handlers[ev_index],
+            *regs, binding);
   }
+  const Value* var(const std::string& name) const { return regs->var(name); }
 };
 
 TEST(InterpTest, HeavyHitterDetectsAndReacts) {
@@ -443,22 +448,17 @@ TEST(InterpTest, HeavyHitterDetectsAndReacts) {
   StatsValue stats1;
   stats1.entries->push_back({"port0", 0, 0, 500, 500'000});
   stats1.entries->push_back({"port1", 1, 0, 500, 500'000});
-  Env scope1(&f.env);
-  scope1.define("stats", Value(stats1));
-  const auto* observe = f.c.machine.state("observe");
-  f.interp->exec(observe->events[0]->actions, scope1);
+  f.run_event("observe", 0, Value(stats1));
   EXPECT_FALSE(f.host.transit.has_value());
 
   // Second poll: port1 delta = 2 MB ≥ 1 MB threshold → HH detected.
   StatsValue stats2;
   stats2.entries->push_back({"port0", 0, 0, 600, 600'000});
   stats2.entries->push_back({"port1", 1, 0, 3000, 2'500'000});
-  Env scope2(&f.env);
-  scope2.define("stats", Value(stats2));
-  f.interp->exec(observe->events[0]->actions, scope2);
+  f.run_event("observe", 0, Value(stats2));
   ASSERT_TRUE(f.host.transit.has_value());
   EXPECT_EQ(*f.host.transit, "HHdetected");
-  const auto& hitters = *f.env.find("hitters")->as_list();
+  const auto& hitters = *f.var("hitters")->as_list();
   ASSERT_EQ(hitters.size(), 1u);
   EXPECT_EQ(hitters[0].as_int(), 1);  // port1
 
@@ -474,18 +474,15 @@ TEST(InterpTest, HeavyHitterDetectsAndReacts) {
 
 TEST(InterpTest, HarvesterRecvUpdatesThreshold) {
   InterpFixture f(kHeavyHitterSource, "HH");
-  const auto* observe = f.c.machine.state("observe");
   // Event 1 is the first machine-level recv (long newTh).
-  Env scope(&f.env);
-  scope.define("newTh", Value(std::int64_t{42}));
-  f.interp->exec(observe->events[1]->actions, scope);
-  EXPECT_EQ(f.env.find("threshold")->as_int(), 42);
+  f.run_event("observe", 1, Value(std::int64_t{42}));
+  EXPECT_EQ(f.var("threshold")->as_int(), 42);
 }
 
 TEST(InterpTest, PollIvalUsesResources) {
   InterpFixture f(kHeavyHitterSource, "HH");
   // pollStats.ival = 10/res().PCIe with PCIe = 4 → 2.5 s.
-  const auto& trig = f.env.find("pollStats")->as_trigger();
+  const auto& trig = f.var("pollStats")->as_trigger();
   EXPECT_DOUBLE_EQ(trig.ival_seconds, 2.5);
   EXPECT_EQ(trig.what.iface_footprint(), net::Filter::kAllIfaces);
 }
@@ -505,7 +502,7 @@ TEST(InterpTest, TriggerReassignmentNotifiesHost) {
   f.run_event("s", 0);
   ASSERT_EQ(f.host.trigger_updates.size(), 1u);
   EXPECT_EQ(f.host.trigger_updates[0], "p");
-  EXPECT_DOUBLE_EQ(f.env.find("p")->as_trigger().ival_seconds, 0.5);
+  EXPECT_DOUBLE_EQ(f.var("p")->as_trigger().ival_seconds, 0.5);
 }
 
 TEST(InterpTest, FilterExpressionsCombine) {
@@ -521,7 +518,7 @@ TEST(InterpTest, FilterExpressionsCombine) {
   )",
                   "M");
   f.run_event("s", 0);
-  const auto& filter = f.env.find("f")->as_filter();
+  const auto& filter = f.var("f")->as_filter();
   net::PacketHeader h{*net::Ipv4::parse("10.1.2.3"),
                       *net::Ipv4::parse("11.0.0.1"),
                       4000,
@@ -558,12 +555,9 @@ TEST(InterpTest, PacketFieldsAccessible) {
                       net::Proto::kTcp,
                       {.syn = true},
                       60};
-  Env scope(&f.env);
-  scope.define("pkt", Value(h));
-  const auto* s = f.c.machine.state("s");
-  f.interp->exec(s->events[0]->actions, scope);
-  EXPECT_EQ(f.env.find("count")->as_int(), 1);
-  EXPECT_EQ(f.env.find("lastSrc")->as_string(), "10.0.0.5");
+  f.run_event("s", 0, Value(h));
+  EXPECT_EQ(f.var("count")->as_int(), 1);
+  EXPECT_EQ(f.var("lastSrc")->as_string(), "10.0.0.5");
 }
 
 TEST(InterpTest, WhileLoopGuardTrips) {
@@ -617,7 +611,7 @@ TEST(InterpTest, TcamRuleRoundTrip) {
   )",
                   "M");
   f.run_event("s", 0);
-  EXPECT_TRUE(f.env.find("found")->as_bool());
+  EXPECT_TRUE(f.var("found")->as_bool());
   ASSERT_EQ(f.host.removed.size(), 1u);
 }
 
@@ -636,7 +630,7 @@ TEST(InterpTest, BuiltinNamesAreTheNamesCallsDispatch) {
     } catch (const EvalError&) {
       return false;  // the builtin rejected the empty argument list
     }
-    const Value* got = f.env.find("got");
+    const Value* got = f.var("got");
     return got->is_int() && got->as_int() == 987654321;
   };
   for (std::string_view name : kBuiltinNames) {
@@ -661,6 +655,8 @@ class FakeSeed : public SeedCore {
   int entries = 0;
   int cuts = 0;
   std::vector<std::pair<Site, int>> errors;  // site, source line
+  std::vector<std::string> error_texts;
+  std::vector<Value> sent;
 
   ResourcesValue resources() override { return {1, 128, 32, 1}; }
   void add_tcam_rule(const asic::TcamRule&) override {}
@@ -668,7 +664,9 @@ class FakeSeed : public SeedCore {
   std::optional<asic::TcamRule> get_tcam_rule(const net::Filter&) override {
     return std::nullopt;
   }
-  void send(const Value&, const SendTarget&) override {}
+  void send(const Value& payload, const SendTarget&) override {
+    sent.push_back(payload);
+  }
   void exec(const std::string&) override {}
   void trigger_updated(const std::string&) override {}
   std::int64_t switch_id() override { return 7; }
@@ -679,6 +677,7 @@ class FakeSeed : public SeedCore {
   void handler_ran() override { ++handlers; }
   void handler_failed(Site site, const EvalError& e) override {
     errors.emplace_back(site, e.loc().line);
+    error_texts.emplace_back(e.what());
   }
   void state_entered() override { ++entries; }
   void chain_cut() override { ++cuts; }
@@ -703,7 +702,7 @@ TEST(SeedCoreTest, PingPongTransitChainIsCutAndTheNextEventRuns) {
 
   seed.on_message(Value(std::int64_t{42}), /*from_harvester=*/true, "");
   EXPECT_EQ(seed.handlers, 2);
-  EXPECT_EQ(seed.env().find("got")->as_int(), 42);
+  EXPECT_EQ(seed.variable("got")->as_int(), 42);
   EXPECT_EQ(seed.cuts, 1);
   EXPECT_EQ(seed.entries, SeedCore::kMaxTransitChain);
 }
@@ -752,17 +751,107 @@ TEST(SeedCoreTest, EventsBeforeStartAndAfterStopRunNoHandler) {
   };
   deliver_all();
   EXPECT_EQ(seed.handlers, 0);
-  EXPECT_EQ(seed.env().find("n")->as_int(), 0);
+  EXPECT_EQ(seed.variable("n")->as_int(), 0);
 
   seed.start();
   deliver_all();
   EXPECT_EQ(seed.handlers, 3);
-  EXPECT_EQ(seed.env().find("n")->as_int(), 3);
+  EXPECT_EQ(seed.variable("n")->as_int(), 3);
 
   seed.stop();
   deliver_all();
   EXPECT_EQ(seed.handlers, 3);
-  EXPECT_EQ(seed.env().find("n")->as_int(), 3);
+  EXPECT_EQ(seed.variable("n")->as_int(), 3);
+}
+
+// Each handler passes `almanac_tool lint --werror` yet applies a builtin
+// or a field to a value of the wrong type. Each raises an EvalError naming
+// the builtin or field, the core reports it, and the seed keeps running.
+TEST(SeedCoreTest, TypeErrorsInBuiltinsAndFieldsAreReportedNotFatal) {
+  auto c = compile(R"(
+    machine M {
+      long n = 0;
+      list l;
+      time a = 1.0;
+      time b = 1.0;
+      time c = 1.0;
+      time d = 1.0;
+      state s {
+        when (a as t) do { n = list_size(n); }
+        when (b as t) do { n = list_get(n, 0); }
+        when (c as t) do { n = stats_size(l); }
+        when (d as t) do { n = to_long(res().vcpu); }
+        when (recv long x from harvester) do { n = x; }
+      }
+    }
+  )",
+                   "M");
+  FakeSeed seed(c.machine);
+  seed.start();
+  for (const char* var : {"a", "b", "c", "d"}) seed.on_time(var);
+  using Site = SeedCore::Site;
+  EXPECT_EQ(seed.errors, (std::vector<std::pair<Site, int>>{
+                             {Site::kHandler, 10},
+                             {Site::kHandler, 11},
+                             {Site::kHandler, 12},
+                             {Site::kHandler, 13}}));
+  ASSERT_EQ(seed.error_texts.size(), 4u);
+  EXPECT_NE(seed.error_texts[0].find("list_size: expected list, got long"),
+            std::string::npos);
+  EXPECT_NE(seed.error_texts[1].find("list_get: expected list, got long"),
+            std::string::npos);
+  EXPECT_NE(seed.error_texts[2].find("stats_size: expected stats, got list"),
+            std::string::npos);
+  EXPECT_NE(seed.error_texts[3].find("unknown resource field: vcpu"),
+            std::string::npos);
+
+  seed.on_message(Value(std::int64_t{42}), /*from_harvester=*/true, "");
+  EXPECT_EQ(seed.handlers, 5);
+  EXPECT_EQ(seed.errors.size(), 4u);
+  EXPECT_EQ(seed.variable("n")->as_int(), 42);
+}
+
+// A state local is bound on entry to its state, before the state's enter
+// handlers run, and afresh on every entry; a resumed seed continues with
+// the locals of its snapshot.
+TEST(SeedCoreTest, StateLocalsLiveWhileTheirStateIsResident) {
+  auto c = compile(R"(
+    machine M {
+      time tick = 1.0;
+      state s {
+        long n = 5;
+        when (enter) do { send n + 100 to harvester; }
+        when (tick as t) do { n = n + 1; send n to harvester; }
+        when (recv string go from harvester) do { transit away; }
+      }
+      state away {
+        when (enter) do { transit s; }
+      }
+    }
+  )",
+                   "M");
+  auto longs = [](const std::vector<Value>& sent) {
+    std::vector<std::int64_t> out;
+    for (const auto& v : sent) out.push_back(v.as_int());
+    return out;
+  };
+  FakeSeed seed(c.machine);
+  seed.start();
+  seed.on_time("tick");
+  seed.on_time("tick");
+  EXPECT_EQ(longs(seed.sent), (std::vector<std::int64_t>{105, 6, 7}));
+
+  // Out to `away` and straight back: n starts again from its initializer.
+  seed.on_message(Value("go"), /*from_harvester=*/true, "");
+  seed.on_time("tick");
+  EXPECT_EQ(longs(seed.sent), (std::vector<std::int64_t>{105, 6, 7, 105, 6}));
+  EXPECT_TRUE(seed.errors.empty());
+
+  FakeSeed moved(c.machine);
+  moved.resume(seed.current_state(), seed.machine_vars(), seed.state_locals());
+  moved.on_time("tick");
+  EXPECT_EQ(longs(moved.sent), (std::vector<std::int64_t>{7}));
+  EXPECT_EQ(moved.variable("n")->as_int(), 7);
 }
 
 // --- Utility analysis -------------------------------------------------------
@@ -1000,10 +1089,7 @@ TEST(UtilityAnalysisTest, UnanalyzableUtilStoresTheErrorUt001Reports) {
 
 TEST(PollAnalysisTest, InverseLinearIval) {
   auto c = compile(kHeavyHitterSource, "HH");
-  Env env;
-  Interpreter interp(c.machine, nullptr);
-  for (const auto* v : c.machine.vars)
-    if (!v->trigger && v->init) env.define(v->name, interp.eval(*v->init, env));
+  Registers env = static_machine_env(c.machine);
   auto polls = analyze_polls(c.machine, env, {1, 128, 16, 2});
   ASSERT_EQ(polls.size(), 1u);
   const auto& pa = polls[0];
@@ -1022,7 +1108,7 @@ TEST(PollAnalysisTest, ConstantIvalFallback) {
     }
   )",
                    "M");
-  Env env;
+  Registers env(c.machine);
   auto polls = analyze_polls(c.machine, env, {1, 1, 1, 1});
   ASSERT_EQ(polls.size(), 1u);
   EXPECT_TRUE(polls[0].inv_linear);  // constants are trivially linear
@@ -1040,7 +1126,7 @@ TEST(PollAnalysisTest, MissingIvalThrows) {
     }
   )",
                    "M");
-  Env env;
+  Registers env(c.machine);
   EXPECT_THROW(analyze_polls(c.machine, env, {1, 1, 1, 1}), CompileError);
 }
 
@@ -1053,7 +1139,7 @@ TEST(PollAnalysisTest, SharedSubjectsDetectable) {
     }
   )",
                    "M");
-  Env env;
+  Registers env(c.machine);
   auto polls = analyze_polls(c.machine, env, {1, 1, 1, 1});
   ASSERT_EQ(polls.size(), 2u);
   EXPECT_EQ(polls[0].subjects, polls[1].subjects);  // aggregation opportunity
@@ -1070,7 +1156,7 @@ struct PlaceFixture {
 TEST(PlaceResolutionTest, PlaceAllYieldsOneSeedPerSwitch) {
   PlaceFixture fx;
   auto c = compile(kHeavyHitterSource, "HH");
-  Env env;
+  Registers env(c.machine);
   auto seeds = resolve_places(c.machine, env, fx.ctl);
   EXPECT_EQ(seeds.size(), fx.sl.topo.switches().size());
   for (const auto& s : seeds) EXPECT_EQ(s.candidates.size(), 1u);
@@ -1079,7 +1165,7 @@ TEST(PlaceResolutionTest, PlaceAllYieldsOneSeedPerSwitch) {
 TEST(PlaceResolutionTest, PlaceAnyYieldsOneSeedAnywhere) {
   PlaceFixture fx;
   auto c = compile("machine M { place any; state s { } }", "M");
-  Env env;
+  Registers env(c.machine);
   auto seeds = resolve_places(c.machine, env, fx.ctl);
   ASSERT_EQ(seeds.size(), 1u);
   EXPECT_EQ(seeds[0].candidates.size(), fx.sl.topo.switches().size());
@@ -1092,7 +1178,7 @@ TEST(PlaceResolutionTest, SwitchListRestrictsCandidates) {
   auto src = "machine M { place any " + std::to_string(leaf0) + ", " +
              std::to_string(leaf1) + "; state s { } }";
   auto c = compile(src, "M");
-  Env env;
+  Registers env(c.machine);
   auto seeds = resolve_places(c.machine, env, fx.ctl);
   ASSERT_EQ(seeds.size(), 1u);
   EXPECT_EQ(seeds[0].candidates,
@@ -1110,7 +1196,7 @@ TEST(PlaceResolutionTest, MidpointRangeSelectsSpines) {
               R"(" and dstIP ")" + dst.to_string() + R"(" range == 0;
       state s { } })";
   auto c = compile(prog, "M");
-  Env env;
+  Registers env(c.machine);
   auto seeds = resolve_places(c.machine, env, fx.ctl);
   // 3 ECMP paths → 3 spine singletons.
   EXPECT_EQ(seeds.size(), 3u);
@@ -1131,7 +1217,7 @@ TEST(PlaceResolutionTest, ReceiverRangeSelectsEgressLeaf) {
               R"(" and dstIP ")" + dst.to_string() + R"(" range == 1;
       state s { } })";
   auto c = compile(prog, "M");
-  Env env;
+  Registers env(c.machine);
   auto seeds = resolve_places(c.machine, env, fx.ctl);
   // Node at distance 1 from the receiving host is always leaf1 (same for
   // all ECMP paths → dedup to one seed).
@@ -1144,8 +1230,9 @@ TEST(PlaceResolutionTest, ExternalVariableInPlacement) {
   PlaceFixture fx;
   auto c = compile("machine M { place any target; external long target = 0; state s { } }",
                    "M");
-  Env env;
-  env.define("target", Value(static_cast<std::int64_t>(fx.sl.spine_switches[1])));
+  Registers env = static_machine_env(
+      c.machine,
+      {{"target", Value(static_cast<std::int64_t>(fx.sl.spine_switches[1]))}});
   auto seeds = resolve_places(c.machine, env, fx.ctl);
   ASSERT_EQ(seeds.size(), 1u);
   EXPECT_EQ(seeds[0].candidates[0], fx.sl.spine_switches[1]);

@@ -189,7 +189,7 @@ TEST(SeederTest, InstallLiveMigratesSeedOnceAndResolvesOnLanding) {
   farm.run_for(Duration::ms(100));
   const runtime::Seed* seed = farm.soil(source).find(ids[0]);
   ASSERT_EQ(seed->current_state(), "hot");
-  const std::int64_t n_before = seed->env().find("n")->as_int();
+  const std::int64_t n_before = seed->variable("n")->as_int();
 
   // The squatter takes three of the source's four cores; the mover gains
   // more on the idle leaf than it keeps at the source.
@@ -210,7 +210,7 @@ TEST(SeederTest, InstallLiveMigratesSeedOnceAndResolvesOnLanding) {
   ASSERT_EQ(host_of(ids[0]), target);
   const runtime::Seed* moved = farm.soil(target).find(ids[0]);
   EXPECT_EQ(moved->current_state(), "hot");
-  EXPECT_GE(moved->env().find("n")->as_int(), n_before);
+  EXPECT_GE(moved->variable("n")->as_int(), n_before);
   EXPECT_EQ(seeder.migrations_performed(), moves + 1);
   EXPECT_EQ(passes() - before_landing, 1) << "the landing re-solves once";
 }

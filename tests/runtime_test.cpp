@@ -275,6 +275,39 @@ TEST(SoilTest, MigrationSnapshotPreservesState) {
   EXPECT_GT(soil1.poll_deliveries(), 0u);  // triggers re-registered
 }
 
+// A migrated seed carries the locals of its current state and continues
+// counting where the old copy stopped.
+TEST(SoilTest, MigrationSnapshotCarriesStateLocals) {
+  Rig rig;
+  auto src = R"(
+    machine M {
+      place all;
+      time tick = 0.01;
+      state s {
+        long n = 5;
+        when (tick as t) do { n = n + 1; send n to harvester; }
+      }
+    }
+  )";
+  auto image = MachineImage::from_source(src, "M");
+  RecordingHarvester harv(rig.engine, "t");
+  rig.bus.attach_harvester("t", harv);
+  auto& soil0 = rig.soil_of(rig.sl.leaf_switches[0]);
+  auto& soil1 = rig.soil_of(rig.sl.leaf_switches[1]);
+  Seed* seed = soil0.deploy({"t", "M", 0}, image, {});
+  rig.engine.run_for(Duration::ms(25));
+  SeedSnapshot snap = seed->snapshot();
+  EXPECT_EQ(snap.state_locals.at("n").as_int(), 7);
+  soil0.undeploy(seed->id());
+  Seed* moved = soil1.deploy({"t", "M", 0}, image, {}, std::nullopt, &snap);
+  rig.engine.run_for(Duration::ms(15));
+  EXPECT_EQ(moved->snapshot().state_locals.at("n").as_int(), 8);
+  rig.engine.run_for(Duration::ms(1));
+  std::vector<std::int64_t> reports;
+  for (const auto& [from, v] : harv.reports) reports.push_back(v.as_int());
+  EXPECT_EQ(reports, (std::vector<std::int64_t>{6, 7, 8}));
+}
+
 TEST(SoilTest, ReallocFiresAndReportsNewResources) {
   Rig rig;
   auto src = R"(

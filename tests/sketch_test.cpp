@@ -7,7 +7,7 @@
 #include <unordered_map>
 
 #include "almanac/compile.h"
-#include "almanac/interp.h"
+#include "almanac/vm.h"
 #include "almanac/parser.h"
 #include "net/sketch.h"
 #include "util/rng.h"
@@ -95,6 +95,26 @@ TEST(HyperLogLogTest, MemoryIsConstant) {
 
 // --- Almanac builtin integration ----------------------------------------------
 
+// The machine's registers, each bound to its initializer or type default.
+almanac::Registers bound_registers(const almanac::CompiledMachine& cm) {
+  almanac::Vm vm(cm, nullptr);
+  almanac::Registers regs(cm);
+  for (std::size_t i = 0; i < cm.vars.size(); ++i) {
+    const auto* v = cm.vars[i];
+    regs.bind(i, v->init ? vm.eval(cm.code->var_inits[i], regs)
+                         : almanac::default_value(v->type));
+  }
+  return regs;
+}
+
+// Runs the first handler of state `s` (its enter handler) host-less.
+void run_enter(const almanac::CompiledMachine& cm, almanac::Registers& regs) {
+  almanac::Vm vm(cm, nullptr);
+  vm.run(cm.code->states[static_cast<std::size_t>(cm.code->state_index("s"))]
+             .handlers[0],
+         regs);
+}
+
 TEST(SketchBuiltinTest, CmsRoundTripThroughAlmanac) {
   auto program = almanac::parse_program(R"(
     machine M {
@@ -111,15 +131,9 @@ TEST(SketchBuiltinTest, CmsRoundTripThroughAlmanac) {
     }
   )");
   auto cm = almanac::compile_machine(program, "M");
-  almanac::Interpreter interp(cm, nullptr);
-  almanac::Env env;
-  for (const auto* v : cm.vars)
-    env.define(v->name, v->init ? interp.eval(*v->init, env)
-                                : almanac::Interpreter::default_value(v->type));
-  const auto* s = cm.state("s");
-  almanac::Env scope(&env);
-  interp.exec(s->events[0]->actions, scope);
-  EXPECT_EQ(env.find("est")->as_int(), 100);
+  almanac::Registers env = bound_registers(cm);
+  run_enter(cm, env);
+  EXPECT_EQ(env.var("est")->as_int(), 100);
 }
 
 TEST(SketchBuiltinTest, HllDistinctCountThroughAlmanac) {
@@ -140,16 +154,10 @@ TEST(SketchBuiltinTest, HllDistinctCountThroughAlmanac) {
     }
   )");
   auto cm = almanac::compile_machine(program, "M");
-  almanac::Interpreter interp(cm, nullptr);
-  almanac::Env env;
-  for (const auto* v : cm.vars)
-    env.define(v->name, v->init ? interp.eval(*v->init, env)
-                                : almanac::Interpreter::default_value(v->type));
-  const auto* s = cm.state("s");
-  almanac::Env scope(&env);
-  interp.exec(s->events[0]->actions, scope);
+  almanac::Registers env = bound_registers(cm);
+  run_enter(cm, env);
   // 500 adds over 250 distinct keys.
-  EXPECT_NEAR(static_cast<double>(env.find("est")->as_int()), 250, 20);
+  EXPECT_NEAR(static_cast<double>(env.var("est")->as_int()), 250, 20);
 }
 
 // --- Misra-Gries -------------------------------------------------------------
@@ -227,18 +235,12 @@ TEST(SketchBuiltinTest, MgHeavyHittersThroughAlmanac) {
     }
   )");
   auto cm = almanac::compile_machine(program, "M");
-  almanac::Interpreter interp(cm, nullptr);
-  almanac::Env env;
-  for (const auto* v : cm.vars)
-    env.define(v->name, v->init ? interp.eval(*v->init, env)
-                                : almanac::Interpreter::default_value(v->type));
-  const auto* s = cm.state("s");
-  almanac::Env scope(&env);
-  interp.exec(s->events[0]->actions, scope);
+  almanac::Registers env = bound_registers(cm);
+  run_enter(cm, env);
   // The elephant (true count 500 of 550) dominates every eviction round.
-  EXPECT_GT(env.find("est")->as_int(), 400);
-  ASSERT_EQ(env.find("hh")->as_list()->size(), 1u);
-  EXPECT_EQ((*env.find("hh")->as_list())[0].as_string(), "elephant");
+  EXPECT_GT(env.var("est")->as_int(), 400);
+  ASSERT_EQ(env.var("hh")->as_list()->size(), 1u);
+  EXPECT_EQ((*env.var("hh")->as_list())[0].as_string(), "elephant");
 }
 
 TEST(SketchBuiltinTest, InvalidParamsThrowInsteadOfAborting) {
@@ -248,9 +250,9 @@ TEST(SketchBuiltinTest, InvalidParamsThrowInsteadOfAborting) {
     auto program = almanac::parse_program(
         "machine M { sketch x = " + init + "; state s { } }");
     auto cm = almanac::compile_machine(program, "M");
-    almanac::Interpreter interp(cm, nullptr);
-    almanac::Env env;
-    interp.eval(*cm.vars[0]->init, env);
+    almanac::Vm vm(cm, nullptr);
+    almanac::Registers env(cm);
+    vm.eval(cm.code->var_inits[0], env);
   };
   EXPECT_THROW(run("cms_new(0, 4)"), almanac::EvalError);
   EXPECT_THROW(run("cms_new(128, 99)"), almanac::EvalError);
@@ -270,14 +272,8 @@ TEST(SketchBuiltinTest, TypeErrorsRaiseCleanly) {
     }
   )");
   auto cm = almanac::compile_machine(program, "M");
-  almanac::Interpreter interp(cm, nullptr);
-  almanac::Env env;
-  for (const auto* v : cm.vars)
-    env.define(v->name, v->init ? interp.eval(*v->init, env)
-                                : almanac::Interpreter::default_value(v->type));
-  almanac::Env scope(&env);
-  EXPECT_THROW(interp.exec(cm.state("s")->events[0]->actions, scope),
-               almanac::EvalError);
+  almanac::Registers env = bound_registers(cm);
+  EXPECT_THROW(run_enter(cm, env), almanac::EvalError);
 }
 
 }  // namespace

@@ -3,7 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "almanac/compile.h"
-#include "almanac/interp.h"
+#include "almanac/vm.h"
 #include "almanac/xml.h"
 #include "farm/usecases.h"
 
@@ -36,20 +36,20 @@ TEST(XmlTest, RestoredMachineBehavesIdentically) {
 
   auto run = [](const Program& p) {
     CompiledMachine cm = compile_machine(p, "HH");
-    Interpreter interp(cm, nullptr);
-    Env env;
-    for (const auto* v : cm.vars) {
+    Vm vm(cm, nullptr);
+    Registers regs(cm);
+    for (std::size_t i = 0; i < cm.vars.size(); ++i) {
+      const VarDecl* v = cm.vars[i];
       if (v->trigger) continue;
-      env.define(v->name, v->init ? interp.eval(*v->init, env)
-                                  : Interpreter::default_value(v->type));
+      regs.bind(i, v->init ? vm.eval(cm.code->var_inits[i], regs)
+                           : default_value(v->type));
     }
     StatsValue stats;
     stats.entries->push_back({"port:0", 0, 0, 10, 5'000'000});
-    Env scope(&env);
-    scope.define("stats", Value(stats));
-    const auto* observe = cm.state("observe");
-    interp.exec(observe->events[0]->actions, scope);
-    return env.find("hitters")->to_string();
+    const int observe = cm.code->state_index("observe");
+    vm.run(cm.code->states[static_cast<std::size_t>(observe)].handlers[0],
+           regs, Value(stats));
+    return regs.var("hitters")->to_string();
   };
   EXPECT_EQ(run(original), run(restored));
 }
