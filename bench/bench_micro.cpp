@@ -1,12 +1,17 @@
 // Component microbenchmarks (google-benchmark): the hot paths whose cost
 // assumptions the simulation rests on — Almanac front-end, the seed VM,
-// filter matching, TCAM lookup, the DES engine, and the simplex solver.
+// filter matching, TCAM lookup, the traffic tick, the DES engine, and the
+// simplex solver.
 #include <benchmark/benchmark.h>
+
+#include <memory>
+#include <vector>
 
 #include "almanac/analysis.h"
 #include "almanac/parser.h"
 #include "almanac/seed_core.h"
 #include "almanac/vm.h"
+#include "asic/driver.h"
 #include "asic/tcam.h"
 #include "bench_json.h"
 #include "farm/scarecrow.h"
@@ -144,6 +149,79 @@ void BM_TcamLookup256Rules(benchmark::State& state) {
   for (auto _ : state) benchmark::DoNotOptimize(tcam.match(h));
 }
 BENCHMARK(BM_TcamLookup256Rules);
+
+void BM_TrafficTick(benchmark::State& state) {
+  // One 1 ms traffic tick over the fleet's fabric and flow mix: 4 spines,
+  // 16 leaves and 4 hosts per leaf; 48 heavy hitters, 96 mice and 48
+  // monitored flows into the first three leaves, which hold 24 count rules
+  // each; every switch carries fourteen `proto tcp` probe samplers whose
+  // callbacks make a reservoir draw, as the soil's do.
+  auto sl = net::build_spine_leaf(
+      {.spines = 4, .leaves = 16, .hosts_per_leaf = 4});
+  const auto& topo = sl.topo;
+  sim::Engine engine;
+  std::vector<std::unique_ptr<asic::SwitchChassis>> chassis;
+  std::vector<asic::SwitchChassis*> by_node(topo.node_count(), nullptr);
+  for (net::NodeId n : topo.switches()) {
+    chassis.push_back(std::make_unique<asic::SwitchChassis>(
+        engine, n, topo.node(n).name, asic::SwitchConfig{}, n));
+    by_node[n] = chassis.back().get();
+  }
+  auto addr = [&](std::size_t leaf, std::size_t h) {
+    return *topo.node(sl.hosts_by_leaf[leaf % 16][h % 4]).address;
+  };
+  util::Rng rng(7);
+  net::FlowSchedule flows;
+  std::vector<net::FlowKey> monitored;
+  for (std::size_t i = 0; i < 48; ++i) {
+    net::FlowSpec f;
+    f.key = {addr(3 + i % 13, i), addr(i % 3, i / 3),
+             static_cast<std::uint16_t>(20000 + i), 443, net::Proto::kTcp};
+    f.rate_bps = 40e6 * (0.75 + 0.5 * rng.next_double());
+    f.flags = {.ack = true};
+    flows.add_forever(sim::TimePoint::origin(), f);
+    monitored.push_back(f.key);
+  }
+  for (std::size_t k = 0; k < 48; ++k) {
+    net::FlowSpec f;
+    f.key = {addr(k, k / 16), addr(k + 1, k + 1),
+             static_cast<std::uint16_t>(30000 + k), 80, net::Proto::kTcp};
+    f.rate_bps = 1.5e9;
+    f.flags = {.ack = true};
+    flows.add_forever(sim::TimePoint::origin(), f);
+  }
+  flows.append(net::background_traffic(topo, rng, 96, 2e6,
+                                       sim::Duration::sec(3600)));
+  for (std::size_t leaf = 0; leaf < 3; ++leaf)
+    for (std::size_t r = 0; r < 24; ++r) {
+      const net::FlowKey& k = monitored[(leaf * 16 + r) % monitored.size()];
+      asic::TcamRule rule;
+      rule.pattern = net::Filter::conj(
+          net::Filter::src_ip(net::Prefix::host(k.src_ip)),
+          net::Filter::dst_ip(net::Prefix::host(k.dst_ip)));
+      by_node[sl.leaf_switches[leaf]]->tcam().add_rule(rule);
+    }
+  struct Reservoir {
+    std::uint64_t seen = 0;
+    net::PacketHeader kept;
+  };
+  std::vector<Reservoir> reservoirs(chassis.size() * 14);
+  util::Rng draws(11);
+  for (std::size_t c = 0; c < chassis.size(); ++c)
+    for (std::size_t p = 0; p < 14; ++p) {
+      Reservoir* res = &reservoirs[c * 14 + p];
+      chassis[c]->add_sampler(
+          1.0, net::Filter::proto(net::Proto::kTcp),
+          [res, &draws](const net::PacketHeader& h, std::uint64_t) {
+            if (draws.next_below(++res->seen) == 0) res->kept = h;
+          });
+    }
+  asic::TrafficDriver driver(engine, topo, by_node, std::move(flows));
+  driver.start();
+  for (auto _ : state) engine.run_for(sim::Duration::ms(1));
+  benchmark::DoNotOptimize(reservoirs.front().seen);
+}
+BENCHMARK(BM_TrafficTick);
 
 void BM_EngineEventThroughput(benchmark::State& state) {
   for (auto _ : state) {

@@ -44,6 +44,19 @@ struct SwitchConfig {
 
 using SamplerId = std::uint64_t;
 
+// What one flow's header matches at one hop: every TCAM rule it hits, the
+// rule that acts on it, and the samplers whose filter it passes, each as
+// an index into the chassis's current tables. The traffic driver keeps
+// one per (flow, hop); apply_flow re-derives a part when the TCAM version
+// or the chassis's sampler version it was derived at has moved.
+struct HopMatch {
+  std::uint64_t tcam_version = 0;     // 0: derive on the next call
+  std::uint64_t sampler_version = 0;
+  std::vector<std::uint32_t> rules;   // indices into tcam().rules()
+  int acting = -1;                    // index of the acting rule, or -1
+  std::vector<std::uint32_t> samplers;
+};
+
 class SwitchChassis {
  public:
   SwitchChassis(sim::Engine& engine, net::NodeId node, std::string name,
@@ -76,16 +89,20 @@ class SwitchChassis {
   // Applies `dt` worth of one flow crossing this switch. in/out iface may
   // be -1 (unknown / terminating here). Returns the effective forwarded
   // rate after TCAM actions (drop → 0, rate-limit → capped), which the
-  // traffic driver propagates downstream.
+  // traffic driver propagates downstream. `match` is this flow's record
+  // at this hop: pass the same one for every call with the same header
+  // and `in_iface`, and a default-constructed one otherwise.
   double apply_flow(const net::FlowSpec& flow, int in_iface, int out_iface,
-                    sim::Duration dt);
+                    sim::Duration dt, HopMatch& match);
 
   // --- Packet sampling toward the CPU (sFlow agents, probe variables) ----
-  // `probability` is the per-packet sample probability. The callback gets a
-  // representative header plus the number of packets it stands for.
+  // `probability` is the per-packet sample probability over the arriving
+  // packets that `filter` matches at their ingress interface. The callback
+  // gets a representative header plus the number of packets it stands for.
   using SampleCallback =
       std::function<void(const net::PacketHeader&, std::uint64_t count)>;
-  SamplerId add_sampler(double probability, SampleCallback cb);
+  SamplerId add_sampler(double probability, net::Filter filter,
+                        SampleCallback cb);
   void remove_sampler(SamplerId id);
 
   // --- Mirroring (TCAM kMirror action) ------------------------------------
@@ -100,9 +117,17 @@ class SwitchChassis {
   struct Sampler {
     SamplerId id;
     double probability;
+    net::Filter filter;
     SampleCallback cb;
     double accumulator = 0;  // fractional expected samples carried over
   };
+
+  // Re-derive the TCAM or the sampler part of `m` for `header` arriving
+  // on `in_iface`.
+  void match_rules(const net::PacketHeader& header, int in_iface,
+                   HopMatch& m) const;
+  void match_samplers(const net::PacketHeader& header, int in_iface,
+                      HopMatch& m) const;
 
   sim::Engine& engine_;
   net::NodeId node_;
@@ -114,6 +139,8 @@ class SwitchChassis {
   std::vector<PortStats> ports_;
   std::vector<Sampler> samplers_;
   std::vector<Sampler> mirrors_;
+  // Moves whenever samplers_ changes, so HopMatch sampler indices go stale.
+  std::uint64_t sampler_version_ = 1;
   SamplerId next_sampler_ = 1;
   std::uint64_t asic_bytes_ = 0;
   bool powered_ = true;

@@ -50,6 +50,7 @@ std::optional<RuleId> Tcam::add_rule(TcamRule rule) {
   rule.id = next_id_++;
   rule.hit_packets = rule.hit_bytes = 0;
   rules_.push_back(std::move(rule));
+  ++version_;
   return rules_.back().id;
 }
 
@@ -62,37 +63,32 @@ int Tcam::remove_rules(const net::Filter& pattern, TcamRegion region) {
     removed += hit;
     return hit;
   });
+  if (removed > 0) ++version_;
   return removed;
 }
 
 bool Tcam::remove_rule(RuleId id) {
-  return std::erase_if(rules_, [&](const TcamRule& r) { return r.id == id; }) >
-         0;
+  if (std::erase_if(rules_, [&](const TcamRule& r) { return r.id == id; }) ==
+      0)
+    return false;
+  ++version_;
+  return true;
 }
 
-void Tcam::clear() { rules_.clear(); }
+void Tcam::clear() {
+  rules_.clear();
+  ++version_;
+}
 
-TcamRule* Tcam::mutable_match(const net::PacketHeader& h, int at_iface) {
-  TcamRule* best = nullptr;
-  for (auto& r : rules_) {
+const TcamRule* Tcam::match(const net::PacketHeader& h, int at_iface) const {
+  const TcamRule* best = nullptr;
+  for (const auto& r : rules_) {
     if (!r.pattern.matches(h, at_iface)) continue;
     if (!best || r.priority > best->priority ||
         (r.priority == best->priority && r.id < best->id))
       best = &r;
   }
   return best;
-}
-
-const TcamRule* Tcam::match(const net::PacketHeader& h, int at_iface) const {
-  return const_cast<Tcam*>(this)->mutable_match(h, at_iface);
-}
-
-std::vector<TcamRule*> Tcam::matching(const net::PacketHeader& h,
-                                      int at_iface) {
-  std::vector<TcamRule*> out;
-  for (auto& r : rules_)
-    if (r.pattern.matches(h, at_iface)) out.push_back(&r);
-  return out;
 }
 
 const TcamRule* Tcam::find(RuleId id) const {

@@ -68,19 +68,23 @@ class Tcam {
   // interface atoms (e.g. reactions installed on a hitter port) apply only
   // to traffic on that port.
   const TcamRule* match(const net::PacketHeader& h, int at_iface = -1) const;
-  TcamRule* mutable_match(const net::PacketHeader& h, int at_iface = -1);
-  // All rules matching the header. Hardware keeps per-rule counters even
-  // for shadowed entries (separate counter blocks); the data path uses
-  // this to account every matching rule while acting on the best
-  // non-count rule (count rules are transparent to forwarding).
-  std::vector<TcamRule*> matching(const net::PacketHeader& h,
-                                  int at_iface = -1);
   const TcamRule* find(RuleId id) const;
   const TcamRule* find(const net::Filter& pattern, TcamRegion region) const;
 
   // Wipes every rule in both regions (switch power failure). Rule ids keep
   // increasing across reboots so stale ids can never alias new rules.
   void clear();
+
+  // Moves on every change to the rule set (add, remove, clear), never
+  // back: a caller that keeps indices into rules() re-derives them when
+  // it reads a version other than the one it derived them at. Never 0.
+  std::uint64_t version() const { return version_; }
+  // Accounts traffic to the hit counters of rules()[index].
+  void count_hit(std::size_t index, std::uint64_t packets,
+                 std::uint64_t bytes) {
+    rules_[index].hit_packets += packets;
+    rules_[index].hit_bytes += bytes;
+  }
 
   const std::vector<TcamRule>& rules() const { return rules_; }
   int used(TcamRegion region) const;
@@ -91,6 +95,7 @@ class Tcam {
   int capacity_total_;
   int monitoring_reserved_;
   RuleId next_id_ = 1;
+  std::uint64_t version_ = 1;
   std::vector<TcamRule> rules_;
 };
 

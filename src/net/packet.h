@@ -8,7 +8,6 @@
 
 #include <compare>
 #include <cstdint>
-#include <functional>
 #include <string>
 
 #include "net/ip.h"
@@ -53,22 +52,6 @@ struct FlowKey {
     return {h.src_ip, h.dst_ip, h.src_port, h.dst_port, h.proto};
   }
   std::string to_string() const;
-};
-
-struct FlowKeyHash {
-  std::size_t operator()(const FlowKey& k) const {
-    // FNV-1a over the tuple fields; quality is plenty for hash maps.
-    std::uint64_t h = 1469598103934665603ull;
-    auto mix = [&h](std::uint64_t v) {
-      h ^= v;
-      h *= 1099511628211ull;
-    };
-    mix(k.src_ip.value());
-    mix(k.dst_ip.value());
-    mix((std::uint64_t(k.src_port) << 24) | (std::uint64_t(k.dst_port) << 8) |
-        std::uint64_t(k.proto));
-    return static_cast<std::size_t>(h);
-  }
 };
 
 inline std::string PacketHeader::to_string() const {

@@ -36,13 +36,6 @@ void FlowSchedule::add_forever(TimePoint start, FlowSpec spec) {
   flows_.push_back({start, forever(), std::move(spec)});
 }
 
-std::vector<FlowSpec> FlowSchedule::active_at(TimePoint t) const {
-  std::vector<FlowSpec> out;
-  for (const auto& f : flows_)
-    if (f.start <= t && t < f.end) out.push_back(f.spec);
-  return out;
-}
-
 void FlowSchedule::append(const FlowSchedule& other) {
   flows_.insert(flows_.end(), other.flows_.begin(), other.flows_.end());
 }

@@ -41,8 +41,6 @@ class FlowSchedule {
  public:
   void add(TimePoint start, TimePoint end, FlowSpec spec);
   void add_forever(TimePoint start, FlowSpec spec);
-  // Flows active in [t, t+dt): used by the driver at each tick.
-  std::vector<FlowSpec> active_at(TimePoint t) const;
   const std::vector<ScheduledFlow>& entries() const { return flows_; }
   std::size_t size() const { return flows_.size(); }
   // Merges another schedule in.

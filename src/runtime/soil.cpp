@@ -293,8 +293,8 @@ void Soil::register_trigger(Seed& seed, const Seed::ActiveTrigger& trig) {
       break;
     case almanac::TriggerType::kProbe: {
       raw->sampler = chassis_.add_sampler(
-          1.0, [this, raw](const net::PacketHeader& h, std::uint64_t) {
-            if (!raw->what.matches(h)) return;
+          1.0, raw->what,
+          [this, raw](const net::PacketHeader& h, std::uint64_t) {
             // Reservoir-sample within the gating interval so the delivered
             // packet is uniform over matching arrivals, not merely the
             // first flow the traffic driver happened to tick.

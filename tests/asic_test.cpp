@@ -5,6 +5,7 @@
 #include "asic/pcie.h"
 #include "asic/switch.h"
 #include "asic/tcam.h"
+#include "telemetry/prof.h"
 
 namespace farm::asic {
 namespace {
@@ -128,7 +129,8 @@ TEST(SwitchTest, FlowUpdatesPortCounters) {
   f.key = {Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 100, 200, Proto::kTcp};
   f.rate_bps = 8e6;  // 1 MB/s
   f.packet_bytes = 1000;
-  sw.apply_flow(f, 2, 5, Duration::ms(100));
+  HopMatch m;
+  sw.apply_flow(f, 2, 5, Duration::ms(100), m);
   EXPECT_EQ(sw.port_stats(2).rx_bytes, 100'000u);
   EXPECT_EQ(sw.port_stats(5).tx_bytes, 100'000u);
   EXPECT_EQ(sw.port_stats(2).rx_packets, 100u);
@@ -146,7 +148,8 @@ TEST(SwitchTest, DropRuleZeroesForwardedRate) {
   FlowSpec f;
   f.key = {Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 100, 200, Proto::kTcp};
   f.rate_bps = 8e6;
-  double out = sw.apply_flow(f, 0, 1, Duration::ms(100));
+  HopMatch m;
+  double out = sw.apply_flow(f, 0, 1, Duration::ms(100), m);
   EXPECT_EQ(out, 0);
   // rx counted (traffic arrived), tx not (dropped).
   EXPECT_GT(sw.port_stats(0).rx_bytes, 0u);
@@ -166,23 +169,25 @@ TEST(SwitchTest, RateLimitCapsForwardedRate) {
   FlowSpec f;
   f.key = {Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 100, 200, Proto::kTcp};
   f.rate_bps = 8e6;
-  EXPECT_DOUBLE_EQ(sw.apply_flow(f, 0, 1, Duration::ms(10)), 1e6);
+  HopMatch m;
+  EXPECT_DOUBLE_EQ(sw.apply_flow(f, 0, 1, Duration::ms(10), m), 1e6);
   f.rate_bps = 0.5e6;  // below the cap: untouched
-  EXPECT_DOUBLE_EQ(sw.apply_flow(f, 0, 1, Duration::ms(10)), 0.5e6);
+  EXPECT_DOUBLE_EQ(sw.apply_flow(f, 0, 1, Duration::ms(10), m), 0.5e6);
 }
 
 TEST(SwitchTest, SamplerSeesExpectedFraction) {
   Engine e;
   SwitchChassis sw(e, 0, "sw0", small_config(), 1);
   std::uint64_t sampled = 0;
-  sw.add_sampler(0.01, [&](const PacketHeader&, std::uint64_t n) {
+  sw.add_sampler(0.01, Filter(), [&](const PacketHeader&, std::uint64_t n) {
     sampled += n;
   });
   FlowSpec f;
   f.key = {Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 100, 200, Proto::kTcp};
   f.rate_bps = 8e8;  // 100k packets/s at 1000 B
   f.packet_bytes = 1000;
-  for (int i = 0; i < 100; ++i) sw.apply_flow(f, 0, 1, Duration::ms(10));
+  HopMatch m;
+  for (int i = 0; i < 100; ++i) sw.apply_flow(f, 0, 1, Duration::ms(10), m);
   // 100k packets total, 1% ≈ 1000 samples.
   EXPECT_NEAR(static_cast<double>(sampled), 1000, 20);
 }
@@ -201,7 +206,8 @@ TEST(SwitchTest, MirrorRuleDeliversFullTraffic) {
   f.key = {Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 40000, 80, Proto::kTcp};
   f.rate_bps = 8e6;
   f.packet_bytes = 1000;
-  double out = sw.apply_flow(f, 0, 1, Duration::ms(100));
+  HopMatch m;
+  double out = sw.apply_flow(f, 0, 1, Duration::ms(100), m);
   EXPECT_DOUBLE_EQ(out, 8e6);  // mirroring does not affect forwarding
   EXPECT_EQ(mirrored, 100u);
 }
@@ -210,18 +216,20 @@ TEST(SwitchTest, RemovedSamplerStopsReceiving) {
   Engine e;
   SwitchChassis sw(e, 0, "sw0", small_config(), 1);
   std::uint64_t n1 = 0;
-  auto id = sw.add_sampler(1.0, [&](const PacketHeader&, std::uint64_t n) {
-    n1 += n;
-  });
+  auto id = sw.add_sampler(1.0, Filter(),
+                           [&](const PacketHeader&, std::uint64_t n) {
+                             n1 += n;
+                           });
   FlowSpec f;
   f.key = {Ipv4(1, 1, 1, 1), Ipv4(2, 2, 2, 2), 100, 200, Proto::kTcp};
   f.rate_bps = 8e6;
   f.packet_bytes = 1000;
-  sw.apply_flow(f, 0, 1, Duration::ms(10));
+  HopMatch m;
+  sw.apply_flow(f, 0, 1, Duration::ms(10), m);
   auto before = n1;
   EXPECT_GT(before, 0u);
   sw.remove_sampler(id);
-  sw.apply_flow(f, 0, 1, Duration::ms(10));
+  sw.apply_flow(f, 0, 1, Duration::ms(10), m);
   EXPECT_EQ(n1, before);
 }
 
@@ -297,6 +305,27 @@ TEST(TrafficDriverTest, CountersAccumulateAlongPath) {
   EXPECT_NEAR(static_cast<double>(
                   driver.bytes_delivered_to(sl.hosts_by_leaf[1][0])),
               10e6, 2e5);
+}
+
+// Furrow's data-plane scope: one `asic/traffic_tick` closure per tick.
+TEST(TrafficDriverTest, TickScopeCountsEveryTick) {
+  auto& prof = telemetry::prof::Profiler::instance();
+  prof.set_enabled(true);
+  prof.reset();
+  Engine e;
+  auto sl =
+      net::build_spine_leaf({.spines = 1, .leaves = 2, .hosts_per_leaf = 1});
+  std::vector<SwitchChassis*> by_node(sl.topo.node_count(), nullptr);
+  TrafficDriver driver(e, sl.topo, by_node, net::FlowSchedule{},
+                       Duration::ms(1));
+  driver.start();
+  e.run_for(Duration::ms(250));
+  std::uint64_t ticks = 0;
+  for (const auto& asic : prof.snapshot().root.children)
+    if (asic.name == "asic")
+      for (const auto& scope : asic.children)
+        if (scope.name == "traffic_tick") ticks = scope.count;
+  EXPECT_EQ(ticks, 250u);
 }
 
 }  // namespace

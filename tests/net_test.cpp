@@ -7,6 +7,7 @@
 #include "net/filter.h"
 #include "net/topology.h"
 #include "net/traffic.h"
+#include "tick_reference.h"
 
 namespace farm::net {
 namespace {
@@ -14,6 +15,7 @@ namespace {
 using util::Duration;
 using util::Rng;
 using util::TimePoint;
+using asic::ref::active_at;
 
 TEST(Ipv4Test, ParseAndFormatRoundTrip) {
   auto ip = Ipv4::parse("10.1.2.4");
@@ -229,10 +231,10 @@ TEST(FlowScheduleTest, ActiveWindowRespected) {
   f.rate_bps = 100;
   s.add(TimePoint::origin() + Duration::ms(10),
         TimePoint::origin() + Duration::ms(20), f);
-  EXPECT_TRUE(s.active_at(TimePoint::origin()).empty());
-  EXPECT_EQ(s.active_at(TimePoint::origin() + Duration::ms(10)).size(), 1u);
-  EXPECT_EQ(s.active_at(TimePoint::origin() + Duration::ms(19)).size(), 1u);
-  EXPECT_TRUE(s.active_at(TimePoint::origin() + Duration::ms(20)).empty());
+  EXPECT_TRUE(active_at(s, TimePoint::origin()).empty());
+  EXPECT_EQ(active_at(s, TimePoint::origin() + Duration::ms(10)).size(), 1u);
+  EXPECT_EQ(active_at(s, TimePoint::origin() + Duration::ms(19)).size(), 1u);
+  EXPECT_TRUE(active_at(s, TimePoint::origin() + Duration::ms(20)).empty());
 }
 
 TEST(TrafficGenTest, HeavyHitterWorkloadChurnsFlows) {
@@ -241,8 +243,8 @@ TEST(TrafficGenTest, HeavyHitterWorkloadChurnsFlows) {
   auto sched = heavy_hitter_workload(sl.topo, rng, 0.1, 1e9,
                                      Duration::sec(60), Duration::minutes(3));
   // Three epochs' worth of HH flows.
-  auto early = sched.active_at(TimePoint::origin() + Duration::sec(5));
-  auto late = sched.active_at(TimePoint::origin() + Duration::sec(125));
+  auto early = active_at(sched, TimePoint::origin() + Duration::sec(5));
+  auto late = active_at(sched, TimePoint::origin() + Duration::sec(125));
   EXPECT_FALSE(early.empty());
   EXPECT_FALSE(late.empty());
   EXPECT_NE(early.front().key, late.front().key);  // re-drawn per epoch
@@ -255,7 +257,7 @@ TEST(TrafficGenTest, DdosConcentratesOnVictim) {
   Ipv4 victim = *sl.topo.node(sl.hosts_by_leaf[0][0]).address;
   auto sched = ddos_attack(sl.topo, rng, victim, 50, 1e6, TimePoint::origin(),
                            Duration::sec(10));
-  auto active = sched.active_at(TimePoint::origin() + Duration::sec(1));
+  auto active = active_at(sched, TimePoint::origin() + Duration::sec(1));
   EXPECT_EQ(active.size(), 50u);
   std::set<std::uint32_t> sources;
   for (const auto& f : active) {
@@ -271,7 +273,7 @@ TEST(TrafficGenTest, SuperspreaderFansOut) {
   Ipv4 src = *sl.topo.node(sl.hosts_by_leaf[0][0]).address;
   auto sched = superspreader(sl.topo, rng, src, 40, 1e5, TimePoint::origin(),
                              Duration::sec(10));
-  auto active = sched.active_at(TimePoint::origin() + Duration::sec(1));
+  auto active = active_at(sched, TimePoint::origin() + Duration::sec(1));
   std::set<std::uint32_t> dsts;
   for (const auto& f : active) {
     EXPECT_EQ(f.key.src_ip, src);

@@ -387,6 +387,51 @@ TEST(SoilTest, ProbeDeliversOnlyMatchingPackets) {
                         // would have subtracted 100
 }
 
+// A probe on one interface samples only the traffic arriving on it, as a
+// TCAM rule with an interface atom counts only that traffic.
+TEST(SoilTest, ProbeOnAnInterfaceSamplesOnlyItsIngress) {
+  Rig rig;
+  auto src = R"(
+    machine M {
+      place all;
+      probe pr = Probe { .ival = 0.001, .what = iface 1 };
+      long ssh = 0;
+      long other = 0;
+      state s {
+        when (pr as pkt) do {
+          if (pkt.dstPort == 22) then { ssh = ssh + 1; }
+          if (pkt.dstPort <> 22) then { other = other + 1; }
+        }
+      }
+    }
+  )";
+  auto image = MachineImage::from_source(src, "M");
+  auto leaf0 = rig.sl.leaf_switches[0];
+  Seed* seed = rig.soil_of(leaf0).deploy({"t", "M", 0}, image, {});
+
+  // leaf0's interface 0 faces the spine and interface 1 its first host:
+  // the web flow reaches leaf0 on interface 0, the SSH flow on 1.
+  const auto local = rig.sl.hosts_by_leaf[0][0];
+  const auto remote = rig.sl.hosts_by_leaf[1][0];
+  ASSERT_EQ(rig.sl.topo.neighbors(leaf0)[1], local);
+  net::FlowSchedule sched;
+  net::FlowSpec web;
+  web.key = {*rig.sl.topo.node(remote).address,
+             *rig.sl.topo.node(local).address, 4000, 80, net::Proto::kTcp};
+  web.rate_bps = 10e6;
+  web.packet_bytes = 200;
+  sched.add_forever(TimePoint::origin(), web);
+  net::FlowSpec ssh = web;
+  ssh.key = {web.key.dst_ip, web.key.src_ip, 4000, 22, net::Proto::kTcp};
+  sched.add_forever(TimePoint::origin(), ssh);
+  asic::TrafficDriver driver(rig.engine, rig.sl.topo, rig.by_node, sched,
+                             Duration::ms(1));
+  driver.start();
+  rig.engine.run_for(Duration::ms(200));
+  EXPECT_GT(seed->snapshot().machine_vars.at("ssh").as_int(), 0);
+  EXPECT_EQ(seed->snapshot().machine_vars.at("other").as_int(), 0);
+}
+
 TEST(SoilTest, ProcessModeHasHigherDeliveryLatency) {
   auto mean_latency = [](bool threads) {
     SoilConfig cfg;
