@@ -4,6 +4,7 @@
 // simplex solver.
 #include <benchmark/benchmark.h>
 
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -233,6 +234,40 @@ void BM_EngineEventThroughput(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EngineEventThroughput)->Unit(benchmark::kMillisecond);
+
+void BM_EngineSteadyHeap(benchmark::State& state) {
+  // A warm engine at the fleet's queue depth (fleet_steady ends with
+  // sim.heap_size ≈ 830): 800 timers with periods of 0.1–2 ms, each
+  // re-armed when it fires as PeriodicTask and the soil's timers are. Every
+  // fourth firing starts a transfer with a 1 ms timeout whose completion
+  // lands 30 µs later and cancels it, as the soil's PCIe polls do. The
+  // engine's slots and heap stay warm across iterations; one iteration
+  // runs 10k events.
+  sim::Engine engine;
+  constexpr int kTimers = 800;
+  std::uint64_t fired = 0;
+  std::function<void(int)> arm = [&](int i) {
+    engine.schedule_after(sim::Duration::us(100 + (i * 37) % 1900), [&, i] {
+      if (++fired % 4 == 0) {
+        sim::EventId timeout =
+            engine.schedule_after(sim::Duration::ms(1), [] {});
+        engine.schedule_after(sim::Duration::us(30),
+                              [&engine, timeout] { engine.cancel(timeout); });
+      }
+      arm(i);
+    });
+  };
+  for (int i = 0; i < kTimers; ++i) arm(i);
+  engine.run_for(sim::Duration::ms(20));
+  for (auto _ : state) {
+    const std::uint64_t target = engine.executed_events() + 10'000;
+    while (engine.executed_events() < target) engine.step();
+    benchmark::DoNotOptimize(fired);
+  }
+  state.counters["heap"] = static_cast<double>(engine.heap_size());
+  state.counters["pending"] = static_cast<double>(engine.pending_events());
+}
+BENCHMARK(BM_EngineSteadyHeap)->Unit(benchmark::kMillisecond);
 
 void BM_SimplexRedistributionLp(benchmark::State& state) {
   // Representative per-switch redistribution LP: 10 seeds × 4 resources.

@@ -52,9 +52,8 @@ void PcieBus::request(int entries, std::function<void()> on_complete) {
     tel_->add(m_dropped_);
     return;
   }
-  engine_.schedule_at(free_at_, [cb = std::move(on_complete)] {
-    if (cb) cb();
-  });
+  engine_.schedule_at(free_at_, on_complete ? std::move(on_complete)
+                                            : Engine::Callback([] {}));
 }
 
 Duration PcieBus::backlog() const {

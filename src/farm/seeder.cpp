@@ -16,14 +16,6 @@ namespace farm::core {
 namespace {
 // Silent heartbeat periods before a switch is declared dead.
 constexpr int kHeartbeatMissLimit = 3;
-
-struct SeedIdHash {
-  std::size_t operator()(const SeedId& id) const {
-    std::size_t h = std::hash<std::string>{}(id.task);
-    h = h * 31 + std::hash<std::string>{}(id.machine);
-    return h * 31 + std::hash<int>{}(id.index);
-  }
-};
 }  // namespace
 
 // The keys are the planned seeds' own ids, which live in tasks_ and no
@@ -34,8 +26,8 @@ struct Seeder::SeedIndex {
     Soil* soil = nullptr;
     Seed* seed = nullptr;
   };
-  std::unordered_map<std::reference_wrapper<const SeedId>, Where, SeedIdHash,
-                     std::equal_to<SeedId>>
+  std::unordered_map<std::reference_wrapper<const SeedId>, Where,
+                     runtime::SeedIdHash, std::equal_to<SeedId>>
       at;
 
   // `id` must be a planned seed's.

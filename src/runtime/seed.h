@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
@@ -40,6 +41,16 @@ struct SeedId {
     return task + "/" + machine + "#" + std::to_string(index);
   }
   friend bool operator==(const SeedId&, const SeedId&) = default;
+};
+
+// The one SeedId hash: the soil's resident index and the seeder's seed
+// index both key on it.
+struct SeedIdHash {
+  std::size_t operator()(const SeedId& id) const {
+    std::size_t h = std::hash<std::string>{}(id.task);
+    h = h * 31 + std::hash<std::string>{}(id.machine);
+    return h * 31 + std::hash<int>{}(id.index);
+  }
 };
 
 // Serializable seed state for migration: the machine variables, the
@@ -103,10 +114,13 @@ class Seed : public almanac::SeedCore {
   void state_entered() override;
   void chain_cut() override;
 
-  // The soil grants allocations (Soil::deploy, Soil::set_allocation).
+  // The soil grants allocations (Soil::deploy, Soil::set_allocation) and
+  // assigns the ordinal.
   friend class Soil;
 
   SeedId id_;
+  // id_'s ordinal in its soil's resident table (Soil::deploy sets it).
+  std::uint32_t ordinal_ = 0;
   sim::TaskId cpu_task_;
   ResourcesValue allocation_ = almanac::kReferenceAlloc;
   std::shared_ptr<MachineImage> image_;  // keeps the machine alive

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "telemetry/prof.h"
 #include "util/log.h"
 
 namespace farm::runtime {
@@ -63,6 +64,7 @@ void Soil::crash() {
   regs_.clear();
   groups_.clear();  // periodic group tasks stop in their destructors
   seeds_.clear();
+  std::fill(resident_.begin(), resident_.end(), nullptr);
 }
 
 Seed* Soil::deploy(SeedId id, std::shared_ptr<MachineImage> image,
@@ -70,9 +72,12 @@ Seed* Soil::deploy(SeedId id, std::shared_ptr<MachineImage> image,
                    std::optional<ResourcesValue> allocation,
                    const SeedSnapshot* snapshot) {
   FARM_CHECK_MSG(find(id) == nullptr, "seed already deployed");
+  const std::uint32_t ordinal = intern(id);
   auto seed = std::make_unique<Seed>(std::move(id), std::move(image), *this,
                                      std::move(externals));
   Seed* raw = seed.get();
+  raw->ordinal_ = ordinal;
+  resident_[ordinal] = raw;
   seeds_.push_back(std::move(seed));
   raw->allocation_ = allocation.value_or(almanac::kReferenceAlloc);
   if (snapshot)
@@ -89,14 +94,21 @@ bool Soil::undeploy(const SeedId& id) {
   if (it == seeds_.end()) return false;
   (*it)->stop();
   clear_registrations(**it, /*drop_orphaned_poll_rules=*/true);
+  resident_[(*it)->ordinal_] = nullptr;
   seeds_.erase(it);
   return true;
 }
 
 Seed* Soil::find(const SeedId& id) {
-  for (auto& s : seeds_)
-    if (s->id() == id) return s.get();
-  return nullptr;
+  auto it = ordinals_.find(id);
+  return it == ordinals_.end() ? nullptr : resident_[it->second];
+}
+
+std::uint32_t Soil::intern(const SeedId& id) {
+  auto [it, added] = ordinals_.try_emplace(
+      id, static_cast<std::uint32_t>(resident_.size()));
+  if (added) resident_.push_back(nullptr);
+  return it->second;
 }
 
 std::vector<Seed*> Soil::seeds() {
@@ -181,15 +193,20 @@ std::optional<asic::TcamRule> Soil::get_monitor_rule(
 void Soil::deliver_to_seed(const SeedId& id, const Value& payload,
                            bool from_harvester,
                            const std::string& from_machine) {
+  // Interned even when no seed holds the id yet: one deployed under it
+  // before the message lands still gets it.
+  const std::uint32_t ordinal = intern(id);
   engine_.schedule_after(
-      comm_latency(), [this, id, payload, from_harvester, from_machine] {
-        Seed* seed = find(id);
+      comm_latency(), [this, ordinal, payload, from_harvester, from_machine] {
+        Seed* seed = resident_[ordinal];
         if (!seed) return;  // undeployed while in flight
         chassis_.cpu().submit(
             seed->cpu_task(), sim::cost::kPollWakeupCpu,
-            [this, id, payload, from_harvester, from_machine] {
-              if (Seed* s = find(id))
+            [this, ordinal, payload, from_harvester, from_machine] {
+              if (Seed* s = resident_[ordinal]) {
+                FARM_PROF_SCOPE("runtime/seed_handler");
                 s->on_message(payload, from_harvester, from_machine);
+              }
             });
       });
 }
@@ -306,16 +323,19 @@ void Soil::register_trigger(Seed& seed, const Seed::ActiveTrigger& trig) {
             net::PacketHeader sample = raw->reservoir;
             raw->reservoir_seen = 0;
             // The sample crosses the PCIe bus before the seed sees it.
-            SeedId id = raw->seed->id();
+            const std::uint32_t ordinal = raw->seed->ordinal_;
             std::string var = raw->var;
-            chassis_.pcie().request(1, [this, id, var, sample] {
+            chassis_.pcie().request(1, [this, ordinal, var, sample] {
               engine_.schedule_after(
-                  comm_latency(), [this, id, var, sample] {
-                    if (Seed* s = find(id))
+                  comm_latency(), [this, ordinal, var, sample] {
+                    if (Seed* s = resident_[ordinal])
                       chassis_.cpu().submit(
                           s->cpu_task(), sim::cost::kPollWakeupCpu,
-                          [this, id, var, sample] {
-                            if (Seed* s2 = find(id)) s2->on_probe(var, sample);
+                          [this, ordinal, var, sample] {
+                            if (Seed* s2 = resident_[ordinal]) {
+                              FARM_PROF_SCOPE("runtime/seed_handler");
+                              s2->on_probe(var, sample);
+                            }
                           });
                   });
             });
@@ -336,14 +356,15 @@ void Soil::schedule_poll(Registration& reg) {
     // before destroying it.
     sim::TimePoint due = raw->next_due;
     raw->next_due = due + sim::Duration::from_seconds(raw->ival_seconds);
+    const std::uint32_t ordinal = raw->seed->ordinal_;
     if (raw->type == almanac::TriggerType::kTime) {
-      SeedId id = raw->seed->id();
       std::string var = raw->var;
-      engine_.schedule_after(comm_latency(), [this, id, var, due] {
-        if (Seed* s = find(id))
+      engine_.schedule_after(comm_latency(), [this, ordinal, var, due] {
+        if (Seed* s = resident_[ordinal])
           chassis_.cpu().submit(s->cpu_task(), sim::cost::kPollWakeupCpu,
-                                [this, id, var, due] {
-                                  if (Seed* s2 = find(id)) {
+                                [this, ordinal, var, due] {
+                                  if (Seed* s2 = resident_[ordinal]) {
+                                    FARM_PROF_SCOPE("runtime/seed_handler");
                                     note_wakeup(due);
                                     s2->on_time(var);
                                   }
@@ -354,16 +375,15 @@ void Soil::schedule_poll(Registration& reg) {
       tel_->add(m_poll_requests_);
       int entries = raw->what.poll_entries(chassis_.n_ifaces());
       net::Filter what = raw->what;
-      SeedId id = raw->seed->id();
       std::string var = raw->var;
       pcie_poll_request(
           entries,
-          [this, what, id, var, due] {
+          [this, what, ordinal, var, due] {
             StatsValue stats;
             *stats.entries = resolve_subject(what);
             // Per-request soil bookkeeping happens even without aggregation.
             chassis_.cpu().submit(kSoilTask, sim::cost::kAggregatePerSeedCpu);
-            deliver_poll_to(id, var, stats, due);
+            deliver_poll_to(ordinal, var, stats, due);
           },
           kMaxPollRetries, tel_->begin_span(track_, "poll"));
     }
@@ -417,12 +437,13 @@ void Soil::fire_poll_group(const std::string& subject_key) {
   if (members.empty()) return;
 
   // Which members are due by now (group fires at min period)?
-  std::vector<std::pair<SeedId, std::string>> due_targets;
+  // (resident ordinal, trigger variable) per due member.
+  std::vector<std::pair<std::uint32_t, std::string>> due_targets;
   std::vector<sim::TimePoint> due_times;
   sim::TimePoint now = engine_.now();
   for (Registration* m : members) {
     if (m->next_due > now) continue;
-    due_targets.emplace_back(m->seed->id(), m->var);
+    due_targets.emplace_back(m->seed->ordinal_, m->var);
     due_times.push_back(m->next_due);
     // Catch up without bursting.
     m->next_due =
@@ -456,13 +477,13 @@ void Soil::fire_poll_group(const std::string& subject_key) {
       kMaxPollRetries, tel_->begin_span(track_, "poll_group"));
 }
 
-void Soil::deliver_poll_to(const SeedId& id, const std::string& var,
+void Soil::deliver_poll_to(std::uint32_t ordinal, const std::string& var,
                            const StatsValue& stats, sim::TimePoint due) {
   sim::TimePoint available = engine_.now();
   std::size_t n_entries = stats.entries->size();
   engine_.schedule_after(
-      comm_latency(), [this, id, var, stats, due, available, n_entries] {
-        Seed* seed = find(id);
+      comm_latency(), [this, ordinal, var, stats, due, available, n_entries] {
+        Seed* seed = resident_[ordinal];
         if (!seed) return;
         // Communication latency is measured here — at IPC arrival, before
         // the handler queues for CPU (what Fig. 10 plots); handler-side
@@ -474,9 +495,10 @@ void Soil::deliver_poll_to(const SeedId& id, const std::string& var,
             sim::cost::kPollEntryCpu * static_cast<std::int64_t>(n_entries);
         chassis_.cpu().submit(
             seed->cpu_task(), handler_cpu,
-            [this, id, var, stats, due] {
-              Seed* s = find(id);
+            [this, ordinal, var, stats, due] {
+              Seed* s = resident_[ordinal];
               if (!s) return;
+              FARM_PROF_SCOPE("runtime/seed_handler");
               tel_->add(m_poll_deliveries_);
               note_wakeup(due);
               tel_->observe(m_poll_lateness_ms_, (engine_.now() - due).millis());

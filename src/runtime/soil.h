@@ -87,6 +87,8 @@ class Soil {
                std::optional<ResourcesValue> allocation = std::nullopt,
                const SeedSnapshot* snapshot = nullptr);
   bool undeploy(const SeedId& id);
+  // The seed deployed under `id`, or null. Control plane only: deliveries
+  // in flight resolve their seed by ordinal (below).
   Seed* find(const SeedId& id);
   std::vector<Seed*> seeds();
   std::size_t seed_count() const { return seeds_.size(); }
@@ -164,8 +166,10 @@ class Soil {
   std::vector<almanac::StatEntry> resolve_subject(const net::Filter& what);
   void schedule_poll(Registration& reg);
   void fire_poll_group(const std::string& subject_key);
-  void deliver_poll_to(const SeedId& id, const std::string& var,
+  void deliver_poll_to(std::uint32_t ordinal, const std::string& var,
                        const StatsValue& stats, sim::TimePoint due);
+  // The ordinal of `id` in the resident table, assigned on first sight.
+  std::uint32_t intern(const SeedId& id);
   // PCIe poll transfer with timeout-and-retry: a lost completion (injected
   // message loss, or a crashed chassis) re-issues the request up to
   // kMaxPollRetries times before abandoning this round. `span` is the
@@ -188,6 +192,14 @@ class Soil {
   std::function<sim::Duration(const std::string&)> exec_cost_;
 
   std::vector<std::unique_ptr<Seed>> seeds_;
+  // Resident table: each SeedId this soil has hosted or been sent a
+  // message for keeps one ordinal for the soil's lifetime, and
+  // resident_[ordinal] is the seed deployed under that id now, or null.
+  // A delivery carries the ordinal and resolves it when it lands, which
+  // gives the seed find(id) would return then: a soil holds at most one
+  // seed per id, and a seed redeployed under its id takes its ordinal.
+  std::unordered_map<SeedId, std::uint32_t, SeedIdHash> ordinals_;
+  std::vector<Seed*> resident_;
   // Registrations keyed by owning seed (raw pointer identity).
   std::vector<std::unique_ptr<Registration>> regs_;
   // Aggregated poll groups: subject key → periodic task.

@@ -32,10 +32,7 @@ void CpuModel::submit(TaskId task, Duration demand,
   busy_ += cost;
 
   engine_.schedule_at(core_free_[best],
-                      [this, cb = std::move(on_done)]() mutable {
-                        ++completed_;
-                        if (cb) cb();
-                      });
+                      on_done ? std::move(on_done) : Engine::Callback([] {}));
 }
 
 Duration CpuModel::busy_time() const {

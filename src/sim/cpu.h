@@ -24,7 +24,8 @@ class CpuModel {
   CpuModel(Engine& engine, int cores, Duration context_switch_cost);
 
   // Enqueues a job with the given pure service demand on behalf of logical
-  // task `task`. on_done (optional) fires at virtual completion time.
+  // task `task`. on_done (optional) fires at virtual completion time; the
+  // completion is one event either way.
   void submit(TaskId task, Duration demand,
               std::function<void()> on_done = {});
 
@@ -40,7 +41,6 @@ class CpuModel {
   double load_percent(TimePoint window_start, Duration busy_at_start) const;
 
   int cores() const { return cores_; }
-  std::uint64_t completed_jobs() const { return completed_; }
   std::uint64_t context_switches() const { return switches_; }
 
  private:
@@ -50,7 +50,6 @@ class CpuModel {
   Duration busy_;
   std::vector<TimePoint> core_free_;
   std::vector<TaskId> core_last_task_;
-  std::uint64_t completed_ = 0;
   std::uint64_t switches_ = 0;
 };
 

@@ -5,20 +5,31 @@
 namespace farm::sim {
 
 namespace {
-// std::push_heap & co. build a max-heap under the comparator; Event
-// defines operator> by (time, id), so greater-than yields a min-heap.
-struct EventAfter {
-  bool operator()(const auto& a, const auto& b) const { return a > b; }
+// std::push_heap & co. build a max-heap under the comparator; ordering by
+// "fires later" yields a min-heap by (time, seq).
+struct FiresLater {
+  bool operator()(const auto& a, const auto& b) const {
+    return a.at != b.at ? a.at > b.at : a.seq > b.seq;
+  }
 };
 }  // namespace
 
 EventId Engine::schedule_at(TimePoint t, Callback cb) {
   FARM_CHECK_MSG(t >= now_, "cannot schedule events in the past");
-  EventId id = next_id_++;
-  heap_.push_back(Event{t, id, std::move(cb)});
-  std::push_heap(heap_.begin(), heap_.end(), EventAfter{});
-  live_.insert(id);
-  return id;
+  std::uint32_t slot;
+  if (free_.empty()) {
+    slot = static_cast<std::uint32_t>(slots_.size());
+    slots_.emplace_back();
+  } else {
+    slot = free_.back();
+    free_.pop_back();
+  }
+  Slot& s = slots_[slot];
+  s.cb = std::move(cb);
+  heap_.push_back(Entry{t, next_seq_++, slot, s.gen});
+  std::push_heap(heap_.begin(), heap_.end(), FiresLater{});
+  ++live_;
+  return (EventId{s.gen} << 32) | slot;
 }
 
 EventId Engine::schedule_after(Duration d, Callback cb) {
@@ -26,33 +37,48 @@ EventId Engine::schedule_after(Duration d, Callback cb) {
   return schedule_at(now_ + d, std::move(cb));
 }
 
+Engine::Callback Engine::release(std::uint32_t slot) {
+  Slot& s = slots_[slot];
+  if (++s.gen == 0) s.gen = 1;  // keep issued ids distinct from kInvalidEvent
+  free_.push_back(slot);
+  --live_;
+  return std::move(s.cb);
+}
+
 void Engine::cancel(EventId id) {
   if (id == kInvalidEvent) return;
-  live_.erase(id);
+  const auto slot = static_cast<std::uint32_t>(id);
+  // The callback is destroyed after the engine is consistent again, so a
+  // destructor that schedules or cancels sees a well-formed queue.
+  Callback dropped;
+  if (slot < slots_.size() && slots_[slot].gen == id >> 32)
+    dropped = release(slot);
   maybe_compact();
 }
 
 void Engine::maybe_compact() {
   // Lazy deletion leaves a tombstone per cancel; components that cancel and
   // reschedule a timer every tick would otherwise grow heap_ without bound
-  // while pending_events() (sized from live_) stays flat. Compact once
-  // tombstones outnumber live entries 3:1 (and the heap is big enough for
-  // the rebuild to matter).
-  if (heap_.size() < 64 || heap_.size() < 4 * live_.size()) return;
-  std::erase_if(heap_, [&](const Event& e) { return !live_.count(e.id); });
-  std::make_heap(heap_.begin(), heap_.end(), EventAfter{});
+  // while pending_events() stays flat. Compact once tombstones outnumber
+  // live entries 3:1 (and the heap is big enough for the rebuild to
+  // matter).
+  if (heap_.size() < 64 || heap_.size() < 4 * live_) return;
+  std::erase_if(heap_, [&](const Entry& e) { return !live(e); });
+  std::make_heap(heap_.begin(), heap_.end(), FiresLater{});
 }
 
 bool Engine::step() {
   while (!heap_.empty()) {
-    std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
-    Event ev = std::move(heap_.back());
+    std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
+    const Entry e = heap_.back();
     heap_.pop_back();
-    if (!live_.erase(ev.id)) continue;  // cancelled tombstone
-    now_ = ev.at;
+    if (!live(e)) continue;  // cancelled tombstone
+    now_ = e.at;
     ++executed_;
     if (telemetry_) telemetry_->count(events_metric_);
-    ev.cb();
+    // Released before it runs: the callback may cancel its own (now
+    // stale) id or schedule into the slot it vacated.
+    release(e.slot)();
     return true;
   }
   return false;
@@ -75,8 +101,8 @@ void Engine::run_until(TimePoint t) {
   while (!heap_.empty()) {
     // Drop tombstones first: a cancelled entry at the front with an early
     // timestamp must not admit a live event scheduled beyond t.
-    while (!heap_.empty() && !live_.count(heap_.front().id)) {
-      std::pop_heap(heap_.begin(), heap_.end(), EventAfter{});
+    while (!heap_.empty() && !live(heap_.front())) {
+      std::pop_heap(heap_.begin(), heap_.end(), FiresLater{});
       heap_.pop_back();
     }
     if (heap_.empty() || heap_.front().at > t) break;

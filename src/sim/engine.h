@@ -4,12 +4,18 @@
 // collectors, and harvesters all schedule callbacks on the shared virtual
 // clock. Determinism rule: events at the same instant execute in
 // (time, sequence-number) order, so a run is a pure function of its inputs.
+//
+// Callbacks live in a slot table recycled through a free list; the heap
+// holds only (time, sequence, slot, generation). An EventId is a handle
+// naming a (generation, slot) pair, not a sequence number: firing or
+// cancelling an event bumps its slot's generation, so every id issued for
+// it goes stale at once and cancel() is an index and a compare (DESIGN.md
+// §18).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_set>
 #include <vector>
 
 #include "telemetry/hub.h"
@@ -21,6 +27,8 @@ namespace farm::sim {
 using util::Duration;
 using util::TimePoint;
 
+// (generation << 32) | slot; generations start at 1, so no issued id is
+// kInvalidEvent.
 using EventId = std::uint64_t;
 inline constexpr EventId kInvalidEvent = 0;
 
@@ -40,7 +48,8 @@ class Engine {
   // Schedules cb after the given non-negative delay.
   EventId schedule_after(Duration d, Callback cb);
   // Cancels a pending event; cancelling an already-fired or cancelled event
-  // is a harmless no-op (components often race their own timers).
+  // is a harmless no-op (components often race their own timers), even
+  // once its slot holds a newer event.
   void cancel(EventId id);
 
   // Executes the next pending event; returns false when the queue is empty.
@@ -51,7 +60,7 @@ class Engine {
   // Drains the whole queue (use only for workloads that terminate).
   void run();
 
-  std::size_t pending_events() const { return live_.size(); }
+  std::size_t pending_events() const { return live_; }
   // Heap entries including cancelled tombstones awaiting compaction.
   // Bounded: compaction keeps this within a small factor of
   // pending_events(), so cancel/reschedule-heavy components (periodic
@@ -70,34 +79,43 @@ class Engine {
   telemetry::Hub& configure_telemetry(telemetry::HubConfig config);
 
  private:
-  struct Event {
+  // 24 bytes: the heap moves these, never the callbacks.
+  struct Entry {
     TimePoint at;
-    EventId id;
+    std::uint64_t seq;  // scheduling order; breaks same-instant ties
+    std::uint32_t slot;
+    std::uint32_t gen;
+  };
+  struct Slot {
     Callback cb;
-    // Min-heap by (time, id); id breaks ties deterministically in
-    // scheduling order.
-    bool operator>(const Event& o) const {
-      return at != o.at ? at > o.at : id > o.id;
-    }
+    // The generation of the event the slot holds, or of the next one it
+    // will hold while it sits on the free list.
+    std::uint32_t gen = 1;
   };
 
+  // A heap entry is live iff its slot still holds its generation.
+  bool live(const Entry& e) const { return slots_[e.slot].gen == e.gen; }
+  // Retires the event in `slot` (fired or cancelled): its ids go stale and
+  // the slot returns to the free list. Returns the callback.
+  Callback release(std::uint32_t slot);
   // Drops cancelled tombstones once they dominate the heap; amortized O(1)
   // per cancel (each compaction at least halves the heap and is paid for
   // by the cancels that created the tombstones).
   void maybe_compact();
 
   TimePoint now_;
-  EventId next_id_ = 1;
+  std::uint64_t next_seq_ = 0;
   std::uint64_t executed_ = 0;
+  std::size_t live_ = 0;  // scheduled, not yet fired or cancelled
   std::unique_ptr<telemetry::Hub> telemetry_;
   telemetry::MetricId events_metric_ = telemetry::kInvalidMetric;
-  // Min-heap by (time, id) maintained with the std heap algorithms; an
+  // Min-heap by (time, seq) maintained with the std heap algorithms; an
   // explicit vector (instead of std::priority_queue) so compaction can
-  // filter tombstones in place.
-  std::vector<Event> heap_;
-  // Scheduled-but-not-yet-executed (and not cancelled) event ids. Heap
-  // entries not in this set are tombstones skipped by step().
-  std::unordered_set<EventId> live_;
+  // filter tombstones in place. Entries whose slot moved on to a newer
+  // generation are tombstones skipped by step().
+  std::vector<Entry> heap_;
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> free_;
 };
 
 // Fires a callback at a fixed period until stopped. The period can be

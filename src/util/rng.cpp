@@ -12,9 +12,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   z = (z ^ (z >> 27)) * 0x94D049BB133111EBull;
   return z ^ (z >> 31);
 }
-std::uint64_t rotl(std::uint64_t x, int k) {
-  return (x << k) | (x >> (64 - k));
-}
 }  // namespace
 
 std::uint64_t stable_hash64(std::string_view bytes, std::uint64_t seed) {
@@ -36,28 +33,6 @@ std::uint64_t derive_seed(std::uint64_t master, std::uint64_t stream) {
 Rng::Rng(std::uint64_t seed) {
   std::uint64_t x = seed;
   for (auto& s : s_) s = splitmix64(x);
-}
-
-std::uint64_t Rng::next_u64() {
-  const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-  const std::uint64_t t = s_[1] << 17;
-  s_[2] ^= s_[0];
-  s_[3] ^= s_[1];
-  s_[1] ^= s_[2];
-  s_[0] ^= s_[3];
-  s_[2] ^= t;
-  s_[3] = rotl(s_[3], 45);
-  return result;
-}
-
-std::uint64_t Rng::next_below(std::uint64_t bound) {
-  FARM_CHECK(bound > 0);
-  // Lemire's rejection method keeps the distribution exactly uniform.
-  std::uint64_t threshold = (0 - bound) % bound;
-  for (;;) {
-    std::uint64_t r = next_u64();
-    if (r >= threshold) return r % bound;
-  }
 }
 
 std::int64_t Rng::next_int(std::int64_t lo, std::int64_t hi) {

@@ -26,10 +26,32 @@ class Rng {
  public:
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ull);
 
-  // Uniform over the full 64-bit range.
-  std::uint64_t next_u64();
+  // Uniform over the full 64-bit range (xoshiro256**).
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
   // Uniform over [0, bound) without modulo bias. bound must be > 0.
-  std::uint64_t next_below(std::uint64_t bound);
+  std::uint64_t next_below(std::uint64_t bound) {
+    FARM_CHECK(bound > 0);
+    // Lemire's rejection method keeps the distribution exactly uniform: a
+    // draw below threshold = 2^64 mod bound is redrawn. threshold < bound,
+    // so a draw at or above bound is always kept and the division that
+    // computes threshold is only paid for draws below bound.
+    std::uint64_t r = next_u64();
+    if (r < bound) {
+      const std::uint64_t threshold = (0 - bound) % bound;
+      while (r < threshold) r = next_u64();
+    }
+    return r % bound;
+  }
   // Uniform integer in the closed interval [lo, hi].
   std::int64_t next_int(std::int64_t lo, std::int64_t hi);
   // Uniform double in [0, 1).
@@ -49,6 +71,10 @@ class Rng {
   Rng fork();
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

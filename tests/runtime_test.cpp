@@ -9,6 +9,7 @@
 #include "runtime/bus.h"
 #include "runtime/soil.h"
 #include "sim/cost_model.h"
+#include "telemetry/prof.h"
 
 namespace farm::runtime {
 namespace {
@@ -430,6 +431,120 @@ TEST(SoilTest, ProbeOnAnInterfaceSamplesOnlyItsIngress) {
   rig.engine.run_for(Duration::ms(200));
   EXPECT_GT(seed->snapshot().machine_vars.at("ssh").as_int(), 0);
   EXPECT_EQ(seed->snapshot().machine_vars.at("other").as_int(), 0);
+}
+
+// A probe sample in flight (PCIe, IPC, then the switch CPU) lands on the
+// seed deployed under its SeedId when it arrives: on the seed that sampled
+// it if nothing happens, on nothing after an undeploy or a crash, and on
+// the new seed when the id is redeployed at the same instant.
+TEST(SoilTest, InFlightProbeLandsOnTheSeedDeployedUnderItsIdOnArrival) {
+  const char* src = R"(
+    machine M {
+      place all;
+      probe pr = Probe { .ival = 0.001, .what = proto tcp };
+      long seen = 0;
+      state s {
+        when (pr as pkt) do { seen = seen + 1; }
+      }
+    }
+  )";
+  enum class Then { kNothing, kUndeploy, kRedeploy, kCrash };
+  for (Then then :
+       {Then::kNothing, Then::kUndeploy, Then::kRedeploy, Then::kCrash}) {
+    SCOPED_TRACE(static_cast<int>(then));
+    Rig rig;
+    auto image = MachineImage::from_source(src, "M");
+    const auto leaf0 = rig.sl.leaf_switches[0];
+    Soil& soil = rig.soil_of(leaf0);
+    const SeedId id{"t", "M", 0};
+    Seed* seed = soil.deploy(id, image, {});
+    asic::TrafficDriver driver(rig.engine, rig.sl.topo, rig.by_node,
+                               rig.hh_flow(10e6, Duration::sec(1)),
+                               Duration::ms(1));
+    driver.start();
+    // Step until a tick has issued the probe's PCIe request.
+    const asic::PcieBus& pcie = rig.by_node[leaf0]->pcie();
+    while (pcie.requests_served() == 0) ASSERT_TRUE(rig.engine.step());
+    const TimePoint issued = rig.engine.now();
+    telemetry::Hub& tel = rig.engine.telemetry();
+    const auto handlers = tel.counter("seed.handlers");
+    const std::uint64_t handlers_before = tel.tally(handlers);
+
+    // The seed's sampler issues its next request at the tick one probe
+    // period later; that sample lands after it.
+    const TimePoint next_issue = issued + Duration::ms(1);
+    switch (then) {
+      case Then::kNothing:
+        rig.engine.run_until(next_issue);
+        EXPECT_EQ(seed->snapshot().machine_vars.at("seen").as_int(), 1);
+        EXPECT_EQ(tel.tally(handlers), handlers_before + 1);
+        break;
+      case Then::kUndeploy:
+        ASSERT_TRUE(soil.undeploy(id));
+        rig.engine.run_for(Duration::ms(5));
+        EXPECT_EQ(tel.tally(handlers), handlers_before);
+        break;
+      case Then::kRedeploy: {
+        ASSERT_TRUE(soil.undeploy(id));
+        Seed* fresh = soil.deploy(id, image, {});
+        rig.engine.run_until(next_issue);
+        EXPECT_EQ(fresh->snapshot().machine_vars.at("seen").as_int(), 1);
+        break;
+      }
+      case Then::kCrash:
+        soil.crash();
+        rig.engine.run_for(Duration::ms(5));
+        EXPECT_EQ(tel.tally(handlers), handlers_before);
+        EXPECT_EQ(soil.seed_count(), 0u);
+        break;
+    }
+  }
+}
+
+// A message the bus hands a soil for an id it does not hold yet is still
+// carried: a seed deployed under that id before it lands receives it.
+TEST(SoilTest, MessageLandsOnASeedDeployedWhileItWasInFlight) {
+  Rig rig;
+  auto& soil = rig.soil_of(rig.sl.leaf_switches[0]);
+  const SeedId id{"t1", "HH", 0};
+  soil.deliver_to_seed(id, Value(std::int64_t{42}), /*from_harvester=*/true,
+                       "");
+  Seed* seed = soil.deploy(id, rig.hh, {});
+  rig.engine.run_for(Duration::ms(1));
+  EXPECT_EQ(seed->snapshot().machine_vars.at("threshold").as_int(), 42);
+}
+
+// Furrow's seed-VM scope: one `runtime/seed_handler` closure per delivery
+// that reaches a seed's handler (here time firings and poll deliveries).
+TEST(SoilTest, HandlerScopeCountsEveryDelivery) {
+  auto& prof = telemetry::prof::Profiler::instance();
+  prof.set_enabled(true);
+  prof.reset();
+  Rig rig;
+  auto& soil = rig.soil_of(rig.sl.leaf_switches[0]);
+  auto ticker = MachineImage::from_source(R"(
+    machine M {
+      place all;
+      time tick = 0.01;
+      long fired = 0;
+      state s {
+        when (tick as t) do { fired = fired + 1; }
+      }
+    }
+  )", "M");
+  Seed* timed = soil.deploy({"t", "M", 0}, ticker, {});
+  soil.deploy({"t1", "HH", 0}, rig.hh, {});
+  rig.engine.run_for(Duration::ms(55));
+  std::uint64_t handled = 0;
+  for (const auto& layer : prof.snapshot().root.children)
+    if (layer.name == "runtime")
+      for (const auto& scope : layer.children)
+        if (scope.name == "seed_handler") handled = scope.count;
+  const auto fired = timed->snapshot().machine_vars.at("fired").as_int();
+  EXPECT_EQ(fired, 5);
+  EXPECT_GT(soil.poll_deliveries(), 0u);
+  EXPECT_EQ(handled,
+            static_cast<std::uint64_t>(fired) + soil.poll_deliveries());
 }
 
 TEST(SoilTest, ProcessModeHasHigherDeliveryLatency) {
