@@ -292,31 +292,59 @@ void BM_SimplexRedistributionLp(benchmark::State& state) {
 }
 BENCHMARK(BM_SimplexRedistributionLp);
 
+// One per-switch redistribution LP at the size an install solves: 25
+// generated seeds pinned to a 32-core switch make 114 rows and 325 columns
+// with slacks and artificials (farmbench's LPs average 112 and 331).
+// BM_SimplexRedistributionLp keeps the small-LP case.
+struct SwitchLp25Seeds {
+  placement::PlacementProblem problem;
+  placement::SwitchModel sw;
+  std::vector<placement::PinnedSeed> pinned;  // points into problem
+
+  SwitchLp25Seeds() {
+    placement::GeneratorSpec spec;
+    spec.n_switches = 1;
+    spec.n_tasks = 5;
+    spec.seeds_per_task = 5;
+    spec.candidates_per_seed = 1;
+    problem = placement::generate_problem(spec);
+    sw = problem.switches[0];
+    sw.capacity = {32, 32768, 2048, 8};
+    for (const auto& seed : problem.seeds) pinned.push_back({&seed, 0});
+  }
+  SwitchLp25Seeds(const SwitchLp25Seeds&) = delete;
+
+  void count_rows(benchmark::State& state) const {
+    state.counters["rows"] = static_cast<double>(
+        placement::redistribution_model(sw, pinned, {}).num_constraints());
+  }
+};
+
 void BM_SwitchLp25Seeds(benchmark::State& state) {
-  // One per-switch redistribution LP at the size an install solves:
-  // 25 generated seeds pinned to a 32-core switch make 114 rows and 325
-  // columns with slacks and artificials (farmbench's LPs average 112 and
-  // 331). BM_SimplexRedistributionLp keeps the small-LP case.
-  placement::GeneratorSpec spec;
-  spec.n_switches = 1;
-  spec.n_tasks = 5;
-  spec.seeds_per_task = 5;
-  spec.candidates_per_seed = 1;
-  const auto problem = placement::generate_problem(spec);
-  placement::SwitchModel sw = problem.switches[0];
-  sw.capacity = {32, 32768, 2048, 8};
-  std::vector<placement::PinnedSeed> pinned;
-  for (const auto& seed : problem.seeds) pinned.push_back({&seed, 0});
-  state.counters["rows"] = static_cast<double>(
-      placement::redistribution_model(sw, pinned, {}).num_constraints());
-  if (!placement::redistribute_on_switch(sw, pinned, {}))
+  const SwitchLp25Seeds lp;
+  lp.count_rows(state);
+  if (!placement::redistribute_on_switch(lp.sw, lp.pinned, {}))
     state.SkipWithError("the 25-seed LP is infeasible");
   for (auto _ : state) {
-    auto lp = placement::redistribute_on_switch(sw, pinned, {});
-    benchmark::DoNotOptimize(lp);
+    auto result = placement::redistribute_on_switch(lp.sw, lp.pinned, {});
+    benchmark::DoNotOptimize(result);
   }
 }
 BENCHMARK(BM_SwitchLp25Seeds);
+
+// The same LP through the value-only solve that step 4's screen runs: its
+// one-term rows fold into bounds, and no allocation comes back.
+void BM_SwitchLpValue25Seeds(benchmark::State& state) {
+  const SwitchLp25Seeds lp;
+  lp.count_rows(state);
+  if (!placement::redistribution_value(lp.sw, lp.pinned, {}))
+    state.SkipWithError("the 25-seed LP is infeasible");
+  for (auto _ : state) {
+    auto value = placement::redistribution_value(lp.sw, lp.pinned, {});
+    benchmark::DoNotOptimize(value);
+  }
+}
+BENCHMARK(BM_SwitchLpValue25Seeds);
 
 void BM_AlertEvaluate128Metrics(benchmark::State& state) {
   // One Scarecrow evaluator tick over a 128-metric registry with the six

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <limits>
+#include <optional>
 
 #include "lp/model.h"
 
@@ -47,5 +48,18 @@ inline bool exceeds_cell_budget(std::size_t rows, std::size_t cols_excl_rhs,
 
 // Integrality markers in the model are ignored (continuous relaxation).
 Solution solve_lp(const Model& model, const LpOptions& options = {});
+
+// The optimal objective of the continuous relaxation, or nullopt when the
+// LP is not optimal (default options). It runs the same solver, but first
+// folds every row with one nonzero term (after duplicate-term aggregation)
+// into that variable's bounds, and answers "infeasible" without solving
+// when two bounds cross. In the per-switch redistribution LPs those rows
+// are the `res ≥ c` guards and constant poll rows, exactly the rows that
+// need artificials, so the value costs far fewer rows and phase-1
+// iterations than solve_lp. It returns no vertex on purpose: on a
+// degenerate LP the folded start ends at another optimal vertex than
+// solve_lp's, so it may stand in for solve_lp only where no allocation is
+// read.
+std::optional<double> optimal_value(const Model& model);
 
 }  // namespace farm::lp

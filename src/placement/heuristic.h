@@ -9,6 +9,11 @@
 //  4. Compute migration benefits (pairs of per-switch LPs) and
 //  5. apply migrations in decreasing benefit order.
 //
+// Step 4 first screens the moves of seeds running at their source with
+// value-only LPs (lp::optimal_value) and prices exactly only the moves
+// that could pay; every move the exact benefits rank is still priced by
+// the exact LPs, so the placement is the one pricing every move gives.
+//
 // Migration residue (the transient doubling of §IV-B a) is charged at the
 // source switch for every seed that moves relative to the problem's
 // current placement.

@@ -80,6 +80,7 @@ void SolveMemo::finish() {
   std::erase_if(token_by_content_, stale);
   std::erase_if(variant_cache_, stale);
   std::erase_if(switch_cache_, stale);
+  std::erase_if(value_cache_, stale);
 }
 
 void SolveMemo::clear() {
@@ -88,12 +89,13 @@ void SolveMemo::clear() {
   token_by_seed_.clear();
   variant_cache_.clear();
   switch_cache_.clear();
+  value_cache_.clear();
 }
 
 std::size_t SolveMemo::size() const {
   std::lock_guard<std::mutex> lock(mutex_);
   return token_by_content_.size() + variant_cache_.size() +
-         switch_cache_.size();
+         switch_cache_.size() + value_cache_.size();
 }
 
 template <typename T, typename Solve>
@@ -138,14 +140,12 @@ SolveMemo::VariantEntry SolveMemo::variant_info(const UtilityVariant& variant,
   });
 }
 
-std::optional<SwitchLpResult> SolveMemo::redistribute(
-    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
-    const ResourcesValue& reserved, std::uint64_t* solves) {
-  // Key building happens outside the mutex: token_by_seed_ is written only
-  // by prepare()/finish()/clear(), which solve_heuristic keeps sequential
-  // with the parallel batches, so concurrent workers only ever read it
-  // here. The buffer is per-thread and reused (see variant_info).
-  thread_local std::string key;
+// Key building happens outside the mutex: token_by_seed_ is written only
+// by prepare()/finish()/clear(), which solve_heuristic keeps sequential
+// with the parallel batches, so concurrent workers only ever read it here.
+void SolveMemo::put_switch_key(std::string& key, const SwitchModel& sw,
+                               const std::vector<PinnedSeed>& seeds,
+                               const ResourcesValue& reserved) const {
   key.clear();
   std::uint32_t node = sw.node;
   put_bytes(key, &node, 4);
@@ -161,8 +161,25 @@ std::optional<SwitchLpResult> SolveMemo::redistribute(
     std::int32_t variant = ps.variant;
     put_bytes(key, &variant, 4);
   }
+}
+
+std::optional<SwitchLpResult> SolveMemo::redistribute(
+    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
+    const ResourcesValue& reserved, std::uint64_t* solves) {
+  thread_local std::string key;  // reused per thread (see variant_info)
+  put_switch_key(key, sw, seeds, reserved);
   return lookup(switch_cache_, key, [&] {
     return redistribute_on_switch(sw, seeds, reserved, solves);
+  });
+}
+
+std::optional<double> SolveMemo::redistribution_value(
+    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
+    const ResourcesValue& reserved, std::uint64_t* solves) {
+  thread_local std::string key;  // reused per thread (see variant_info)
+  put_switch_key(key, sw, seeds, reserved);
+  return lookup(value_cache_, key, [&] {
+    return placement::redistribution_value(sw, seeds, reserved, solves);
   });
 }
 

@@ -6,9 +6,10 @@
 // pinned (seed, variant) sequence, reserved residue). SolveMemo caches
 // them under exact-content keys — every double is compared bitwise, so a
 // cache hit returns the very value a fresh solve would compute and the
-// overall placement stays bit-identical to an uncached run. Kept across
-// re-solves (the Seeder owns one), it lets a re-solve after one seed event
-// pay only for the LPs that event changed.
+// overall placement stays bit-identical to an uncached run. It also
+// caches the value-only redistribution LPs of step 4's screen under the
+// same keys. Kept across re-solves (the Seeder owns one), it lets a
+// re-solve after one seed event pay only for the LPs that event changed.
 //
 // Lifecycle: solve_heuristic (heuristic.h) calls prepare() before and
 // finish() after every solve it runs with a memo, so one memo serves one
@@ -29,10 +30,11 @@
 // so a switch-LP key built from an evicted token can never match a seed
 // interned later.
 //
-// Eviction: every entry of the three tables (tokens, variant LPs, switch
-// LPs) records the last solve (generation) that touched it, and finish()
-// evicts entries untouched for more than kKeepGenerations solves — the
-// memo holds at most the content of the current solve and the two before.
+// Eviction: every entry of the four tables (tokens, variant LPs, switch
+// LPs, switch-LP values) records the last solve (generation) that touched
+// it, and finish() evicts entries untouched for more than
+// kKeepGenerations solves — the memo holds at most the content of the
+// current solve and the two before.
 #pragma once
 
 #include <cstdint>
@@ -77,8 +79,14 @@ class SolveMemo {
                                              const ResourcesValue& reserved,
                                              std::uint64_t* solves);
 
+  // Memoized redistribution_value, under redistribute's key in a table of
+  // its own: a value depends only on its key, never on the exact entries.
+  std::optional<double> redistribution_value(
+      const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
+      const ResourcesValue& reserved, std::uint64_t* solves);
+
   std::uint64_t hits() const { return hits_; }
-  // Entries across the token, variant-LP and switch-LP tables.
+  // Entries across the token, variant-LP, switch-LP and value tables.
   std::size_t size() const;
 
   // Test hook: overwrite a cached switch-LP entry in place (all existing
@@ -99,12 +107,18 @@ class SolveMemo {
   T lookup(std::unordered_map<std::string, Stamped<T>>& table,
            const std::string& key, Solve&& solve);
 
+  // Serializes one switch LP's inputs into `key`.
+  void put_switch_key(std::string& key, const SwitchModel& sw,
+                      const std::vector<PinnedSeed>& seeds,
+                      const ResourcesValue& reserved) const;
+
   mutable std::mutex mutex_;
   std::unordered_map<std::string, Stamped<std::uint64_t>> token_by_content_;
   std::unordered_map<const SeedModel*, std::uint64_t> token_by_seed_;
   std::unordered_map<std::string, Stamped<VariantEntry>> variant_cache_;
   std::unordered_map<std::string, Stamped<std::optional<SwitchLpResult>>>
       switch_cache_;
+  std::unordered_map<std::string, Stamped<std::optional<double>>> value_cache_;
   std::uint64_t generation_ = 0;
   std::uint64_t next_token_ = 1;
   std::uint64_t hits_ = 0;

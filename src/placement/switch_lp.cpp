@@ -157,4 +157,16 @@ std::optional<SwitchLpResult> redistribute_on_switch(
   return out;
 }
 
+std::optional<double> redistribution_value(const SwitchModel& sw,
+                                           const std::vector<PinnedSeed>& seeds,
+                                           const ResourcesValue& reserved,
+                                           std::uint64_t* lp_solves) {
+  if (seeds.empty()) return 0.0;
+  FARM_PROF_SCOPE("switch_lp_value");
+
+  auto value = lp::optimal_value(redistribution_model(sw, seeds, reserved));
+  if (lp_solves) ++*lp_solves;
+  return value;
+}
+
 }  // namespace farm::placement

@@ -38,6 +38,15 @@ std::optional<SwitchLpResult> redistribute_on_switch(
     const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
     const ResourcesValue& reserved, std::uint64_t* lp_solves = nullptr);
 
+// The optimal total utility of redistribution_model without its
+// allocation, through lp::optimal_value. On a degenerate LP its vertex may
+// differ from redistribute_on_switch's, so it serves only callers that
+// read no allocation: step 4's screen (heuristic.cpp). nullopt unless the
+// LP is optimal.
+std::optional<double> redistribution_value(
+    const SwitchModel& sw, const std::vector<PinnedSeed>& seeds,
+    const ResourcesValue& reserved, std::uint64_t* lp_solves = nullptr);
+
 // Component-wise minimal feasible allocation of a variant within `cap`
 // (an LP minimizing total allocation subject to the variant constraints).
 // nullopt = infeasible within the capacity box.

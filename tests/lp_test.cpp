@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <optional>
 
 #include "dense_inverse.h"
 #include "dense_tableau.h"
@@ -477,6 +478,129 @@ TEST(SimplexTest, IndexedKernelMatchesDenseInverseBitForBit) {
   }
   EXPECT_EQ(problem.seeds.size(), 40u);
   EXPECT_GE(optimal, 30) << "too few feasible redistribution LPs";
+}
+
+// optimal_value against solve_lp: optimal on exactly the same instances,
+// with objectives within 1e-9 relative. Its fold changes the start and so,
+// on degenerate LPs, the optimal vertex; the optimum must not move.
+::testing::AssertionResult same_value(const Model& m) {
+  const Solution exact = solve_lp(m);
+  const std::optional<double> value = optimal_value(m);
+  const bool optimal = exact.status == SolveStatus::kOptimal;
+  if (optimal != value.has_value())
+    return ::testing::AssertionFailure()
+           << "solve_lp status " << static_cast<int>(exact.status)
+           << ", optimal_value " << (value ? "optimal" : "nullopt");
+  if (optimal && std::abs(*value - exact.objective) >
+                     1e-9 * std::max(1.0, std::abs(exact.objective)))
+    return ::testing::AssertionFailure()
+           << "value " << *value << " vs objective " << exact.objective;
+  return ::testing::AssertionSuccess();
+}
+
+TEST(SimplexTest, OptimalValueMatchesSolveLp) {
+  util::Rng rng(31);
+  for (int trial = 0; trial < 400; ++trial)
+    EXPECT_TRUE(same_value(random_lp(rng))) << "random trial " << trial;
+  for (int trial = 0; trial < 300; ++trial)
+    EXPECT_TRUE(same_value(circulant_lp(rng))) << "circulant trial " << trial;
+  EXPECT_TRUE(same_value(beale_model())) << "Beale";
+  EXPECT_TRUE(same_value(thirty_copies_model())) << "thirty copies";
+
+  // Redistribution LPs of 1..40 generated seeds pinned to one switch, with
+  // and without reserved residue, then with the capacity shrunk step by
+  // step until the LP is infeasible.
+  placement::GeneratorSpec spec;
+  spec.n_switches = 4;
+  spec.n_tasks = 10;
+  spec.seeds_per_task = 4;
+  spec.seed = 11;
+  const auto problem = placement::generate_problem(spec);
+  const placement::ResourcesValue residue{0.5, 64, 8, 0.5};
+  int optimal = 0, infeasible = 0;
+  for (std::size_t k = 1; k <= problem.seeds.size(); ++k) {
+    std::vector<placement::PinnedSeed> pinned;
+    for (std::size_t i = 0; i < k; ++i) {
+      const auto& seed = problem.seeds[i];
+      pinned.push_back({&seed, static_cast<int>(i % seed.variants.size())});
+    }
+    placement::SwitchModel sw = problem.switches[k % problem.switches.size()];
+    sw.capacity.vCPU *= static_cast<double>(k + 3) / 4;
+    sw.capacity.RAM *= static_cast<double>(k + 3) / 4;
+    for (const auto& reserved : {placement::ResourcesValue{}, residue}) {
+      placement::SwitchModel shrunk = sw;
+      for (int step = 0; step < 64; ++step) {
+        const Model m = placement::redistribution_model(shrunk, pinned, reserved);
+        EXPECT_TRUE(same_value(m))
+            << k << " pinned seeds, reserved vCPU " << reserved.vCPU
+            << ", shrink step " << step;
+        if (solve_lp(m).status != SolveStatus::kOptimal) {
+          ++infeasible;
+          break;
+        }
+        if (step == 0) ++optimal;
+        shrunk.capacity.vCPU *= 0.8;
+        shrunk.capacity.RAM *= 0.8;
+        shrunk.capacity.TCAM *= 0.8;
+        shrunk.capacity.PCIe *= 0.8;
+      }
+    }
+  }
+  EXPECT_GE(optimal, 60) << "too few feasible redistribution LPs";
+  EXPECT_GE(infeasible, 60) << "too few LPs shrunk to infeasibility";
+}
+
+// The fold's edges, each against solve_lp as well as its known optimum.
+TEST(SimplexTest, OptimalValueFoldsOneTermRowsIntoBounds) {
+  {  // Every row is a singleton: no row remains.
+    Model m;
+    VarId x = m.add_continuous("x", 0, kInf, 1);
+    VarId y = m.add_continuous("y", 0, kInf, 2);
+    m.add_constraint("x", {{x, 1}}, Sense::kLe, 3);
+    m.add_constraint("y", {{y, 2}}, Sense::kLe, 4);
+    EXPECT_TRUE(same_value(m));
+    EXPECT_DOUBLE_EQ(*optimal_value(m), 7);
+  }
+  {  // An equality singleton fixes its variable.
+    Model m;
+    VarId x = m.add_continuous("x", 0, kInf, 1);
+    VarId y = m.add_continuous("y", 0, kInf, 3);
+    m.add_constraint("fix", {{x, 2}}, Sense::kEq, 5);
+    m.add_constraint("sum", {{x, 1}, {y, 1}}, Sense::kLe, 10);
+    EXPECT_TRUE(same_value(m));
+    EXPECT_DOUBLE_EQ(*optimal_value(m), 2.5 + 3 * 7.5);
+  }
+  {  // A negative-coefficient ≥ singleton is an upper bound.
+    Model m;
+    VarId x = m.add_continuous("x", 0, kInf, 1);
+    m.add_constraint("cap", {{x, -2}}, Sense::kGe, -6);
+    EXPECT_TRUE(same_value(m));
+    EXPECT_DOUBLE_EQ(*optimal_value(m), 3);
+  }
+  {  // Two singletons on one variable: the tighter one wins, both ways.
+    Model lo;
+    lo.set_maximize(false);
+    VarId x = lo.add_continuous("x", 0, kInf, 1);
+    lo.add_constraint("a", {{x, 1}}, Sense::kGe, 1);
+    lo.add_constraint("b", {{x, 1}}, Sense::kGe, 2);
+    EXPECT_TRUE(same_value(lo));
+    EXPECT_DOUBLE_EQ(*optimal_value(lo), 2);
+    Model hi;
+    VarId y = hi.add_continuous("y", 0, kInf, 1);
+    hi.add_constraint("a", {{y, 1}}, Sense::kLe, 5);
+    hi.add_constraint("b", {{y, 1}}, Sense::kLe, 4);
+    EXPECT_TRUE(same_value(hi));
+    EXPECT_DOUBLE_EQ(*optimal_value(hi), 4);
+  }
+  {  // A singleton past the variable's other bound is infeasible.
+    Model m;
+    VarId x = m.add_continuous("x", 0, 5, 1);
+    VarId y = m.add_continuous("y", 0, kInf, 1);
+    m.add_constraint("sum", {{x, 1}, {y, 1}}, Sense::kLe, 10);
+    m.add_constraint("over", {{x, 1}}, Sense::kGe, 6);
+    EXPECT_EQ(solve_lp(m).status, SolveStatus::kInfeasible);
+    EXPECT_FALSE(optimal_value(m).has_value());
+  }
 }
 
 TEST(SimplexTest, CellBudgetHelperBoundaryAndOverflow) {

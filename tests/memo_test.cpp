@@ -15,6 +15,7 @@
 #include "placement/generator.h"
 #include "placement/heuristic.h"
 #include "placement/memo.h"
+#include "telemetry/prof.h"
 #include "util/pool.h"
 #include "util/rng.h"
 
@@ -124,13 +125,19 @@ TEST(MemoTest, SingleArrivalReusesCachedLpsAndMatchesMemoLessSolve) {
 }
 
 // Random arrival/departure/failure sequences, memo'd vs memo-less, at
-// FARM_THREADS ∈ {1, 4, 16}, and identical across the thread counts.
-TEST(MemoTest, BitIdenticalAcrossRandomSequencesAt1_4_16Threads) {
+// FARM_THREADS ∈ {1, 4, 16}, and identical across the thread counts. The
+// sequences start from a fresh placement and from one where every seed
+// runs on its first candidate, whose moves step 4 screens through the
+// shared memo from every worker.
+void random_sequences_are_bit_identical(bool running) {
   constexpr int kSteps = 12;
   std::vector<std::vector<PlacementResult>> per_thread_results;
   for (int threads : {1, 4, 16}) {
     util::ScopedThreads scoped(threads);
     auto problem = base_problem(3);
+    if (running)
+      for (const auto& s : problem.seeds)
+        problem.current_placement[s.id] = s.candidates.front();
     std::vector<SwitchModel> failed;
     util::Rng rng(99);  // same sequence at every thread count
     SolveMemo memo;
@@ -152,6 +159,13 @@ TEST(MemoTest, BitIdenticalAcrossRandomSequencesAt1_4_16Threads) {
     for (std::size_t i = 0; i < per_thread_results[t].size(); ++i)
       expect_identical(per_thread_results[t][i], per_thread_results[0][i],
                        "cross-thread step " + std::to_string(i));
+  }
+}
+
+TEST(MemoTest, BitIdenticalAcrossRandomSequencesAt1_4_16Threads) {
+  for (bool running : {false, true}) {
+    SCOPED_TRACE(running ? "every seed running" : "fresh placement");
+    random_sequences_are_bit_identical(running);
   }
 }
 
@@ -182,24 +196,46 @@ TEST(MemoTest, PoisonedCacheIsRepairedInsideSolveHeuristic) {
 // Fifty problems with distinct seed content through one memo: the memo
 // may hold only what the current solve and the kKeepGenerations solves
 // before it touched — the content a fresh memo reaches on each of them —
-// instead of accumulating every problem it has seen.
-TEST(MemoTest, SizeStaysBoundedByTheRetainedGenerations) {
+// instead of accumulating every problem it has seen. The problems start
+// from a fresh placement and from one where every seed runs on its first
+// candidate, whose moves step 4 screens, so value entries are bounded
+// with the others.
+void sizes_stay_bounded(bool running) {
   constexpr int kProblems = 50;
   constexpr int kKeep = static_cast<int>(SolveMemo::kKeepGenerations);
+  auto screened = [] {
+    return telemetry::prof::Profiler::instance().snapshot().counter(
+        "placement.migration.screened");
+  };
   SolveMemo shared;
   std::vector<std::size_t> fresh_size;
   for (int i = 0; i < kProblems; ++i) {
     auto problem = base_problem(1000 + static_cast<std::uint64_t>(i));
+    if (running)
+      for (const auto& s : problem.seeds)
+        problem.current_placement[s.id] = s.candidates.front();
     SolveMemo fresh;
+    const std::uint64_t screened_before = screened();
     solve_with(problem, fresh);
     fresh_size.push_back(fresh.size());
     ASSERT_GT(fresh_size.back(), 0u);
+    if (running) {
+      ASSERT_GT(screened(), screened_before)
+          << "problem " << i << " screened nothing";
+    }
 
     solve_with(problem, shared);
     std::size_t bound = 0;
     for (int j = std::max(0, i - kKeep); j <= i; ++j)
       bound += fresh_size[static_cast<std::size_t>(j)];
     EXPECT_LE(shared.size(), bound) << "after problem " << i;
+  }
+}
+
+TEST(MemoTest, SizeStaysBoundedByTheRetainedGenerations) {
+  for (bool running : {false, true}) {
+    SCOPED_TRACE(running ? "every seed running" : "fresh placement");
+    sizes_stay_bounded(running);
   }
 }
 

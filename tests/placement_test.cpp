@@ -2,10 +2,15 @@
 // validation of (C1)-(C4), migration overhead, and aggregation benefits.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+
 #include "placement/generator.h"
 #include "placement/heuristic.h"
+#include "placement/memo.h"
 #include "placement/milp_placement.h"
 #include "placement/switch_lp.h"
+#include "telemetry/prof.h"
+#include "util/rng.h"
 
 namespace farm::placement {
 namespace {
@@ -331,6 +336,143 @@ TEST(HeuristicTest, InteractingMigrationsSkipMoveWhoseBenefitTurnsNegative) {
   no_migr.enable_migration_pass = false;
   auto base = solve_heuristic(p, no_migr);
   EXPECT_NEAR(base.total_utility, 4.0, 1e-5);
+}
+
+// --- Step 4's output, pinned bit for bit -----------------------------------
+
+// 64-bit FNV-1a over each entry's seed, node and variant and the bits of
+// its allocation and utility, then the bits of the total utility.
+std::uint64_t placement_digest(const PlacementResult& r) {
+  std::uint64_t h = 14695981039346656037ull;
+  auto mix = [&h](const void* data, std::size_t n) {
+    const auto* bytes = static_cast<const unsigned char*>(data);
+    for (std::size_t i = 0; i < n; ++i) {
+      h ^= bytes[i];
+      h *= 1099511628211ull;
+    }
+  };
+  for (const auto& e : r.placements) {
+    mix(e.seed.data(), e.seed.size());
+    mix(&e.node, sizeof e.node);
+    mix(&e.variant, sizeof e.variant);
+    for (double v : {e.alloc.vCPU, e.alloc.RAM, e.alloc.TCAM, e.alloc.PCIe,
+                     e.utility})
+      mix(&v, sizeof v);
+  }
+  mix(&r.total_utility, sizeof r.total_utility);
+  return h;
+}
+
+// Every seed currently runs on its first candidate among switches 0..3,
+// with a small allocation: the skew bench_ablation_migration and
+// combine_test give the migration pass.
+PlacementProblem skewed(GeneratorSpec spec) {
+  auto problem = generate_problem(spec);
+  for (const auto& s : problem.seeds)
+    for (auto n : s.candidates)
+      if (n < 4) {
+        problem.current_placement[s.id] = n;
+        problem.current_alloc[s.id] = ResourcesValue{0.2, 32, 4, 0.2};
+        break;
+      }
+  return problem;
+}
+
+std::uint64_t furrow_counter(const char* name) {
+  return telemetry::prof::Profiler::instance().snapshot().counter(name);
+}
+
+// The placements below were recorded before step 4 screened any move; the
+// screen may only skip moves that cannot pay, so every byte must stay. The
+// instances apply moves of running and of fresh seeds:
+// bench_ablation_migration's three shapes, combine_test's medium problems
+// and property_test's random current placements.
+TEST(HeuristicTest, MigrationPassOutputIsPinnedBitForBit) {
+  struct Case {
+    std::string name;
+    PlacementProblem problem;
+    std::uint64_t digest;
+  };
+  std::vector<Case> cases;
+  const std::uint64_t ablation_digest[] = {
+      10233726751575371349ull, 18092060784250231214ull, 2001502657846534232ull};
+  for (int i = 0; i < 3; ++i) {
+    GeneratorSpec spec;
+    spec.n_switches = 24;
+    spec.n_tasks = 6;
+    spec.seeds_per_task = 10 << i;
+    spec.seed = 5;
+    cases.push_back({"ablation " + std::to_string(6 * spec.seeds_per_task),
+                     skewed(spec), ablation_digest[i]});
+  }
+  const std::pair<std::uint64_t, std::uint64_t> medium_digest[] = {
+      {7, 12843615416762678091ull}, {21, 9964925033855692043ull}};
+  for (const auto& [seed, digest] : medium_digest) {
+    GeneratorSpec spec;
+    spec.n_switches = 24;
+    spec.n_tasks = 6;
+    spec.seeds_per_task = 20;
+    spec.seed = seed;
+    cases.push_back({"medium " + std::to_string(seed), skewed(spec), digest});
+  }
+  const std::uint64_t random_digest[] = {
+      13980935733443762509ull, 4599257514694032805ull,
+      4714369396611399335ull, 5846566506362503263ull,
+      3036672045573767933ull, 8348062151508196093ull,
+      11186790005626827105ull, 16997586846344215131ull,
+      5745281124428215977ull, 1587847327145475649ull,
+      1386909021222906593ull, 12899608898696517265ull};
+  for (std::uint64_t seed = 1; seed <= 12; ++seed) {
+    GeneratorSpec spec;
+    spec.n_switches = 10;
+    spec.n_tasks = 4;
+    spec.seeds_per_task = 8;
+    spec.seed = seed;
+    auto problem = generate_problem(spec);
+    util::Rng rng(seed * 13 + 1);
+    for (const auto& s : problem.seeds) {
+      if (!rng.next_bool(0.7)) continue;
+      problem.current_placement[s.id] =
+          s.candidates[rng.next_below(s.candidates.size())];
+      problem.current_alloc[s.id] = ResourcesValue{0.2, 32, 4, 0.2};
+    }
+    cases.push_back({"random " + std::to_string(seed), std::move(problem),
+                     random_digest[seed - 1]});
+  }
+
+  const std::uint64_t applied_before =
+      furrow_counter("placement.migration.applied");
+  for (const auto& c : cases) {
+    // Memo-less, through a fresh memo, and through the same memo again,
+    // where every LP the first solve cached is read back.
+    SolveMemo memo;
+    HeuristicOptions with_memo;
+    with_memo.memo = &memo;
+    for (const auto& [how, opts] : {std::pair{"memo-less", HeuristicOptions{}},
+                                    std::pair{"fresh memo", with_memo},
+                                    std::pair{"warm memo", with_memo}}) {
+      const std::uint64_t screened_before =
+          furrow_counter("placement.migration.screened");
+      const auto r = solve_heuristic(c.problem, opts);
+      EXPECT_EQ(placement_digest(r), c.digest) << c.name << ", " << how;
+      EXPECT_GT(furrow_counter("placement.migration.screened"),
+                screened_before)
+          << c.name << ", " << how << ": no running seed's move was screened";
+    }
+  }
+  EXPECT_GT(furrow_counter("placement.migration.applied"), applied_before);
+
+  // With no seed running anywhere, every move is a fresh seed's: priced,
+  // never screened.
+  GeneratorSpec spec;
+  spec.n_switches = 24;
+  spec.n_tasks = 6;
+  spec.seeds_per_task = 20;
+  spec.seed = 5;
+  const std::uint64_t screened_before =
+      furrow_counter("placement.migration.screened");
+  solve_heuristic(generate_problem(spec));
+  EXPECT_EQ(furrow_counter("placement.migration.screened"), screened_before);
 }
 
 }  // namespace
